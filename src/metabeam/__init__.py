@@ -13,6 +13,7 @@ from .errors import (
     DataFormatError,
     DegenerateInputError,
     MetabeamError,
+    NumericalError,
     SingularMatrixError,
 )
 from .meta import MetaConfig, TrainLog
@@ -33,6 +34,7 @@ __all__ = [
     "MetaConfig",
     "MetabeamError",
     "MlpParams",
+    "NumericalError",
     "OracleResult",
     "PredictorParams",
     "SingularMatrixError",

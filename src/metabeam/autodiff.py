@@ -173,7 +173,8 @@ def softplus(a):
     """log(1 + exp(x)), computed stably; derivative is the logistic sigmoid."""
     av = a.value
     out = np.logaddexp(0.0, av)
-    sig = 1.0 / (1.0 + np.exp(-av))
+    with np.errstate(over="ignore"):  # exp(-x) -> inf gives the exact limit 0
+        sig = 1.0 / (1.0 + np.exp(-av))
     return a.tape._record(out, (a,), (lambda g: g * sig,), "softplus")
 
 

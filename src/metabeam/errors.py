@@ -9,6 +9,10 @@ class SingularMatrixError(MetabeamError, ArithmeticError):
     """A linear system was numerically singular (pivot below threshold)."""
 
 
+class NumericalError(MetabeamError, ArithmeticError):
+    """A value that must be finite (a loss, a parameter) was NaN or inf."""
+
+
 class DegenerateInputError(MetabeamError, ValueError):
     """An input was degenerate for the requested operation (e.g. all-zero)."""
 

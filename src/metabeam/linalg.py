@@ -15,66 +15,74 @@ PIVOT_RTOL = 1e-12
 def hermitian_rank1_sum(coeffs, vectors, n=None):
     """Sum of rank-one terms c_k * h_k h_k^H.
 
-    coeffs: real nonnegative, length K. vectors: K vectors of length N
-    (any iterable of 1-D arrays, or an array of shape (K, N)). n is required
-    when the sum is empty and fixes the output size.
+    coeffs: real nonnegative, shape (K,) or batched (..., K). vectors: K
+    vectors of length N (a sequence of 1-D arrays, or an array of shape
+    (K, N)), shared by every batch row. n is required when the sum is empty
+    and fixes the output size.
 
-    Returns an (N, N) Hermitian PSD complex matrix; the construction makes the
-    result exactly equal to its own conjugate transpose.
+    Returns (..., N, N) Hermitian PSD complex matrices; the construction makes
+    each result exactly equal to its own conjugate transpose.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
-    if coeffs.ndim != 1 or len(vectors) != coeffs.shape[0]:
+    try:
+        vectors = np.asarray(vectors, dtype=np.complex128)
+    except ValueError as exc:
+        raise ValueError("all vectors must share the same length") from exc
+    if coeffs.shape[-1:] != (len(vectors),):
         raise ValueError(
-            f"need one coefficient per vector, got {coeffs.shape[0]} coeffs "
+            f"need one coefficient per vector, got {coeffs.shape[-1:]} coeffs "
             f"and {len(vectors)} vectors"
         )
     if np.any(coeffs < 0):
         raise ValueError("coefficients must be nonnegative")
-    if not vectors:
+    if len(vectors) == 0:
         if n is None:
             raise ValueError("empty sum needs an explicit size n")
-        return np.zeros((n, n), dtype=np.complex128)
-    n_dim = vectors[0].shape[0]
-    out = np.zeros((n_dim, n_dim), dtype=np.complex128)
-    for c, h in zip(coeffs, vectors):
-        if h.shape != (n_dim,):
-            raise ValueError("all vectors must share the same length")
-        out += c * np.outer(h, h.conj())
+        return np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.complex128)
+    out = np.einsum("...k,kn,km->...nm", coeffs, vectors, vectors.conj())
     # Mirrored entries of (S + S^H)/2 evaluate the same expression, so the
-    # result equals its conjugate transpose to the bit (outer() alone does
+    # result equals its conjugate transpose to the bit (the sum alone does
     # not guarantee that under fused-multiply-add contraction).
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
 
 
 def hpd_solve(a, mu, b):
     """Solve (A + mu I) x = b for Hermitian positive definite A + mu I.
 
-    a: (N, N) Hermitian. mu: real >= 0 shift. b: (N,) or (N, K) right-hand
-    side. Uses a Cholesky factorization; raises SingularMatrixError when the
-    factorization fails or a pivot falls below PIVOT_RTOL * trace(A + mu I).
+    a: (..., N, N) Hermitian. mu: real >= 0 shift, a scalar or one value per
+    matrix (shape a.shape[:-2]). b: (N,) or (N, K), or batched (..., N, K).
+    Uses a Cholesky factorization of every matrix; raises SingularMatrixError
+    when any factorization fails or any pivot falls below
+    PIVOT_RTOL * trace(A + mu I) of its own matrix.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError(f"A must be square, got {a.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"rhs length {b.shape[0]} does not match A size {n}")
-    s = a + mu * np.eye(n)
+    rows = b.shape[0] if b.ndim == 1 else b.shape[-2]
+    if rows != n:
+        raise ValueError(f"rhs length {rows} does not match A size {n}")
+    mu = np.asarray(mu, dtype=np.float64)
+    s = a + mu[..., None, None] * np.eye(n)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"A + {mu} I is not positive definite") from exc
-    pivots = np.real(np.diag(chol)) ** 2
-    threshold = PIVOT_RTOL * max(np.real(np.trace(s)), np.finfo(np.float64).tiny)
-    if np.min(pivots) <= threshold:
+    pivots = np.real(np.diagonal(chol, axis1=-2, axis2=-1)) ** 2
+    trace = np.real(np.trace(s, axis1=-2, axis2=-1))
+    threshold = PIVOT_RTOL * np.maximum(trace, np.finfo(np.float64).tiny)
+    smallest = np.min(pivots, axis=-1)
+    if np.any(smallest <= threshold):
         raise SingularMatrixError(
-            f"pivot {np.min(pivots):.3e} below threshold {threshold:.3e}"
+            f"pivot below threshold (smallest pivot/threshold ratio "
+            f"{np.min(smallest / threshold):.3e})"
         )
+    if b.ndim > 1:
+        b = np.broadcast_to(b, s.shape[:-2] + b.shape[-2:])
     # Two triangular solves: L y = b, then L^H x = y.
     y = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.conj().T, y)
+    return np.linalg.solve(np.swapaxes(chol, -1, -2).conj(), y)
 
 
 def total_power(v):

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import meta as meta_mod
 from . import pipeline
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,10 @@ def rank_hardest(entries, count):
     Hardest = largest last_loss; ties prefer larger inserted_at (younger),
     then lower list index. Equivalent to a full sort by that key followed by
     taking the head, which is what the tests recompute independently.
+    Raises NumericalError on a non-finite loss, which has no rank.
     """
+    if not all(math.isfinite(e.last_loss) for e in entries):
+        raise NumericalError("memory entry with a non-finite loss cannot be ranked")
     count = max(0, min(count, len(entries)))
     order = sorted(
         range(len(entries)),

@@ -4,7 +4,8 @@ The weighted-MMSE alternating solver maximizes the weighted sum rate under a
 total power budget. Each iterate is summarized by K complex receiver
 coefficients u, K positive MSE weights w, and one dual scalar mu >= 0; the
 beamformer is reconstructed from that triple in closed form, which is the
-low-dimensional target the predictor networks learn.
+low-dimensional target the predictor networks learn. compute_u, compute_w,
+solve_mu and reconstruct_v also take a leading batch axis (one row per start).
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from .linalg import (
     hermitian_rank1_sum,
     hpd_solve,
     normalize_to_power,
-    total_power,
 )
 
 
@@ -26,9 +26,9 @@ from .linalg import (
 class ComponentTriple:
     """Decomposed WMMSE state: receiver gains u, MSE weights w, dual mu."""
 
-    u: np.ndarray  # (K,) complex128
-    w: np.ndarray  # (K,) float64
-    mu: float
+    u: np.ndarray  # (K,) complex128, or (S, K) for a batch of S triples
+    w: np.ndarray  # (K,) float64, or (S, K)
+    mu: float  # or an (S,) array
 
 
 @dataclass
@@ -37,6 +37,7 @@ class WmmseResult:
     components: ComponentTriple  # triple recomputed at the returned iterate
     iterations: int
     wsr_trace: np.ndarray  # WSR of each iterate, initial point included
+    converged: bool  # the winning start stopped on eps, not at max_iters
 
 
 @dataclass
@@ -49,17 +50,17 @@ class OracleResult:
 
 def compute_w(h, v, cfg):
     """MSE weights w_k = 1 + SINR_k (total over interference-plus-noise)."""
-    a2 = objective.batch_coupling(h[None], v[None])[0]
-    signal = np.diag(a2)
-    totals = cfg.sigma2 + a2.sum(axis=1)
+    a2 = np.abs(h.conj() @ v) ** 2
+    signal = np.diagonal(a2, axis1=-2, axis2=-1)
+    totals = cfg.sigma2 + a2.sum(axis=-1)
     return totals / (totals - signal)
 
 
 def compute_u(h, v, cfg):
     """MMSE receiver gains u_k = h_k^H v_k / (sigma2 + sum_j |h_k^H v_j|^2)."""
     g = h.conj() @ v
-    totals = cfg.sigma2 + np.sum(np.abs(g) ** 2, axis=1)
-    return np.diag(g) / totals
+    totals = cfg.sigma2 + np.sum(np.abs(g) ** 2, axis=-1)
+    return np.diagonal(g, axis1=-2, axis2=-1) / totals
 
 
 def _component_scales(u, w, cfg):
@@ -79,17 +80,19 @@ def reconstruct_v(h, components, cfg):
     w = np.asarray(components.w, dtype=np.float64)
     s = _assemble_s(h, u, w, cfg)
     x = hpd_solve(s, components.mu, h.T)  # columns (S + mu I)^{-1} h_k
-    return x * _component_scales(u, w, cfg)[None, :]
+    return x * _component_scales(u, w, cfg)[..., None, :]
 
 
 def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200):
     """Smallest mu >= 0 putting the reconstructed power at the budget.
 
-    The reconstructed power is strictly decreasing in mu, so a bisection
-    suffices: returns 0 when the power at mu = 0 is already within budget,
-    otherwise the mu with power in [P (1 - rtol), P]. Raises
-    DegenerateInputError when all reconstruction scales vanish (the power can
-    then never reach P).
+    u and w are (K,) for one triple, which returns a float, or (S, K) for S
+    triples, which returns one mu per row. The reconstructed power is
+    strictly decreasing in mu: returns 0 when the power at mu = 0 is already
+    within budget, otherwise a mu with power in [P (1 - rtol), P]. Raises
+    DegenerateInputError when all reconstruction scales of a row vanish (the
+    power can then never reach P), and SingularMatrixError when the budget is
+    unreachable or the search has not converged after max_iters steps.
 
     With fewer users than antennas S can be rank deficient while the budget
     is slack (the unconstrained optimum). The mu -> 0+ limit of the
@@ -98,48 +101,51 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200):
     trace(S) that keeps the downstream Cholesky solve positive definite and
     perturbs that limit by a negligible relative amount.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.float64)
+    single = np.ndim(u) == 1
+    u = np.atleast_2d(np.asarray(u, dtype=np.complex128))
+    w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     scales2 = np.abs(_component_scales(u, w, cfg)) ** 2
-    if np.all(scales2 == 0.0):
+    if np.any(np.all(scales2 == 0.0, axis=-1)):
         raise DegenerateInputError("all reconstruction scales are zero")
     s = _assemble_s(h, u, w, cfg)
-    # One Hermitian eigendecomposition turns each power evaluation into a
-    # rational function of mu: power(mu) = sum_{n,k} c[n,k] / (eig_n + mu)^2.
+    # One Hermitian eigendecomposition per row turns each power evaluation
+    # into a rational function of mu: power(mu) = sum_n c[n] / (eig_n + mu)^2.
     eigs, q = np.linalg.eigh(s)
-    c = scales2[None, :] * np.abs(q.conj().T @ h.T) ** 2
-    # Eigenvalues at rounding scale are exact zeros of S, and their rows of c
-    # are rounding noise too (each scaled column h_k lies in the range of S),
-    # so drop both: power(mu) is then a clean decreasing rational function
-    # all the way down to mu = 0.
-    noise = PIVOT_RTOL * max(float(np.sum(eigs)), np.finfo(np.float64).tiny)
-    live = eigs > noise
-    eigs_live = eigs[live][:, None]
-    c_live = c[live]
+    proj = np.abs(np.swapaxes(q, 1, 2).conj() @ h.T) ** 2  # |q_n^H h_k|^2
+    c = np.sum(scales2[:, None, :] * proj, axis=-1)
+    # Eigenvalues at rounding scale are exact zeros of S, and their terms of
+    # c are rounding noise too (each scaled column h_k lies in the range of
+    # S), so drop both: power(mu) is then a clean decreasing rational
+    # function all the way down to mu = 0.
+    noise = PIVOT_RTOL * np.maximum(eigs.sum(axis=-1), np.finfo(np.float64).tiny)
+    live = eigs > noise[:, None]
+    c = np.where(live, c, 0.0)
+    eigs_live = np.where(live, eigs, 1.0)
 
-    def power(mu):
-        return float(np.sum(c_live / (eigs_live + mu) ** 2))
-
+    # Newton on power(mu)^(-1/2), which is concave and increasing in mu
+    # (More & Sorensen 1983): started at mu = 0 left of the root it climbs
+    # without overshooting. Aiming at P (1 - rtol/2) makes the first iterate
+    # with power <= P land inside the band [P (1 - rtol), P].
     p = cfg.p
-    if power(0.0) <= p:
-        if eigs[0] > 10.0 * noise:
-            return 0.0
-        return 100.0 * noise
-    lo, hi = 0.0, 1.0
-    while power(hi) > p:
-        hi *= 2.0
-        if hi > 1e18:
-            raise SingularMatrixError("power budget unreachable by bisection")
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        pw = power(mid)
-        if p * (1.0 - rtol) <= pw <= p:
-            return mid
-        if pw > p:
-            lo = mid
-        else:
-            hi = mid
-    return hi  # power(hi) <= p and the bracket is at float resolution
+    target = p * (1.0 - 0.5 * rtol)
+    mu = np.zeros(len(u))
+    todo = np.ones(len(u), dtype=bool)
+    for _ in range(max_iters + 1):
+        d = eigs_live + mu[:, None]
+        pw = np.sum(c / d**2, axis=-1)
+        todo &= pw > p
+        if not todo.any():
+            break
+        step = pw * (np.sqrt(pw / target) - 1.0) / np.sum(c / d**3, axis=-1)
+        mu = np.where(todo, mu + step, mu)
+    else:
+        raise SingularMatrixError(f"mu search not converged in {max_iters} steps")
+    if not np.all(mu <= 1e18):
+        raise SingularMatrixError("power budget unreachable")
+    # Rows still at mu = 0 had a slack budget there.
+    floor = np.where(eigs[:, 0] > 10.0 * noise, 0.0, 100.0 * noise)
+    mu = np.where(mu == 0.0, floor, mu)
+    return float(mu[0]) if single else mu
 
 
 def mrt_beamformer(h, cfg):
@@ -159,27 +165,6 @@ def zf_beamformer(h, cfg):
     return normalize_to_power(x / norms[None, :], cfg.p)
 
 
-def _solve_from(h, cfg, v0, eps, max_iters):
-    """One alternating-minimization run from a fixed starting beamformer."""
-    v = np.asarray(v0, dtype=np.complex128).copy()
-    trace = [objective.wsr(h, v, cfg)]
-    best_wsr, best_v = trace[0], v
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        u = compute_u(h, v, cfg)
-        w = compute_w(h, v, cfg)
-        mu = solve_mu(h, u, w, cfg)
-        v_new = reconstruct_v(h, ComponentTriple(u, w, mu), cfg)
-        trace.append(objective.wsr(h, v_new, cfg))
-        if trace[-1] > best_wsr:
-            best_wsr, best_v = trace[-1], v_new
-        delta = float(np.linalg.norm(v_new - v))
-        v = v_new
-        if delta < eps:
-            break
-    return best_wsr, best_v, iterations, trace
-
-
 def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
     """Alternating WMMSE maximization of the weighted sum rate.
 
@@ -188,8 +173,11 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
     beamformers) and keeps the best run. With an explicit v0 only that single
     start is used. Each run alternates (u, w) and (mu, V) updates and stops
     when the Frobenius change of V drops below eps or max_iters is reached.
+    All starts advance together as one batch; a start that stops is frozen
+    while the others go on, so each follows the iterates it would alone.
     Always returns the best iterate seen; the returned trace belongs to the
-    winning start and the returned triple is recomputed at the best iterate.
+    winning start (the first one reaching the best WSR) and the returned
+    triple is recomputed at the best iterate.
     """
     h = np.asarray(h, dtype=np.complex128)
     if v0 is not None:
@@ -202,19 +190,38 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
                 (cfg.n, cfg.k)
             )
             starts.append(normalize_to_power(raw, cfg.p))
-    best = None
-    for start in starts:
-        run = _solve_from(h, cfg, start, eps, max_iters)
-        if best is None or run[0] > best[0]:
-            best = run
-    best_wsr, best_v, iterations, trace = best
+    v = np.stack(starts)
+    n_starts = len(v)
+    h_batch = np.broadcast_to(h, (n_starts,) + h.shape)
+    traces = np.empty((max_iters + 1, n_starts))
+    traces[0] = objective.batch_wsr(h_batch, v, cfg)
+    best_wsr, best_v = traces[0].copy(), v.copy()
+    iterations = np.zeros(n_starts, dtype=int)
+    converged = np.zeros(n_starts, dtype=bool)
+    for it in range(1, max_iters + 1):
+        run = np.flatnonzero(~converged)
+        if run.size == 0:
+            break
+        u = compute_u(h, v[run], cfg)
+        w = compute_w(h, v[run], cfg)
+        mu = solve_mu(h, u, w, cfg)
+        v_new = reconstruct_v(h, ComponentTriple(u, w, mu), cfg)
+        wsr = objective.batch_wsr(h_batch[run], v_new, cfg)
+        traces[it, run] = wsr
+        gain = wsr > best_wsr[run]
+        best_wsr[run[gain]] = wsr[gain]
+        best_v[run[gain]] = v_new[gain]
+        converged[run] = np.linalg.norm(v_new - v[run], axis=(1, 2)) < eps
+        v[run] = v_new
+        iterations[run] = it
+    win = int(np.argmax(best_wsr))
+    best_v = best_v[win]
     u = compute_u(h, best_v, cfg)
     w = compute_w(h, best_v, cfg)
     mu = solve_mu(h, u, w, cfg)
-    comps = ComponentTriple(u, w, mu)
-    return WmmseResult(
-        v=best_v, components=comps, iterations=iterations, wsr_trace=np.array(trace)
-    )
+    trace = traces[: iterations[win] + 1, win].copy()
+    return WmmseResult(best_v, ComponentTriple(u, w, mu), int(iterations[win]),
+                       trace, converged=bool(converged[win]))
 
 
 def structure_beamformer(h, lam, p, cfg):

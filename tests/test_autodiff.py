@@ -10,6 +10,8 @@ Analytic oracles, stated before each assertion:
   coincide when S = S^H).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ def test_positive_domain_primitives_match_fd():
     x = np.abs(rand(rng, 3, 4)) + 0.5  # keep sqrt/log1p away from 0
     check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.sqrt(a))), x)
     check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.log1p(a))), x)
+
+
+def test_softplus_far_negative_is_silent_and_exact():
+    # exp(800) overflows; the sigmoid must still come out as exactly 0
+    # without a RuntimeWarning, and softplus(-800) underflows to 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tape = ad.Tape()
+        x = tape.leaf(np.array([-800.0, 0.0]))
+        out = ad.softplus(x)
+        (g,) = ad.grad(tape, ad.reduce_sum(out), [x])
+    assert out.value[0] == 0.0
+    np.testing.assert_array_equal(g, [0.0, 0.5])
 
 
 def test_relu_gradient_away_from_kink():

@@ -7,7 +7,7 @@ import pytest
 
 from metabeam import channels, cli, nn, runner
 from metabeam.config import ExperimentConfig, parse_config, render_config
-from metabeam.errors import SingularMatrixError
+from metabeam.errors import NumericalError, SingularMatrixError
 from metabeam.meta import MetaConfig
 
 
@@ -159,6 +159,16 @@ def test_gradcheck_subcommand_passes(cfg_path, capsys):
 def test_numerical_failure_maps_to_exit_2(cfg_path, monkeypatch, capsys):
     def boom(*a, **kw):
         raise SingularMatrixError("synthetic failure")
+
+    monkeypatch.setattr(runner, "run_eval", boom)
+    code = cli.main(["--config", cfg_path, "eval", "--method", "maml_no_pretrain"])
+    assert code == cli.EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_value_maps_to_exit_2(cfg_path, monkeypatch, capsys):
+    def boom(*a, **kw):
+        raise NumericalError("synthetic NaN loss")
 
     monkeypatch.setattr(runner, "run_eval", boom)
     code = cli.main(["--config", cfg_path, "eval", "--method", "maml_no_pretrain"])

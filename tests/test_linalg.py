@@ -149,3 +149,62 @@ def test_rank1_sum_psd_property(seed, k, n):
     s = hermitian_rank1_sum(coeffs, vecs)
     assert np.array_equal(s, s.conj().T)
     assert np.linalg.eigvalsh(s).min() >= -1e-10 * max(1.0, float(np.trace(s).real))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    batch=st.integers(1, 5),
+    k=st.integers(1, 4),
+    n=st.integers(1, 4),
+)
+def test_rank1_sum_batched_rows_match_2d_calls(seed, batch, k, n):
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    coeffs = rng.uniform(0.0, 10.0, size=(batch, k))
+    s = hermitian_rank1_sum(coeffs, vecs)
+    assert s.shape == (batch, n, n)
+    for row in range(batch):
+        np.testing.assert_array_equal(s[row], hermitian_rank1_sum(coeffs[row], vecs))
+        loop = sum(c * np.outer(v, v.conj()) for c, v in zip(coeffs[row], vecs))
+        np.testing.assert_allclose(s[row], loop, rtol=1e-12, atol=1e-12)
+
+
+def test_rank1_sum_batched_validation():
+    vecs = np.ones((2, 3), dtype=complex)
+    with pytest.raises(ValueError):
+        hermitian_rank1_sum(np.ones((4, 3)), vecs)  # K mismatch on the last axis
+    with pytest.raises(ValueError):
+        hermitian_rank1_sum(-np.ones((4, 2)), vecs)
+    got = hermitian_rank1_sum(np.zeros((4, 0)), np.zeros((0, 3), dtype=complex), n=3)
+    np.testing.assert_array_equal(got, np.zeros((4, 3, 3), dtype=complex))
+
+
+def test_hpd_solve_batched_rows_match_2d_calls():
+    rng = np.random.default_rng(12)
+    n, batch = 3, 5
+    g = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
+    a = g @ np.swapaxes(g, 1, 2).conj() + 0.1 * np.eye(n)
+    b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    mu = rng.uniform(0.0, 2.0, size=batch)
+    x = hpd_solve(a, mu, b)
+    assert x.shape == (batch, n, 2)
+    for row in range(batch):
+        np.testing.assert_array_equal(x[row], hpd_solve(a[row], mu[row], b))
+    # A scalar shift applies to every matrix.
+    x0 = hpd_solve(a, 0.5, b)
+    for row in range(batch):
+        np.testing.assert_array_equal(x0[row], hpd_solve(a[row], 0.5, b))
+
+
+def test_hpd_solve_batched_raises_on_one_singular_row():
+    a = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    b = np.ones((2, 1), dtype=complex)
+    hpd_solve(a, 0.0, b)
+    h = np.array([[1.0], [1j]])
+    a[1] = h @ h.conj().T  # rank 1: its second pivot is at rounding level
+    with pytest.raises(SingularMatrixError):
+        hpd_solve(a, 0.0, b)
+    a[1] = -np.eye(2)  # indefinite: the factorization itself fails
+    with pytest.raises(SingularMatrixError):
+        hpd_solve(a, 0.0, b)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metabeam import memory, meta, nn, pipeline
+from metabeam.errors import NumericalError
 from metabeam.memory import MemoryEntry, MemorySet
 from metabeam.meta import MetaConfig
 from metabeam.objective import SystemConfig
@@ -79,6 +80,15 @@ def test_rank_hardest_hand_example():
 def test_rank_hardest_tie_by_index():
     entries = [entry(0.5, 7), entry(0.5, 7), entry(0.5, 7)]
     assert memory.rank_hardest(entries, 2) == [0, 1]
+
+
+def test_rank_hardest_rejects_non_finite_loss():
+    # A NaN key breaks the sort: [1, NaN, 3, 2] used to rank as [0, 1],
+    # dropping the hardest entry (loss 3).
+    for bad in (float("nan"), float("inf")):
+        entries = [entry(1.0, 0), entry(bad, 1), entry(3.0, 2), entry(2.0, 3)]
+        with pytest.raises(NumericalError):
+            memory.rank_hardest(entries, 2)
 
 
 def test_rank_hardest_matches_sort_oracle():

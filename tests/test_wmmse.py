@@ -12,10 +12,16 @@ Scalar oracles, derived by hand before writing the assertions:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metabeam import objective, wmmse
-from metabeam.errors import CapabilityError, DegenerateInputError
-from metabeam.linalg import total_power
+from metabeam.errors import CapabilityError, DegenerateInputError, SingularMatrixError
+from metabeam.linalg import (
+    PIVOT_RTOL,
+    hermitian_rank1_sum,
+    normalize_to_power,
+    total_power,
+)
 from metabeam.objective import SystemConfig, all_sinr, wsr
 from metabeam.wmmse import (
     ComponentTriple,
@@ -115,6 +121,67 @@ def test_solve_mu_hits_power_budget():
         else:
             # mu is 0 or a floor for a rank-deficient S: budget is slack.
             assert p_used <= cfg.p * (1.0 + 1e-9)
+
+
+def _assert_budget_row(h, u, w, mu, cfg, rtol=1e-9):
+    """mu puts the power in [P (1 - rtol), P], or is 0 / the rank floor."""
+    p_used = total_power(reconstruct_v(h, ComponentTriple(u, w, mu), cfg))
+    in_band = cfg.p * (1.0 - rtol - 1e-10) <= p_used <= cfg.p * (1.0 + 1e-10)
+    trace_s = np.trace(hermitian_rank1_sum(np.abs(u) ** 2 * w, h)).real
+    floor = mu == 0.0 or mu == pytest.approx(100.0 * PIVOT_RTOL * trace_s, rel=1e-6)
+    assert in_band or (floor and p_used <= cfg.p * (1.0 + 1e-10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rows=st.integers(1, 5),
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    snr_db=st.sampled_from([0.0, 10.0, 20.0, 40.0]),
+)
+def test_solve_mu_batched_rows_match_1d_calls(seed, rows, n, k, snr_db):
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(n=n, k=k, sigma2=1.0, p=10.0 ** (snr_db / 10.0))
+    h = rand_h(rng, k, n)
+    u = (rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))) / 10.0
+    w = rng.uniform(1.0, 5.0, size=(rows, k))
+    mu = solve_mu(h, u, w, cfg)
+    assert mu.shape == (rows,)
+    for row in range(rows):
+        single = solve_mu(h, u[row], w[row], cfg)
+        assert isinstance(single, float)
+        assert mu[row] == pytest.approx(single, rel=1e-12, abs=0.0)
+        _assert_budget_row(h, u[row], w[row], mu[row], cfg)
+
+
+def test_solve_mu_rank_deficient_batch():
+    # K=1 < N=3 makes S = |u|^2 w h h^H rank one. With P = 1, u = 1 leaves
+    # power(0) = 1/||h||^2 < 1 (slack, so the floor 100 * PIVOT_RTOL *
+    # trace(S) comes back), while u = 1e-3 gives power(0) = 1e6/||h||^2 > 1.
+    cfg = SystemConfig(n=3, k=1, sigma2=1.0, p=1.0)
+    h = rand_h(np.random.default_rng(15), 1, 3)
+    u = np.array([[1.0 + 0j], [1e-3 + 0j]])
+    w = np.ones((2, 1))
+    mu = solve_mu(h, u, w, cfg)
+    norm2 = np.linalg.norm(h) ** 2
+    assert mu[0] == pytest.approx(100.0 * PIVOT_RTOL * norm2, rel=1e-9)
+    assert mu[1] > 1e-6
+    for row in range(2):
+        _assert_budget_row(h, u[row], w[row], mu[row], cfg)
+
+
+def test_solve_mu_unreachable_or_unconverged_raises():
+    # N=K=1, h=1, u=1e-10, w=1e30: S = 1e10 and power(mu) = 1e40/(1e10+mu)^2,
+    # so power = 1 needs mu = 1e20 - 1e10, beyond the 1e18 reach.
+    cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=1.0)
+    h = np.array([[1.0 + 0j]])
+    with pytest.raises(SingularMatrixError):
+        solve_mu(h, np.array([1e-10 + 0j]), np.array([1e30]), cfg)
+    # The unity oracle above needs one Newton step; zero steps cannot reach it.
+    cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=4.0 / 9.0)
+    with pytest.raises(SingularMatrixError):
+        solve_mu(h, np.array([1.0 + 0j]), np.array([2.0]), cfg, max_iters=0)
 
 
 def test_solve_mu_degenerate_zero_components():
@@ -248,3 +315,35 @@ def test_wmmse_beats_naive_starts():
     res = wmmse_solve(h, cfg)
     for maker in (mrt_beamformer, zf_beamformer):
         assert res.wsr_trace[-1] >= wsr(h, maker(h, cfg), cfg) - 1e-9
+
+
+def test_wmmse_converged_flag():
+    rng = np.random.default_rng(16)
+    single = wmmse_solve(rand_h(rng, 1, 3), SystemConfig(n=3, k=1, sigma2=1.0, p=10.0))
+    assert single.converged and single.iterations < 300
+    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=1e4)  # 40 dB
+    capped = wmmse_solve(rand_h(rng, 3, 3), cfg, max_iters=5)
+    assert not capped.converged
+    assert capped.iterations == 5 and len(capped.wsr_trace) == 6
+
+
+def test_wmmse_batched_starts_follow_solo_runs():
+    # The portfolio advances all starts as one batch; each must follow the
+    # iterates of the same start run alone, and the first start with the
+    # best WSR wins.
+    rng = np.random.default_rng(17)
+    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    h = rand_h(rng, 3, 3)
+    seed, restarts = 4, 3
+    start_rng = np.random.default_rng(seed)
+    starts = [mrt_beamformer(h, cfg), zf_beamformer(h, cfg)]
+    for _ in range(restarts):
+        raw = start_rng.standard_normal((3, 3)) + 1j * start_rng.standard_normal((3, 3))
+        starts.append(normalize_to_power(raw, cfg.p))
+    solo = [wmmse_solve(h, cfg, v0=v0) for v0 in starts]
+    win = int(np.argmax([run.wsr_trace.max() for run in solo]))
+    res = wmmse_solve(h, cfg, seed=seed, restarts=restarts)
+    np.testing.assert_allclose(res.wsr_trace, solo[win].wsr_trace, rtol=1e-12)
+    np.testing.assert_allclose(res.v, solo[win].v, rtol=0, atol=1e-12)
+    assert res.iterations == solo[win].iterations
+    assert res.converged == solo[win].converged
