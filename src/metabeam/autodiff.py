@@ -5,10 +5,16 @@ value, parent references, and one vector-Jacobian closure per parent. The
 gradient pass walks the nodes once in reverse insertion order and never adds
 nodes, so the tape length is the same before and after grad().
 
+Nodes refer to their tape weakly, so a tape and its nodes hold no reference
+cycle and are freed by reference counting as soon as the caller drops them;
+recording on a node whose tape is gone raises.
+
 Complex quantities are represented as separate real/imaginary nodes; the one
 complex-aware primitive, csolve_hpd, solves batched Hermitian positive
 definite systems and implements its adjoint in closed form (one extra solve).
 """
+
+import weakref
 
 import numpy as np
 
@@ -18,16 +24,17 @@ from .errors import DegenerateInputError, SingularMatrixError
 class Tape:
     """Append-only record of one forward computation."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "_ref", "__weakref__")
 
     def __init__(self):
         self.nodes = []
+        self._ref = weakref.ref(self)
 
     def __len__(self):
         return len(self.nodes)
 
     def _record(self, value, parents=(), vjps=(), op=""):
-        node = Node(self, len(self.nodes), np.asarray(value, dtype=np.float64), op)
+        node = Node(self._ref, len(self.nodes), np.asarray(value, dtype=np.float64), op)
         node.parents = parents
         node.vjps = vjps
         node.requires_grad = any(p.requires_grad for p in parents)
@@ -48,16 +55,23 @@ class Tape:
 class Node:
     """One tape entry: forward value plus local backward rules."""
 
-    __slots__ = ("tape", "index", "value", "op", "parents", "vjps", "requires_grad")
+    __slots__ = ("_tape", "index", "value", "op", "parents", "vjps", "requires_grad")
 
-    def __init__(self, tape, index, value, op):
-        self.tape = tape
+    def __init__(self, tape_ref, index, value, op):
+        self._tape = tape_ref
         self.index = index
         self.value = value
         self.op = op
         self.parents = ()
         self.vjps = ()
         self.requires_grad = False
+
+    @property
+    def tape(self):
+        tape = self._tape()
+        if tape is None:
+            raise RuntimeError(f"the tape of this {self.op!r} node has been freed")
+        return tape
 
     @property
     def shape(self):
@@ -69,15 +83,19 @@ def grad(tape, loss, wrt):
 
     Visits the tape exactly once in reverse insertion order, accumulating
     vector-Jacobian products; records nothing, so len(tape) is unchanged.
+    A node's adjoint is dropped once passed to its parents, unless requested.
     """
     if loss.value.ndim != 0 and loss.value.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
     adjoint = [None] * len(tape.nodes)
     adjoint[loss.index] = np.ones_like(loss.value)
+    keep = {node.index for node in wrt}
     for node in reversed(tape.nodes):
         g = adjoint[node.index]
         if g is None:
             continue
+        if node.index not in keep:
+            adjoint[node.index] = None
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.requires_grad or vjp is None:
                 continue
@@ -179,10 +197,22 @@ def softplus(a):
 
 
 def matmul(a, b):
-    """(..., i) x (i, o) or (B, i) x (i, o): dense affine building block."""
+    """(B, i) x (i, o), or (T, B, i) x (T, i, o) with one weight per task.
+
+    The dense affine building block; the task-batched form multiplies each
+    task's slice by its own weight matrix.
+    """
     av, bv = a.value, b.value
+    if av.ndim != bv.ndim or bv.ndim not in (2, 3):
+        raise ValueError(f"matmul takes (B, i) x (i, o) or (T, B, i) x (T, i, o), "
+                         f"got {av.shape} x {bv.shape}")
     return _binary(
-        a, b, av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g, "matmul"
+        a,
+        b,
+        av @ bv,
+        lambda g: g @ np.swapaxes(bv, -1, -2),
+        lambda g: np.swapaxes(av, -1, -2) @ g,
+        "matmul",
     )
 
 

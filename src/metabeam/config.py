@@ -6,6 +6,7 @@ rejected with the offending line number so typos cannot silently fall back to
 defaults.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .channels import ChannelModelSpec
@@ -185,7 +186,6 @@ _REGISTRY = {
     ("meta", "width"): _set_meta("width", int),
     ("meta", "batch_size"): _set_meta("batch_size", int),
     ("meta", "loss_variant"): _set_meta("loss_variant", str.strip),
-    ("meta", "v_current"): _set_meta("v_current_mode", str.strip),
     ("memory", "capacity"): _set("capacity", int),
     ("memory", "adapt_steps"): _set("mem_adapt_steps", int),
     ("memory", "rank_pool"): _set("rank_pool", str.strip),
@@ -199,6 +199,7 @@ def parse_config_text(text):
     """Parse config text into an ExperimentConfig; rejects unknown keys."""
     cfg = ExperimentConfig()
     section = None
+    lines = {}  # "section.key" -> line number of its last assignment
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -223,7 +224,8 @@ def parse_config_text(text):
             raise ConfigError(
                 f"line {lineno}: bad value for '{section}.{key}': {exc}"
             ) from exc
-    _validate(cfg)
+        lines[f"{section}.{key}"] = lineno
+    _validate(cfg, lines)
     return cfg
 
 
@@ -232,26 +234,57 @@ def parse_config(path):
         return parse_config_text(fh.read())
 
 
-def _validate(cfg):
-    if cfg.meta.loss_variant not in ("corrected", "verbatim"):
-        raise ConfigError(f"meta.loss_variant must be corrected|verbatim, got {cfg.meta.loss_variant!r}")
-    if cfg.meta.v_current_mode not in ("mrt", "random"):
-        raise ConfigError(f"meta.v_current must be mrt|random, got {cfg.meta.v_current_mode!r}")
+def _validate(cfg, lines):
+    """Reject values no run can use; name the key, and its line when known."""
+
+    def fail(message, *keys):
+        known = [lines[k] for k in keys if k in lines]
+        raise ConfigError(f"line {max(known)}: {message}" if known else message)
+
+    m = cfg.meta
+    if m.loss_variant not in ("corrected", "verbatim"):
+        fail(f"meta.loss_variant must be corrected|verbatim, got {m.loss_variant!r}",
+             "meta.loss_variant")
     if cfg.rank_pool not in ("retained", "union"):
-        raise ConfigError(f"memory.rank_pool must be retained|union, got {cfg.rank_pool!r}")
-    for m in cfg.methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown eval method {m!r}; known: {', '.join(METHODS)}")
+        fail(f"memory.rank_pool must be retained|union, got {cfg.rank_pool!r}",
+             "memory.rank_pool")
+    for method in cfg.methods:
+        if method not in METHODS:
+            fail(f"unknown eval method {method!r}; known: {', '.join(METHODS)}",
+                 "eval.methods")
     if cfg.alpha is not None and len(cfg.alpha) != cfg.k:
-        raise ConfigError(f"system.alpha needs {cfg.k} entries, got {len(cfg.alpha)}")
+        fail(f"system.alpha needs {cfg.k} entries, got {len(cfg.alpha)}",
+             "system.alpha", "system.k")
     if cfg.capacity < 0:
-        raise ConfigError("memory.capacity must be nonnegative")
+        fail("memory.capacity must be nonnegative", "memory.capacity")
     if cfg.mem_adapt_steps < 1:
-        raise ConfigError("memory.adapt_steps must be at least 1")
-    for name in ("n", "k", "train_size", "test_size", "test_seeds", "slots",
-                 "slot_size"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be at least 1")
+        fail("memory.adapt_steps must be at least 1", "memory.adapt_steps")
+    for key, value in (("system.n", cfg.n), ("system.k", cfg.k),
+                       ("train.size", cfg.train_size), ("test.size", cfg.test_size),
+                       ("test.seeds", cfg.test_seeds), ("test.slots", cfg.slots),
+                       ("test.slot_size", cfg.slot_size), ("meta.n_tasks", m.n_tasks),
+                       ("meta.n_support", m.n_support), ("meta.n_query", m.n_query),
+                       ("meta.width", m.width), ("meta.batch_size", m.batch_size)):
+        if value < 1:
+            fail(f"{key} must be at least 1, got {value}", key)
+    for key, value in (("meta.epochs", m.epochs), ("meta.inner_steps", m.inner_steps),
+                       ("meta.adapt_steps", m.adapt_steps),
+                       ("eval.wmmse_restarts", cfg.wmmse_restarts)):
+        if value < 0:
+            fail(f"{key} must be nonnegative, got {value}", key)
+    for key, value in (("meta.inner_lr", m.inner_lr), ("meta.outer_lr", m.outer_lr)):
+        if not (math.isfinite(value) and value >= 0.0):
+            fail(f"{key} must be finite and nonnegative, got {value}", key)
+    if not (math.isfinite(cfg.sigma2) and cfg.sigma2 > 0.0):
+        fail(f"system.sigma2 must be finite and positive, got {cfg.sigma2}",
+             "system.sigma2")
+    for key, values in (("system.snr_db", cfg.snr_db), ("train.snr_db", [cfg.train_snr_db])):
+        if not all(math.isfinite(v) for v in values):
+            fail(f"{key} must be finite, got {values}", key)
+    if m.n_support + m.n_query > cfg.train_size:
+        fail(f"meta.n_support + meta.n_query = {m.n_support + m.n_query} exceeds "
+             f"train.size = {cfg.train_size}",
+             "meta.n_support", "meta.n_query", "train.size")
 
 
 def render_config(cfg):
@@ -305,7 +338,6 @@ def render_config(cfg):
         f"width = {m.width}",
         f"batch_size = {m.batch_size}",
         f"loss_variant = {m.loss_variant}",
-        f"v_current = {m.v_current_mode}",
         "",
         "[memory]",
         f"capacity = {cfg.capacity}",

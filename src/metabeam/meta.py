@@ -7,6 +7,15 @@ parameters, no second-order terms) into Adam. Both the inner objective and the
 outer accumulation are unnormalized sums over samples and tasks respectively;
 the per-sample scale is absorbed by the inner rate and by Adam's
 normalization.
+
+The meta step runs tasks in groups of at most TASK_GROUP_SAMPLES samples per
+tape pass. A group's tasks share one tape with a leading task axis: each task
+keeps its own parameter copy (a row of a (T, P) stack), its own SGD steps and
+its own gradient, and the query gradients enter the meta gradient in task
+order. Every per-task number is computed by the same floating-point
+operations as a one-task-at-a-time loop, so the result is bit-identical to
+it; the group size only trades tape passes (each with a fixed Python cost)
+against the memory of one tape.
 """
 
 import time
@@ -16,6 +25,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import channels, nn, pipeline
+
+# Samples on one tape pass of the meta step: 10 tasks of 40 at the reference
+# shape. Larger groups save little time and grow the tape's peak memory.
+TASK_GROUP_SAMPLES = 400
 
 
 @dataclass
@@ -40,7 +53,6 @@ class MetaConfig:
     width: int = nn.DEFAULT_WIDTH
     batch_size: int = 40
     loss_variant: str = "corrected"
-    v_current_mode: str = "mrt"
 
 
 @dataclass
@@ -53,10 +65,15 @@ class TrainLog:
     wall_time: list = field(default_factory=list)
 
 
-def _loss_and_grad(params, batch, cfg, meta_cfg, reduction):
-    """One tape pass: loss and flat gradient at params on a channel batch."""
+def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack=None):
+    """One tape pass: loss and flat gradient at params on a channel batch.
+
+    With stack, a (T, P) array of per-task packed parameters laid out like
+    params, batch is (T, B, K, N) and the pass returns per-task losses (T,)
+    and per-task gradients (T, P).
+    """
     tape = ad.Tape()
-    leaves, flat = nn.leaves_for(tape, params)
+    leaves, flat = nn.leaves_for(tape, params, stack)
     loss, _ = pipeline.reconstruct_and_loss(
         tape,
         leaves,
@@ -65,8 +82,12 @@ def _loss_and_grad(params, batch, cfg, meta_cfg, reduction):
         variant=meta_cfg.loss_variant,
         reduction=reduction,
     )
-    grads = ad.grad(tape, loss, flat)
-    return float(loss.value), np.concatenate([g.ravel() for g in grads])
+    if stack is None:
+        grads = ad.grad(tape, loss, flat)
+        return float(loss.value), np.concatenate([g.ravel() for g in grads])
+    grads = ad.grad(tape, ad.reduce_sum(loss), flat)
+    t = stack.shape[0]
+    return loss.value, np.concatenate([g.reshape(t, -1) for g in grads], axis=1)
 
 
 def inner_adapt(params, support, cfg, meta_cfg, steps=None, reduction="sum"):
@@ -99,27 +120,33 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
 
     For each task: adapt on the support set, then take the gradient of the
     summed query loss at the adapted parameters. The accumulated (summed)
-    per-task gradients drive one Adam step on the meta parameters.
+    per-task gradients drive one Adam step on the meta parameters. The
+    support loss is the one of the first support step, at the meta
+    parameters. Tasks run in groups of TASK_GROUP_SAMPLES samples per tape
+    pass; all tasks must share their support and query sizes.
 
     Returns (new_params, new_adam_state, mean_support_loss, mean_query_loss).
     """
     vec = nn.pack(params)
     total_g = np.zeros_like(vec)
     support_losses, query_losses = [], []
-    for task in tasks:
-        support_losses.append(
-            float(
-                np.mean(
-                    pipeline.per_sample_losses(
-                        params, task.support, cfg, variant=meta_cfg.loss_variant
-                    )
-                )
-            )
-        )
-        adapted = inner_adapt(params, task.support, cfg, meta_cfg)
-        q_loss_sum, g = _loss_and_grad(adapted, task.query, cfg, meta_cfg, "sum")
-        total_g += g
-        query_losses.append(q_loss_sum / len(task.query))
+    per_task = max(len(tasks[0].support), len(tasks[0].query)) if tasks else 1
+    group = max(1, TASK_GROUP_SAMPLES // per_task)
+    for lo in range(0, len(tasks), group):
+        chunk = tasks[lo : lo + group]
+        support = np.stack([task.support for task in chunk])
+        query = np.stack([task.query for task in chunk])
+        stack = np.tile(vec, (len(chunk), 1))
+        for step in range(max(meta_cfg.inner_steps, 1)):
+            s_loss, g = _loss_and_grad(params, support, cfg, meta_cfg, "sum", stack)
+            if step == 0:
+                support_losses.extend(s_loss / support.shape[1])
+            if step < meta_cfg.inner_steps:
+                stack = nn.sgd_step(stack, g, meta_cfg.inner_lr)
+        q_loss, g = _loss_and_grad(params, query, cfg, meta_cfg, "sum", stack)
+        for row in g:
+            total_g += row
+        query_losses.extend(q_loss / query.shape[1])
     new_vec, adam_state = adam_step_packed(vec, total_g, adam_state, meta_cfg.outer_lr)
     return (
         nn.unpack(new_vec, params),

@@ -101,12 +101,22 @@ def unpack(vec, template):
     return PredictorParams(*nets)
 
 
-def leaves_for(tape, params):
-    """Create one tape leaf per parameter array; returns (tree, flat list)."""
+def leaves_for(tape, params, stack=None):
+    """Create one tape leaf per parameter array; returns (tree, flat list).
+
+    With stack, a (T, P) array of packed vectors laid out like params, each
+    leaf holds all T tasks' copies: weights (T, i, o) and biases (T, 1, o).
+    """
+    if stack is not None:
+        t = stack.shape[0]
+        views = iter(np.split(stack, np.cumsum([a.size for a in params.arrays()]), axis=1))
     nets, flat = [], []
     for net in params.nets():
         weights, biases = [], []
         for w, b in zip(net.weights, net.biases):
+            if stack is not None:
+                w = next(views).reshape(t, *w.shape)
+                b = next(views).reshape(t, 1, b.size)
             wn, bn = tape.leaf(w), tape.leaf(b)
             weights.append(wn)
             biases.append(bn)

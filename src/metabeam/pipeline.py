@@ -26,24 +26,10 @@ def mu_floor(cfg):
     return MU_FLOOR_SCALE * cfg.sigma2
 
 
-def make_v_current(h_batch, cfg, mode="mrt", rng=None):
-    """Reference beamformer fed to the encoder.
-
-    "mrt": matched-filter columns v_k = h_k scaled to the budget (default).
-    "random": seeded CN(0, I) beamformer scaled to the budget.
-    """
-    b = h_batch.shape[0]
-    if mode == "mrt":
-        v = np.transpose(h_batch, (0, 2, 1)).copy()
-    elif mode == "random":
-        if rng is None:
-            raise ValueError("random v_current needs an rng")
-        v = (
-            rng.standard_normal((b, cfg.n, cfg.k))
-            + 1j * rng.standard_normal((b, cfg.n, cfg.k))
-        ) / np.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown v_current mode {mode!r}")
+def make_v_current(h_batch, cfg):
+    """Reference beamformer fed to the encoder: matched-filter columns
+    v_k = h_k scaled to the power budget."""
+    v = np.transpose(h_batch, (0, 2, 1)).copy()
     pw = np.sum(np.abs(v) ** 2, axis=(1, 2))
     if np.any(pw == 0.0):
         raise DegenerateInputError("cannot scale an all-zero reference beamformer")
@@ -80,12 +66,18 @@ def predict_components(tape, leaves, features, cfg):
     u is read raw as K (re, im) pairs; w = 1 + softplus(.) >= 1 mirrors the
     weight identity w = 1 + SINR; mu = softplus(.) + mu_floor stays positive
     so the downstream solve is always definite.
+
+    Task-batched features (T, B, 4NK) run through per-task leaves (see
+    nn.leaves_for); the components then come out flattened to T*B samples.
     """
     k = cfg.k
     x = tape.const(features)
     u_raw = nn.mlp_forward(leaves.u_net, x)
     w_raw = nn.mlp_forward(leaves.w_net, x)
     mu_raw = nn.mlp_forward(leaves.mu_net, x)
+    if features.ndim == 3:
+        u_raw = ad.reshape(u_raw, (-1, 2 * k))
+        w_raw = ad.reshape(w_raw, (-1, k))
     u_re = ad.take_cols(u_raw, 0, k)
     u_im = ad.take_cols(u_raw, k, 2 * k)
     w = ad.add_const(ad.softplus(w_raw), 1.0)
@@ -122,17 +114,26 @@ def reconstruct_and_loss(
     loss reduced over the batch ("mean" or "sum"). The loss value agrees with
     objective.sum_rate_loss evaluated on the reconstructed beamformers.
 
+    A task-batched h_batch (T, B, K, N) with per-task leaves runs the nets per
+    task and everything after them on the T*B samples at once; the loss node
+    then holds one reduced loss per task, shape (T,).
+
     Returns (loss_node, v_hat) with v_hat the (B, N, K) complex values of the
-    normalized beamformers (forward values, not nodes).
+    normalized beamformers, (T, B, N, K) when task-batched (forward values,
+    not nodes).
     """
     h_batch = np.asarray(h_batch, dtype=np.complex128)
-    b, k, n = h_batch.shape
-    if b == 0:
+    tasks = h_batch.shape[:-3]
+    per_task, k, n = h_batch.shape[-3:]
+    if per_task == 0:
         raise ValueError("batch must hold at least one realization")
+    h_batch = h_batch.reshape(-1, k, n)
+    b = h_batch.shape[0]
     if v_current is None:
         v_current = make_v_current(h_batch, cfg)
+    features = encode_features(h_batch, v_current)
     comps = predict_components(
-        tape, leaves, encode_features(h_batch, v_current), cfg
+        tape, leaves, features.reshape(*tasks, per_task, -1), cfg
     )
     alpha = cfg.alpha_vec
 
@@ -184,13 +185,17 @@ def reconstruct_and_loss(
         raise ValueError(f"unknown loss variant {variant!r}")
     rates = ad.log1p(ad.div(signal, denom))
     if reduction == "mean":
-        loss = ad.scale(ad.reduce_sum(rates), -1.0 / (k * b))
+        factor = -1.0 / (k * per_task)
     elif reduction == "sum":
-        loss = ad.scale(ad.reduce_sum(rates), -1.0 / k)
+        factor = -1.0 / k
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
+    if tasks:
+        total = ad.reduce_sum(ad.reshape(rates, (*tasks, per_task * k)), axis=-1)
+    else:
+        total = ad.reduce_sum(rates)
     v_hat = v_re.value + 1j * v_im.value
-    return loss, v_hat
+    return ad.scale(total, factor), v_hat.reshape(*tasks, per_task, n, k)
 
 
 # Forward-only twin used by evaluation and memory scoring (no tape, no grads).

@@ -108,13 +108,17 @@ def _row(method, snr_db, seed, slot, wsr_values):
 
 
 def _eval_wmmse(cfg, sys_cfg, snr_idx, seed):
+    """Per-channel WMMSE rates of one cell, and how many solves stopped at
+    max_iters without converging."""
     data = _test_batch(cfg, snr_idx, seed, "eval", cfg.test_size)
     wsrs = []
+    unconverged = 0
     for i, h in enumerate(data):
         res = wmmse.wmmse_solve(h, sys_cfg, seed=i, restarts=cfg.wmmse_restarts)
         v = normalize_to_power(res.v, sys_cfg.p)
         wsrs.append(objective.wsr(h, v, sys_cfg))
-    return np.array(wsrs)
+        unconverged += not res.converged
+    return np.array(wsrs), unconverged
 
 
 def _eval_forward(params, cfg, sys_cfg, snr_idx, seed):
@@ -174,9 +178,11 @@ def run_eval(cfg, method, out_dir, capacity=None, verbose=False):
     for snr_idx, snr_db in enumerate(cfg.snr_db):
         sys_cfg = system_for(cfg, snr_db)
         for seed in range(cfg.test_seeds):
+            note = ""
             if method == "wmmse":
-                rows.append(_row(method, snr_db, seed, "final",
-                                 _eval_wmmse(cfg, sys_cfg, snr_idx, seed)))
+                wsrs, unconverged = _eval_wmmse(cfg, sys_cfg, snr_idx, seed)
+                rows.append(_row(method, snr_db, seed, "final", wsrs))
+                note = f" unconverged={unconverged}/{wsrs.size}"
             elif method == "unsupervised":
                 rows.append(_row(method, snr_db, seed, "final",
                                  _eval_forward(params, cfg, sys_cfg, snr_idx, seed)))
@@ -198,7 +204,7 @@ def run_eval(cfg, method, out_dir, capacity=None, verbose=False):
                 raise ValueError(f"unknown eval method {method!r}")
             if verbose:
                 print(f"[eval] {method} snr={snr_db:g} seed={seed}: "
-                      f"wsr={rows[-1].wsr_mean:.4f}")
+                      f"wsr={rows[-1].wsr_mean:.4f}{note}")
     return rows
 
 

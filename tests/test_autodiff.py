@@ -10,7 +10,9 @@ Analytic oracles, stated before each assertion:
   coincide when S = S^H).
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -99,6 +101,22 @@ def test_matmul_and_reductions_match_fd():
     )
 
 
+def test_task_batched_matmul_matches_fd():
+    # (T, B, i) @ (T, i, o): both operands checked, and each task slice must
+    # equal the 2-D product of that task's operands.
+    rng = np.random.default_rng(13)
+    x = rand(rng, 3, 4, 5)
+    w = rand(rng, 3, 5, 2)
+    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.matmul(a, t.const(w)))), x)
+    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.matmul(t.const(x), a))), w)
+    tape = ad.Tape()
+    out = ad.matmul(tape.const(x), tape.leaf(w))
+    for task in range(3):
+        np.testing.assert_array_equal(out.value[task], x[task] @ w[task])
+    with pytest.raises(ValueError, match="matmul"):
+        ad.matmul(tape.const(x), tape.leaf(w[0]))  # shared weight: no adjoint for it
+
+
 def test_shape_primitives_match_fd():
     rng = np.random.default_rng(5)
     x = rand(rng, 2, 6)
@@ -155,6 +173,23 @@ def test_grad_does_not_grow_tape():
     assert len(tape) == before
 
 
+def test_tape_is_freed_by_refcount():
+    # Nodes refer to their tape weakly: dropping the tape frees it without
+    # the cycle collector, and recording on an orphaned node raises.
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = tape.leaf(np.arange(3.0))
+        loss = ad.reduce_sum(ad.square(x))
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+        with pytest.raises(RuntimeError, match="freed"):
+            ad.square(loss)
+    finally:
+        gc.enable()
+
+
 def test_grad_unused_leaf_is_zero():
     tape = ad.Tape()
     x = tape.leaf(np.ones(3))
@@ -163,6 +198,19 @@ def test_grad_unused_leaf_is_zero():
     gx, gy = ad.grad(tape, loss, [x, y])
     np.testing.assert_array_equal(gy, np.zeros(2))
     np.testing.assert_allclose(gx, 2.0 * np.ones(3))
+
+
+def test_grad_keeps_requested_intermediate_adjoints():
+    # grad drops adjoints it has passed on, but never one it was asked for.
+    tape = ad.Tape()
+    x = tape.leaf(np.arange(3.0))
+    y = ad.square(x)
+    z = ad.mul(y, tape.const(np.full(3, 2.0)))
+    loss = ad.reduce_sum(z)
+    gz, gy, gx = ad.grad(tape, loss, [z, y, x])
+    np.testing.assert_array_equal(gz, np.ones(3))
+    np.testing.assert_array_equal(gy, np.full(3, 2.0))
+    np.testing.assert_array_equal(gx, 4.0 * np.arange(3.0))
 
 
 def test_grad_rejects_nonscalar_loss():

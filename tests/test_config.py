@@ -149,7 +149,6 @@ def test_echo_round_trip_modified_config():
 def test_validation_errors():
     bad = [
         "[meta]\nloss_variant = fancy\n",
-        "[meta]\nv_current = zf\n",
         "[memory]\nrank_pool = newest\n",
         "[memory]\ncapacity = -1\n",
         "[memory]\nadapt_steps = 0\n",
@@ -161,6 +160,51 @@ def test_validation_errors():
     for text in bad:
         with pytest.raises(ConfigError):
             parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[train]\nsize = 70\n[meta]\nn_support = 40\nn_query = 40\n", "train.size"),
+        ("[meta]\ninner_lr = nan\n", "meta.inner_lr"),
+        ("[meta]\ninner_lr = -0.01\n", "meta.inner_lr"),
+        ("[meta]\nouter_lr = inf\n", "meta.outer_lr"),
+        ("[meta]\nouter_lr = -1e-3\n", "meta.outer_lr"),
+        ("[meta]\nepochs = -3\n", "meta.epochs"),
+        ("[meta]\nn_tasks = 0\n", "meta.n_tasks"),
+        ("[meta]\nn_support = 0\n", "meta.n_support"),
+        ("[meta]\nn_query = 0\n", "meta.n_query"),
+        ("[meta]\nwidth = 0\n", "meta.width"),
+        ("[meta]\nbatch_size = 0\n", "meta.batch_size"),
+        ("[meta]\ninner_steps = -1\n", "meta.inner_steps"),
+        ("[meta]\nadapt_steps = -2\n", "meta.adapt_steps"),
+        ("[eval]\nwmmse_restarts = -1\n", "eval.wmmse_restarts"),
+        ("[system]\nsigma2 = -1\n", "system.sigma2"),
+        ("[system]\nsigma2 = 0\n", "system.sigma2"),
+        ("[system]\nsigma2 = nan\n", "system.sigma2"),
+        ("[system]\nsnr_db = 0, inf\n", "system.snr_db"),
+        ("[train]\nsnr_db = nan\n", "train.snr_db"),
+    ],
+    ids=lambda v: " ".join(v.split()),
+)
+def test_training_values_rejected_at_parse(text, key):
+    # No run can use these values: parsing fails, naming the key and the
+    # line that set it (the last line of each text).
+    last_line = text.count("\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert key in str(err.value)
+    assert str(err.value).startswith(f"line {last_line}:")
+
+
+def test_zero_rates_and_steps_stay_legal():
+    cfg = parse_config_text(
+        "[meta]\ninner_lr = 0\nouter_lr = 0\nepochs = 0\ninner_steps = 0\nadapt_steps = 0\n"
+        "[eval]\nwmmse_restarts = 0\n"
+    )
+    m = cfg.meta
+    assert (m.inner_lr, m.outer_lr, m.epochs, m.inner_steps, m.adapt_steps) == (0.0, 0.0, 0, 0, 0)
+    assert cfg.wmmse_restarts == 0
 
 
 def test_parse_config_reads_file(tmp_path):

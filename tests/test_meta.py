@@ -5,9 +5,13 @@ Oracles:
   recomputed summed-loss gradient (plain SGD, no momentum, no normalization).
 - outer_update over a single task with inner_lr = 0 degenerates to one Adam
   step on the summed query loss at the unadapted parameters.
+- the task-grouped outer_update equals, bit for bit, a loop that adapts and
+  differentiates one task at a time (inner_adapt + _loss_and_grad).
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -107,6 +111,85 @@ def test_outer_update_gradient_sums_over_tasks():
     _, g = summed_loss_grad(params, task.query, cfg, frozen)
     expected, _ = nn.adam_step(nn.pack(params), 2.0 * g, nn.AdamState.init(g.size), frozen.outer_lr)
     np.testing.assert_allclose(nn.pack(twice), expected, rtol=1e-12)
+
+
+def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
+    """One task at a time: adapt, query gradient, sum in task order, Adam."""
+    vec = nn.pack(params)
+    total_g = np.zeros_like(vec)
+    support_losses, query_losses = [], []
+    for task in tasks:
+        s_loss, _ = meta._loss_and_grad(params, task.support, cfg, meta_cfg, "sum")
+        support_losses.append(s_loss / len(task.support))
+        adapted = meta.inner_adapt(params, task.support, cfg, meta_cfg)
+        q_loss, g = meta._loss_and_grad(adapted, task.query, cfg, meta_cfg, "sum")
+        total_g += g
+        query_losses.append(q_loss / len(task.query))
+    state = adam_state or nn.AdamState.init(vec.size)
+    new_vec, state = nn.adam_step(vec, total_g, state, meta_cfg.outer_lr)
+    return (nn.unpack(new_vec, params), state,
+            float(np.mean(support_losses)), float(np.mean(query_losses)))
+
+
+@pytest.mark.parametrize(
+    "n_tasks, overrides, group_samples",
+    [
+        (1, {}, None),
+        (3, {"inner_steps": 2}, None),
+        (3, {"loss_variant": "verbatim"}, None),
+        (5, {"inner_steps": 2}, 8),  # groups of 2, 2 and 1 tasks
+    ],
+)
+def test_grouped_outer_update_matches_per_task_loop(
+    monkeypatch, n_tasks, overrides, group_samples
+):
+    cfg, meta_cfg, params, _ = small_setup()
+    meta_cfg = dataclasses.replace(meta_cfg, **overrides)
+    if group_samples is not None:
+        monkeypatch.setattr(meta, "TASK_GROUP_SAMPLES", group_samples)
+    rng = np.random.default_rng(3)
+    got_params, got_state = params, None
+    want_params, want_state = params, None
+    for _ in range(2):  # the second step starts from a nonzero Adam state
+        tasks = [
+            channels.Task(support=rand_batch(rng, 4, 2, 2), query=rand_batch(rng, 4, 2, 2))
+            for _ in range(n_tasks)
+        ]
+        got_params, got_state, got_s, got_q = meta.outer_update(
+            got_params, tasks, cfg, meta_cfg, got_state
+        )
+        want_params, want_state, want_s, want_q = reference_outer_update(
+            want_params, tasks, cfg, meta_cfg, want_state
+        )
+        np.testing.assert_array_equal(nn.pack(got_params), nn.pack(want_params))
+        np.testing.assert_array_equal(got_state.m, want_state.m)
+        np.testing.assert_array_equal(got_state.v, want_state.v)
+        assert got_state.t == want_state.t
+        assert got_q == want_q
+        assert got_s == want_s
+
+
+def test_loss_and_grad_frees_its_tape_without_gc(monkeypatch):
+    # No reference cycle keeps a tape alive: with the cycle collector off,
+    # every tape made by a pass is gone when the pass returns.
+    cfg, meta_cfg, params, batch = small_setup()
+    tapes = []
+    leaves_for = nn.leaves_for
+
+    def spy(tape, *args):
+        tapes.append(weakref.ref(tape))
+        return leaves_for(tape, *args)
+
+    monkeypatch.setattr(nn, "leaves_for", spy)
+    stack = np.tile(nn.pack(params), (2, 1))
+    gc.disable()
+    try:
+        meta._loss_and_grad(params, batch, cfg, meta_cfg, "sum")
+        meta._loss_and_grad(params, batch.reshape(2, 4, 2, 2), cfg, meta_cfg, "sum", stack)
+        assert len(tapes) == 2
+        assert all(ref() is None for ref in tapes)
+    finally:
+        gc.enable()
 
 
 def test_meta_train_zero_epochs_returns_init():

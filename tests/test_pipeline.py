@@ -31,17 +31,6 @@ def test_make_v_current_mrt_power_and_direction():
     np.testing.assert_allclose(ratio, ratio.flat[0], rtol=1e-12)
 
 
-def test_make_v_current_random_mode():
-    rng = np.random.default_rng(1)
-    cfg, _, h = setup(rng, b=3)
-    v = pipeline.make_v_current(h, cfg, mode="random", rng=np.random.default_rng(7))
-    np.testing.assert_allclose(np.sum(np.abs(v) ** 2, axis=(1, 2)), cfg.p, rtol=1e-12)
-    with pytest.raises(ValueError):
-        pipeline.make_v_current(h, cfg, mode="random")
-    with pytest.raises(ValueError):
-        pipeline.make_v_current(h, cfg, mode="zf")
-
-
 def test_make_v_current_rejects_zero_channel():
     cfg = SystemConfig(n=2, k=2)
     h = np.zeros((1, 2, 2), dtype=complex)

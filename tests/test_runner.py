@@ -85,6 +85,17 @@ def test_wmmse_rows_match_k1_closed_form(tmp_path):
             assert row.slot == "final"
 
 
+def test_wmmse_verbose_line_counts_unconverged_solves(tmp_path, capsys):
+    # At 40 dB the solver stops at max_iters on most channels; the cell's
+    # verbose line must say how many of its solves did not converge.
+    cfg = tiny_cfg(n=3, k=3, snr_db=[40.0], test_seeds=1, test_size=3)
+    runner.run_eval(cfg, "wmmse", str(tmp_path), verbose=True)
+    line = capsys.readouterr().out.strip()
+    count, size = line.rsplit("unconverged=", 1)[1].split("/")
+    assert int(size) == 3
+    assert 0 < int(count) <= 3
+
+
 def test_stream_rows_and_cardinality(tmp_path):
     cfg = tiny_cfg()
     out = str(tmp_path)
