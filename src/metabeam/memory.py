@@ -15,8 +15,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import meta as meta_mod
-from . import pipeline
+from . import nn, pipeline
 from .errors import NumericalError
+
+# Samples adapted on one tape pass of a memoryless stream: 4 slots of 40 at
+# the reference shape. One such pass took 5.0 ms (1.24 ms per slot, against
+# 2.2 ms for one slot alone) with a traced peak of 2.9 MiB. A 50-slot stream
+# took 294 ms at 160 against 607 ms one slot per pass; 400 took 234 ms but
+# raised the traced peak from 4.9 to 11.8 MiB (about 1.2 MiB per slot in a
+# group), and 160 keeps the stream's peak resident memory within a few
+# percent of the one-slot loop (2-vCPU x86_64, numpy 2.4.6, one BLAS thread).
+SLOT_GROUP_SAMPLES = 160
 
 
 @dataclass(frozen=True)
@@ -134,15 +143,19 @@ def mml_test_loop(
     sum rate of the currently adapted parameters on D_t, re-adapt from the
     initialization on memory union D_t (adapt_steps gradient steps, summed
     loss, same mechanics as training-time inner adaptation), then update the
-    memory under the new parameters. capacity = 0 reproduces plain per-slot
-    test-time adaptation through this same code path: the memory stays empty
-    and each slot adapts on D_t alone. adapt_steps defaults to
-    meta_cfg.adapt_steps. on_slot, if given, observes (t, per_sample_wsr).
+    memory under the new parameters. With capacity = 0 the memory stays
+    empty and nothing is carried from one slot to the next, so the slots
+    adapt on D_t alone, together on one tape (see _memoryless_loop), with
+    the same results as plain per-slot test-time adaptation. adapt_steps
+    defaults to meta_cfg.adapt_steps. on_slot, if given, observes
+    (t, per_sample_wsr) once per slot, in slot order.
 
     Returns (final_params, wsr_per_slot, final_memory).
     """
     if adapt_steps is None:
         adapt_steps = meta_cfg.adapt_steps
+    if capacity == 0:
+        return _memoryless_loop(params, stream, cfg, meta_cfg, adapt_steps, on_slot)
     init = params
     mem = MemorySet.empty(capacity)
     wsr_series = []
@@ -168,3 +181,40 @@ def mml_test_loop(
             mem, batch, t, params, cfg, variant=variant, rank_pool=rank_pool
         )
     return params, np.array(wsr_series), mem
+
+
+def _memoryless_loop(init, stream, cfg, meta_cfg, adapt_steps, on_slot):
+    """The capacity-0 stream: slots adapt from init in task-batched passes.
+
+    Runs of consecutive equal-sized slots, at most SLOT_GROUP_SAMPLES
+    samples (and at least one slot) each, adapt together through
+    meta.adapt_stack; then each slot of the run is scored with the
+    parameters adapted on the slot before it (slot 0 with init).
+    """
+    batches = [np.asarray(batch) for batch in stream]
+    params = init
+    wsr_series = []
+    lo = 0
+    while lo < len(batches):
+        shape = batches[lo].shape
+        per_group = SLOT_GROUP_SAMPLES // max(shape[0], 1)
+        hi = lo + 1
+        while hi < len(batches) and hi - lo < per_group and batches[hi].shape == shape:
+            hi += 1
+        stack, _ = meta_mod.adapt_stack(
+            init,
+            nn.stack_params(init, hi - lo),
+            np.stack(batches[lo:hi]),
+            cfg,
+            meta_cfg,
+            adapt_steps,
+        )
+        for t in range(lo, hi):
+            slot_wsr = pipeline.evaluate_wsr(params, batches[t], cfg)
+            if on_slot is not None:
+                on_slot(t, slot_wsr)
+            wsr_series.append(float(np.mean(slot_wsr)))
+            params = nn.unstack(stack, init, t - lo)
+        del stack  # not held through the next group's passes
+        lo = hi
+    return params, np.array(wsr_series), MemorySet.empty(0)

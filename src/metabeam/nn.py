@@ -104,25 +104,31 @@ def unpack(vec, template):
 def leaves_for(tape, params, stack=None):
     """Create one tape leaf per parameter array; returns (tree, flat list).
 
-    With stack, a (T, P) array of packed vectors laid out like params, each
-    leaf holds all T tasks' copies: weights (T, i, o) and biases (T, 1, o).
+    With stack, per-leaf arrays in params.arrays() order holding T tasks'
+    copies (see stack_params), the leaves are those arrays: weights
+    (T, i, o) and biases (T, 1, o).
     """
-    if stack is not None:
-        t = stack.shape[0]
-        views = iter(np.split(stack, np.cumsum([a.size for a in params.arrays()]), axis=1))
+    arrays = params.arrays() if stack is None else iter(stack)
     nets, flat = [], []
     for net in params.nets():
         weights, biases = [], []
-        for w, b in zip(net.weights, net.biases):
-            if stack is not None:
-                w = next(views).reshape(t, *w.shape)
-                b = next(views).reshape(t, 1, b.size)
-            wn, bn = tape.leaf(w), tape.leaf(b)
+        for _ in net.weights:
+            wn, bn = tape.leaf(next(arrays)), tape.leaf(next(arrays))
             weights.append(wn)
             biases.append(bn)
             flat.extend((wn, bn))
         nets.append(MlpParams(weights=weights, biases=biases))
     return PredictorParams(*nets), flat
+
+
+def stack_params(params, t):
+    """T copies of params as per-leaf stacks: weights (T, i, o), biases (T, 1, o)."""
+    return [np.repeat(a.reshape(1, -1, a.shape[-1]), t, axis=0) for a in params.arrays()]
+
+
+def unstack(stack, template, t):
+    """Task t's parameters from per-leaf stacks, shaped like template."""
+    return unpack(np.concatenate([a[t].ravel() for a in stack]), template)
 
 
 def mlp_forward(net_leaves, x):
@@ -148,7 +154,7 @@ def mlp_forward_np(net, x):
 
 
 def sgd_step(vec, g, lr):
-    """Plain gradient step on a flat parameter vector."""
+    """Plain gradient step on a flat parameter vector or one leaf stack."""
     return vec - lr * g
 
 

@@ -6,6 +6,7 @@ zero capacity must be bit-identical to manually re-adapting from the
 initialization on each slot batch alone.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -198,21 +199,65 @@ def test_update_memory_capacity_invariants(capacity, n_old, n_fresh, seed):
     assert sum(e.inserted_at == 50 for e in out.entries) == quota
 
 
-def test_mml_loop_zero_capacity_is_plain_adaptation():
-    # Manual oracle: evaluate, then adapt from the initialization on the
-    # slot batch alone. Must match the loop bit for bit.
-    rng, cfg, meta_cfg, params = small_setup()
-    stream = [rand_batch(rng, 5, 2, 2) for _ in range(4)]
-    final, series, mem = memory.mml_test_loop(params, stream, cfg, meta_cfg, 0)
-    assert len(mem) == 0
-
+def plain_adaptation(params, stream, cfg, meta_cfg):
+    """Per-slot oracle: evaluate, then adapt from the initialization on the
+    slot batch alone. Returns (per-slot per-sample rates, final params)."""
     current = params
-    expected_series = []
+    rates = []
     for batch in stream:
-        expected_series.append(float(np.mean(pipeline.evaluate_wsr(current, batch, cfg))))
+        rates.append(pipeline.evaluate_wsr(current, batch, cfg))
         current = meta.adapt_on_test(params, batch, cfg, meta_cfg, reduction="sum")
-    np.testing.assert_array_equal(series, expected_series)
-    np.testing.assert_array_equal(nn.pack(final), nn.pack(current))
+    return rates, current
+
+
+def test_mml_loop_zero_capacity_is_plain_adaptation(monkeypatch):
+    # Must match the per-slot oracle bit for bit: 4 slots on one tape; 5
+    # slots in groups of 2, 2 and 1; slots of unequal sizes, which cannot
+    # share a pass; and no adaptation steps at all.
+    cases = [
+        ([5] * 4, None, 2),
+        ([5] * 5, 10, 2),
+        ([4, 4, 3, 4], None, 2),
+        ([4] * 3, None, 0),
+    ]
+    for sizes, group_samples, steps in cases:
+        rng, cfg, meta_cfg, params = small_setup()
+        meta_cfg = dataclasses.replace(meta_cfg, adapt_steps=steps)
+        if group_samples is not None:
+            monkeypatch.setattr(memory, "SLOT_GROUP_SAMPLES", group_samples)
+        stream = [rand_batch(rng, b, 2, 2) for b in sizes]
+        final, series, mem = memory.mml_test_loop(params, stream, cfg, meta_cfg, 0)
+        assert len(mem) == 0
+
+        rates, current = plain_adaptation(params, stream, cfg, meta_cfg)
+        np.testing.assert_array_equal(series, [float(np.mean(r)) for r in rates])
+        np.testing.assert_array_equal(nn.pack(final), nn.pack(current))
+        monkeypatch.undo()
+
+
+def test_memoryless_loop_calls_on_slot_in_order(monkeypatch):
+    rng, cfg, meta_cfg, params = small_setup()
+    monkeypatch.setattr(memory, "SLOT_GROUP_SAMPLES", 6)
+    groups = []
+    adapt_stack = meta.adapt_stack
+
+    def spy(params, stack, batch, *args):
+        groups.append(batch.shape[0])
+        return adapt_stack(params, stack, batch, *args)
+
+    monkeypatch.setattr(meta, "adapt_stack", spy)
+    stream = [rand_batch(rng, 3, 2, 2) for _ in range(5)]
+    seen = []
+    _, series, _ = memory.mml_test_loop(
+        params, stream, cfg, meta_cfg, 0, on_slot=lambda t, w: seen.append((t, w))
+    )
+    assert groups == [2, 2, 1]
+    assert [t for t, _ in seen] == [0, 1, 2, 3, 4]
+    assert all(w.shape == (3,) for _, w in seen)
+    rates, _ = plain_adaptation(params, stream, cfg, meta_cfg)
+    for (_, w), want in zip(seen, rates):
+        np.testing.assert_array_equal(w, want)
+    np.testing.assert_array_equal([w.mean() for _, w in seen], series)
 
 
 def test_mml_loop_memory_grows_to_capacity():

@@ -138,6 +138,7 @@ def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
         (3, {"inner_steps": 2}, None),
         (3, {"loss_variant": "verbatim"}, None),
         (5, {"inner_steps": 2}, 8),  # groups of 2, 2 and 1 tasks
+        (3, {"inner_steps": 0}, None),  # the support loss needs its own pass
     ],
 )
 def test_grouped_outer_update_matches_per_task_loop(
@@ -181,7 +182,7 @@ def test_loss_and_grad_frees_its_tape_without_gc(monkeypatch):
         return leaves_for(tape, *args)
 
     monkeypatch.setattr(nn, "leaves_for", spy)
-    stack = np.tile(nn.pack(params), (2, 1))
+    stack = nn.stack_params(params, 2)
     gc.disable()
     try:
         meta._loss_and_grad(params, batch, cfg, meta_cfg, "sum")

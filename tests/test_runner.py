@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from metabeam import channels, nn, objective, runner
+from metabeam import channels, memory, meta, nn, objective, pipeline, runner
 from metabeam.config import ExperimentConfig
 from metabeam.meta import MetaConfig
 from metabeam.runner import ResultRow
@@ -141,6 +141,26 @@ def test_maml_no_pretrain_needs_no_checkpoint(tmp_path):
     rows = runner.run_eval(cfg, "maml_no_pretrain", str(tmp_path))
     assert len(rows) == 2 * (cfg.slots + 1)
     assert all(r.method == "maml_no_pretrain" for r in rows)
+
+
+def test_maml_no_pretrain_rows_match_sequential_stream(tmp_path, monkeypatch):
+    # The slot-batched stream gives the rows of a loop that scores a slot,
+    # then adapts from the initialization on that slot alone.
+    cfg = tiny_cfg(slots=5)
+    out = str(tmp_path)
+    monkeypatch.setattr(memory, "SLOT_GROUP_SAMPLES", 2 * cfg.slot_size)
+    batched = runner.run_eval(cfg, "maml_no_pretrain", out)
+
+    def sequential(params, stream, cfg, meta_cfg, capacity, adapt_steps=None, on_slot=None,
+                   **_):
+        assert capacity == 0
+        current = params
+        for t, batch in enumerate(stream):
+            on_slot(t, pipeline.evaluate_wsr(current, batch, cfg))
+            current = meta.adapt_on_test(params, batch, cfg, meta_cfg, steps=adapt_steps)
+
+    monkeypatch.setattr(memory, "mml_test_loop", sequential)
+    assert batched == runner.run_eval(cfg, "maml_no_pretrain", out)
 
 
 def test_emit_results_stable_bytes_and_order(tmp_path):
