@@ -1,24 +1,28 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 A Tape records every operation as an append-only node holding the forward
-value, parent references, and one vector-Jacobian closure per parent. The
-gradient pass walks the nodes once in reverse insertion order and never adds
-nodes, so the tape length is the same before and after grad().
+value, parent references, and one backward closure that maps the node's
+adjoint to one adjoint per parent. The gradient pass walks the nodes once in
+reverse insertion order and never adds nodes, so the tape length is the same
+before and after grad().
 
 Nodes refer to their tape weakly, so a tape and its nodes hold no reference
 cycle and are freed by reference counting as soon as the caller drops them;
 recording on a node whose tape is gone raises.
 
-Complex quantities are represented as separate real/imaginary nodes; the one
-complex-aware primitive, csolve_hpd, solves batched Hermitian positive
-definite systems and implements its adjoint in closed form (one extra solve).
+Besides a few elementwise primitives the tape has coarse nodes whose
+backward is written in closed form: mlp runs a whole ReLU network as one
+node, and csolve_hpd solves batched complex Hermitian positive definite
+systems (complex values travel as stacked real and imaginary parts). Callers
+record their own closed-form nodes through Tape.record, as the rate loss of
+pipeline.reconstruct_and_loss does.
 """
 
 import weakref
 
 import numpy as np
 
-from .errors import DegenerateInputError, SingularMatrixError
+from .errors import SingularMatrixError
 
 
 class Tape:
@@ -33,29 +37,31 @@ class Tape:
     def __len__(self):
         return len(self.nodes)
 
-    def _record(self, value, parents=(), vjps=(), op=""):
+    def record(self, value, parents=(), backward=None, op=""):
+        """Append a node; backward(g) returns one adjoint per parent, in
+        order, each None or shaped like that parent's value."""
         node = Node(self._ref, len(self.nodes), np.asarray(value, dtype=np.float64), op)
         node.parents = parents
-        node.vjps = vjps
+        node.backward = backward
         node.requires_grad = any(p.requires_grad for p in parents)
         self.nodes.append(node)
         return node
 
     def leaf(self, value):
         """Differentiable input (a parameter)."""
-        node = self._record(value, op="leaf")
+        node = self.record(value, op="leaf")
         node.requires_grad = True
         return node
 
     def const(self, value):
         """Non-differentiable input; gradients are never propagated into it."""
-        return self._record(value, op="const")
+        return self.record(value, op="const")
 
 
 class Node:
-    """One tape entry: forward value plus local backward rules."""
+    """One tape entry: forward value plus its local backward rule."""
 
-    __slots__ = ("_tape", "index", "value", "op", "parents", "vjps", "requires_grad")
+    __slots__ = ("_tape", "index", "value", "op", "parents", "backward", "requires_grad")
 
     def __init__(self, tape_ref, index, value, op):
         self._tape = tape_ref
@@ -63,7 +69,7 @@ class Node:
         self.value = value
         self.op = op
         self.parents = ()
-        self.vjps = ()
+        self.backward = None
         self.requires_grad = False
 
     @property
@@ -92,14 +98,13 @@ def grad(tape, loss, wrt):
     keep = {node.index for node in wrt}
     for node in reversed(tape.nodes):
         g = adjoint[node.index]
-        if g is None:
+        if g is None or node.backward is None:
             continue
         if node.index not in keep:
             adjoint[node.index] = None
-        for parent, vjp in zip(node.parents, node.vjps):
-            if not parent.requires_grad or vjp is None:
+        for parent, contrib in zip(node.parents, node.backward(g)):
+            if contrib is None or not parent.requires_grad:
                 continue
-            contrib = vjp(g)
             if adjoint[parent.index] is None:
                 adjoint[parent.index] = contrib
             else:
@@ -113,6 +118,8 @@ def grad(tape, loss, wrt):
 
 def _unbroadcast(g, shape):
     """Reduce a gradient back to the shape the operand had before broadcasting."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -122,69 +129,46 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _binary(a, b, value, da, db, op):
-    tape = a.tape
-    return tape._record(
-        value,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(da(g), a.value.shape),
-            lambda g: _unbroadcast(db(g), b.value.shape),
-        ),
-        op=op,
-    )
+def _unary(a, value, backward, op):
+    return a.tape.record(value, (a,), lambda g: (backward(g),), op)
 
 
 def add(a, b):
-    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g, "add")
-
-
-def sub(a, b):
-    return _binary(a, b, a.value - b.value, lambda g: g, lambda g: -g, "sub")
+    sa, sb = a.value.shape, b.value.shape
+    return a.tape.record(
+        a.value + b.value,
+        (a, b),
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
+        "add",
+    )
 
 
 def mul(a, b):
     av, bv = a.value, b.value
-    return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av, "mul")
-
-
-def div(a, b):
-    av, bv = a.value, b.value
-    out = av / bv
-    return _binary(a, b, out, lambda g: g / bv, lambda g: -g * out / bv, "div")
-
-
-def neg(a):
-    return a.tape._record(-a.value, (a,), (lambda g: -g,), "neg")
+    return a.tape.record(
+        av * bv,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g * bv, av.shape) if a.requires_grad else None,
+            _unbroadcast(g * av, bv.shape) if b.requires_grad else None,
+        ),
+        "mul",
+    )
 
 
 def add_const(a, c):
-    return a.tape._record(a.value + c, (a,), (lambda g: g,), "add_const")
+    return _unary(a, a.value + c, lambda g: g, "add_const")
 
 
 def scale(a, c):
-    return a.tape._record(a.value * c, (a,), (lambda g: g * c,), "scale")
+    """Product with a constant that broadcasts to a's shape (a scalar, or
+    e.g. per-user weights along the last axis)."""
+    return _unary(a, a.value * c, lambda g: g * c, "scale")
 
 
 def square(a):
     av = a.value
-    return a.tape._record(av * av, (a,), (lambda g: g * (2.0 * av),), "square")
-
-
-def sqrt(a):
-    out = np.sqrt(a.value)
-    return a.tape._record(out, (a,), (lambda g: g * (0.5 / out),), "sqrt")
-
-
-def log1p(a):
-    av = a.value
-    return a.tape._record(np.log1p(av), (a,), (lambda g: g / (1.0 + av),), "log1p")
-
-
-def relu(a):
-    av = a.value
-    mask = av > 0.0
-    return a.tape._record(av * mask, (a,), (lambda g: g * mask,), "relu")
+    return _unary(a, av * av, lambda g: g * (2.0 * av), "square")
 
 
 def softplus(a):
@@ -193,55 +177,55 @@ def softplus(a):
     out = np.logaddexp(0.0, av)
     with np.errstate(over="ignore"):  # exp(-x) -> inf gives the exact limit 0
         sig = 1.0 / (1.0 + np.exp(-av))
-    return a.tape._record(out, (a,), (lambda g: g * sig,), "softplus")
+    return _unary(a, out, lambda g: g * sig, "softplus")
 
 
-def matmul(a, b):
-    """(B, i) x (i, o), or (T, B, i) x (T, i, o) with one weight per task.
+def mlp(x, weights, biases):
+    """ReLU MLP as one node: affine, ReLU, ..., affine (linear output).
 
-    The dense affine building block; the task-batched form multiplies each
-    task's slice by its own weight matrix.
+    x is (B, i) with weights (i, o) and biases (o,), or task-stacked
+    (T, B, i) with one weight (T, i, o) and bias (T, 1, o) per task. The
+    backward runs, layer by layer from the output, the float operations of
+    the matmul/add/ReLU chain it stands for: g <- g * mask below the output
+    layer, db = g summed over the broadcast axes, dW = h^T g, g <- g W^T.
     """
-    av, bv = a.value, b.value
-    if av.ndim != bv.ndim or bv.ndim not in (2, 3):
-        raise ValueError(f"matmul takes (B, i) x (i, o) or (T, B, i) x (T, i, o), "
-                         f"got {av.shape} x {bv.shape}")
-    return _binary(
-        a,
-        b,
-        av @ bv,
-        lambda g: g @ np.swapaxes(bv, -1, -2),
-        lambda g: np.swapaxes(av, -1, -2) @ g,
-        "matmul",
-    )
-
-
-def reduce_sum(a, axis=None, keepdims=False):
-    av = a.value
-    out = av.sum(axis=axis, keepdims=keepdims)
+    inputs, masks = [], []
+    h = x.value
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.value.ndim != h.ndim or h.ndim not in (2, 3):
+            raise ValueError(f"mlp takes (B, i) x (i, o) or (T, B, i) x (T, i, o) "
+                             f"layers, got {h.shape} x {w.value.shape}")
+        inputs.append(h)
+        h = h @ w.value + b.value
+        if i != last:
+            mask = h > 0.0
+            masks.append(mask)
+            h = h * mask
 
     def backward(g):
-        if axis is None:
-            return np.broadcast_to(g, av.shape).copy()
-        g_ = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(g_, av.shape).copy()
+        grads = [None] * (2 * len(weights))
+        for i in range(last, -1, -1):
+            if i != last:
+                g = g * masks[i]
+            grads[2 * i + 1] = _unbroadcast(g, biases[i].value.shape)
+            grads[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g
+            if i or x.requires_grad:
+                g = g @ np.swapaxes(weights[i].value, -1, -2)
+        return (g if x.requires_grad else None, *grads)
 
-    return a.tape._record(out, (a,), (backward,), "sum")
+    parents = (x,) + tuple(p for pair in zip(weights, biases) for p in pair)
+    return x.tape.record(h, parents, backward, "mlp")
 
 
-def reduce_mean(a):
-    n = a.value.size
-    out = a.value.mean()
-    return a.tape._record(
-        out, (a,), (lambda g: np.full(a.value.shape, g / n),), "mean"
-    )
+def reduce_sum(a):
+    av = a.value
+    return _unary(a, av.sum(), lambda g: np.broadcast_to(g, av.shape).copy(), "sum")
 
 
 def reshape(a, shape):
     av = a.value
-    return a.tape._record(
-        av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),), "reshape"
-    )
+    return _unary(a, av.reshape(shape), lambda g: g.reshape(av.shape), "reshape")
 
 
 def take_cols(a, j0, j1):
@@ -253,21 +237,7 @@ def take_cols(a, j0, j1):
         out[..., j0:j1] = g
         return out
 
-    return a.tape._record(av[..., j0:j1], (a,), (backward,), "take_cols")
-
-
-def bdiag(a):
-    """Diagonal of each (K, K) block: (B, K, K) -> (B, K)."""
-    av = a.value
-    k = av.shape[-1]
-    idx = np.arange(k)
-
-    def backward(g):
-        out = np.zeros_like(av)
-        out[:, idx, idx] = g
-        return out
-
-    return a.tape._record(av[:, idx, idx], (a,), (backward,), "bdiag")
+    return _unary(a, av[..., j0:j1], backward, "take_cols")
 
 
 def weighted_const_sum(coeff, tensors):
@@ -277,23 +247,9 @@ def weighted_const_sum(coeff, tensors):
     is the coefficient-weighted sum of the constant blocks, e.g. the Hermitian
     quadratic term assembled from per-user rank-one outer products.
     """
-    cv = coeff.value
-    out = np.einsum("bk,bkij->bij", cv, tensors)
-    return coeff.tape._record(
-        out,
-        (coeff,),
-        (lambda g: np.einsum("bij,bkij->bk", g, tensors),),
-        "weighted_const_sum",
-    )
-
-
-def bmm_const_left(c, x):
-    """Batched product const(B, K, N) @ node(B, N, M) -> (B, K, M)."""
-    xv = x.value
-    out = np.einsum("bkn,bnm->bkm", c, xv)
-    return x.tape._record(
-        out, (x,), (lambda g: np.einsum("bkn,bkm->bnm", c, g),), "bmm_const_left"
-    )
+    out = np.einsum("bk,bkij->bij", coeff.value, tensors)
+    return _unary(coeff, out, lambda g: np.einsum("bij,bkij->bk", g, tensors),
+                  "weighted_const_sum")
 
 
 def csolve_hpd(s_re, s_im, mu, rhs):
@@ -302,61 +258,29 @@ def csolve_hpd(s_re, s_im, mu, rhs):
     Solves (S + mu I) X = rhs with S = s_re + i s_im given by two (B, N, N)
     real nodes, mu a (B,) node of nonnegative shifts, and rhs a constant
     complex (B, N, K) array. Returns one node of shape (B, 2, N, K) stacking
-    Re X and Im X (split with take_part). Positive definiteness is certified
-    by a batched Cholesky factorization.
+    Re X and Im X. Positive definiteness is certified by a batched Cholesky
+    factorization.
 
     Adjoint, with G = Gre + i Gim the packed output gradient: the rhs adjoint
     is Q = (S + mu I)^{-1} G (Hermitian, so no transpose), the matrix adjoint
     is Sbar = -Q X^H, giving d/d s_re = Re(Sbar), d/d s_im = Im(Sbar) and
     d/d mu = Re tr(Sbar) per batch element.
     """
-    tape = s_re.tape
-    b, n, _ = s_re.value.shape
+    n = s_re.value.shape[-1]
     s = s_re.value + 1j * s_im.value + mu.value[:, None, None] * np.eye(n)
     try:
         np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("batched system is not positive definite") from exc
     x = np.linalg.solve(s, rhs)
-    value = np.stack([x.real, x.imag], axis=1)
-
-    def backward_common(g):
-        gc = g[:, 0] + 1j * g[:, 1]
-        q = np.linalg.solve(s, gc)
-        return -q @ np.conj(np.swapaxes(x, 1, 2))
-
-    # The three parents share Sbar; cache it per incoming gradient object.
-    cache = {}
-
-    def sbar(g):
-        key = id(g)
-        if key not in cache:
-            cache.clear()
-            cache[key] = backward_common(g)
-        return cache[key]
-
-    return tape._record(
-        value,
-        parents=(s_re, s_im, mu),
-        vjps=(
-            lambda g: sbar(g).real,
-            lambda g: sbar(g).imag,
-            lambda g: np.real(np.trace(sbar(g), axis1=1, axis2=2)),
-        ),
-        op="csolve_hpd",
-    )
-
-
-def take_part(a, part):
-    """Select the real (0) or imaginary (1) half of a stacked complex node."""
-    av = a.value
 
     def backward(g):
-        out = np.zeros_like(av)
-        out[:, part] = g
-        return out
+        q = np.linalg.solve(s, g[:, 0] + 1j * g[:, 1])
+        sbar = -q @ np.conj(np.swapaxes(x, 1, 2))
+        return sbar.real, sbar.imag, np.real(np.trace(sbar, axis1=1, axis2=2))
 
-    return a.tape._record(av[:, part], (a,), (backward,), "take_part")
+    value = np.stack([x.real, x.imag], axis=1)
+    return s_re.tape.record(value, (s_re, s_im, mu), backward, "csolve_hpd")
 
 
 def finite_diff_check(

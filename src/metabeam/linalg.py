@@ -94,7 +94,8 @@ def total_power(v):
 def normalize_to_power(v, p):
     """Scale V so that total_power(V) == p exactly (up to float rounding).
 
-    Raises DegenerateInputError for an all-zero V; p must be positive.
+    Raises DegenerateInputError when ||V||_F^2 is 0 in floating point (an
+    all-zero V, or entries below about 1e-154); p must be positive.
     """
     if p <= 0:
         raise ValueError(f"target power must be positive, got {p}")
@@ -102,4 +103,9 @@ def normalize_to_power(v, p):
     pw = total_power(v)
     if pw == 0.0:
         raise DegenerateInputError("cannot normalize an all-zero beamformer")
+    if pw < np.finfo(np.float64).tiny or p / pw == np.inf:
+        # ||V||^2 lost precision in the subnormals, or is so small that p / pw
+        # overflows: scale to a unit largest entry first.
+        v = v / np.max(np.abs(v))
+        pw = total_power(v)
     return v * np.sqrt(p / pw)

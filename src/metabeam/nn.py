@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericalError
 
 CHECKPOINT_MAGIC = b"MMLP1"
 DEFAULT_WIDTH = 64
@@ -132,14 +132,8 @@ def unstack(stack, template, t):
 
 
 def mlp_forward(net_leaves, x):
-    """ReLU MLP on the tape: affine, ReLU, ..., affine (linear output)."""
-    h = x
-    last = len(net_leaves.weights) - 1
-    for i, (w, b) in enumerate(zip(net_leaves.weights, net_leaves.biases)):
-        h = ad.add(ad.matmul(h, w), b)
-        if i != last:
-            h = ad.relu(h)
-    return h
+    """ReLU MLP on the tape, one node: affine, ReLU, ..., affine (linear output)."""
+    return ad.mlp(x, net_leaves.weights, net_leaves.biases)
 
 
 def mlp_forward_np(net, x):
@@ -185,8 +179,11 @@ def save_checkpoint(path, params):
 
     Layout: magic "MMLP1", u32 net count, then per net a u32 layer-size list
     (count followed by sizes), then every weight matrix (row-major) and bias
-    in order as float64 little-endian.
+    in order as float64 little-endian. Raises NumericalError, writing
+    nothing, when any parameter is NaN or infinite.
     """
+    if not all(np.all(np.isfinite(a)) for a in params.arrays()):
+        raise NumericalError(f"refusing to write non-finite parameters to {path}")
     nets = params.nets()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

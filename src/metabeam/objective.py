@@ -92,22 +92,17 @@ def sum_rate_loss(h, v, cfg, variant="corrected"):
     return float(-np.mean(np.log1p(signal / denom)))
 
 
-def batch_loss(batch, predict_v, cfg, variant="corrected"):
-    """Mean sum_rate_loss over a batch, with predict_v mapping H -> V."""
-    batch = np.asarray(batch)
-    if batch.shape[0] == 0:
-        raise ValueError("batch must hold at least one realization")
-    losses = [sum_rate_loss(h, predict_v(h), cfg, variant=variant) for h in batch]
-    return float(np.mean(losses))
-
-
 # Vectorized batch forms, used by evaluation and memory scoring.
+
+
+def batch_gains(h_batch, v_batch):
+    """h_k^H v_j per sample: (B, K, N) x (B, N, K) -> (B, K, K) complex."""
+    return np.einsum("bkn,bnj->bkj", h_batch.conj(), v_batch)
 
 
 def batch_coupling(h_batch, v_batch):
     """|h_k^H v_j|^2 per sample: (B, K, N) x (B, N, K) -> (B, K, K)."""
-    g = np.einsum("bkn,bnj->bkj", h_batch.conj(), v_batch)
-    return np.abs(g) ** 2
+    return np.abs(batch_gains(h_batch, v_batch)) ** 2
 
 
 def batch_all_sinr(h_batch, v_batch, cfg):
@@ -123,9 +118,9 @@ def batch_wsr(h_batch, v_batch, cfg):
     return rates @ cfg.alpha_vec
 
 
-def batch_sample_losses(h_batch, v_batch, cfg, variant="corrected"):
-    """Per-sample sum_rate_loss, shape (B,)."""
-    a2 = batch_coupling(h_batch, v_batch)
+def batch_signal_denom(a2, cfg, variant="corrected"):
+    """Signal |h_k^H v_k|^2 and loss denominator of every user, (B, K) each,
+    from the couplings a2 (B, K, K); variant as in sum_rate_loss."""
     signal = np.diagonal(a2, axis1=1, axis2=2)
     if variant == "corrected":
         denom = cfg.sigma2 + a2.sum(axis=2) - signal
@@ -133,4 +128,10 @@ def batch_sample_losses(h_batch, v_batch, cfg, variant="corrected"):
         denom = cfg.sigma2 + signal.sum(axis=1, keepdims=True) - signal
     else:
         raise ValueError(f"unknown loss variant {variant!r}")
+    return signal, denom
+
+
+def batch_sample_losses(h_batch, v_batch, cfg, variant="corrected"):
+    """Per-sample sum_rate_loss, shape (B,)."""
+    signal, denom = batch_signal_denom(batch_coupling(h_batch, v_batch), cfg, variant)
     return -np.mean(np.log1p(signal / denom), axis=1)

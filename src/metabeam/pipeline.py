@@ -4,7 +4,12 @@ Given a batch of channels, three small MLPs predict the decomposed solver
 state (u, w, mu); the beamformer is rebuilt in closed form through a batched
 Hermitian solve, scaled to the power budget, and scored by the negated
 average rate. The whole chain runs on the autodiff tape, so gradients flow
-from the rate loss back into the network parameters.
+from the rate loss back into the network parameters. The tape holds one node
+per net, a few elementwise nodes for the output maps and the coefficients of
+S, the Hermitian solve, and one rate-loss node with a closed-form backward
+for everything after the solve. That node and the forward-only twin share
+the reconstruction (_beamformers) and the rate terms
+(objective.batch_signal_denom).
 
 Input encoding (per sample, length 4*N*K):
     [Re H (row-major K x N), Im H, Re V_cur (row-major N x K), Im V_cur]
@@ -127,19 +132,23 @@ def reconstruct_and_loss(
     per_task, k, n = h_batch.shape[-3:]
     if per_task == 0:
         raise ValueError("batch must hold at least one realization")
+    if reduction == "mean":
+        factor = -1.0 / (k * per_task)
+    elif reduction == "sum":
+        factor = -1.0 / k
+    else:
+        raise ValueError(f"unknown reduction {reduction!r}")
     h_batch = h_batch.reshape(-1, k, n)
-    b = h_batch.shape[0]
     if v_current is None:
         v_current = make_v_current(h_batch, cfg)
     features = encode_features(h_batch, v_current)
     comps = predict_components(
         tape, leaves, features.reshape(*tasks, per_task, -1), cfg
     )
-    alpha = cfg.alpha_vec
 
     # c_k = alpha_k |u_k|^2 w_k, the rank-one coefficients of S
     u2 = ad.add(ad.square(comps.u_re), ad.square(comps.u_im))
-    c = ad.mul(ad.mul(u2, comps.w), tape.const(np.broadcast_to(alpha, (b, k)).copy()))
+    c = ad.scale(ad.mul(u2, comps.w), cfg.alpha_vec)
     t_re, t_im = _outer_products(h_batch)
     s_re = ad.weighted_const_sum(c, t_re)
     s_im = ad.weighted_const_sum(c, t_im)
@@ -147,55 +156,86 @@ def reconstruct_and_loss(
     # x_k = (S + mu I)^{-1} h_k for all users at once
     rhs = np.transpose(h_batch, (0, 2, 1)).copy()
     x = ad.csolve_hpd(s_re, s_im, comps.mu, rhs)
-    x_re, x_im = ad.take_part(x, 0), ad.take_part(x, 1)
+    loss, v_hat = _rate_loss(x, comps, h_batch, rhs, cfg, variant, factor, tasks)
+    return loss, v_hat.reshape(*tasks, per_task, n, k)
 
-    # v_k = (alpha_k w_k u_k) x_k, complex scaling per column
-    aw = ad.mul(comps.w, tape.const(np.broadcast_to(alpha, (b, k)).copy()))
-    s_scale_re = ad.reshape(ad.mul(aw, comps.u_re), (b, 1, k))
-    s_scale_im = ad.reshape(ad.mul(aw, comps.u_im), (b, 1, k))
-    v_re = ad.sub(ad.mul(x_re, s_scale_re), ad.mul(x_im, s_scale_im))
-    v_im = ad.add(ad.mul(x_re, s_scale_im), ad.mul(x_im, s_scale_re))
 
-    # project onto the power budget: v <- v * sqrt(P / ||v||_F^2)
-    pw = ad.add(
-        ad.reduce_sum(ad.square(v_re), axis=(1, 2), keepdims=True),
-        ad.reduce_sum(ad.square(v_im), axis=(1, 2), keepdims=True),
-    )
-    if np.any(pw.value == 0.0):
+def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
+    """One tape node from the solved columns to the reduced loss.
+
+    Forward: the forward twin's arithmetic (_beamformers, then
+    objective.batch_signal_denom) and factor times each task's sum of the
+    per-user rates r_k = ln(1 + signal_k / denom_k). Backward in closed form
+    (Giles 2008), per sample with Y = X diag(s), s = alpha w u,
+    p = ||Y||_F^2, g = sqrt(P / p), V = g Y, G = conj(H) V, A2 = |G|^2:
+      corrected: dr_k/dA2_kj = 1/(T_k + sigma2) - [j != k]/(I_k + sigma2),
+        with T_k the total received power of user k and I_k its interference;
+      verbatim: only d_j = A2_jj enters, dr_k/dd_j = 1/(T + sigma2) -
+        [j != k]/denom_k with T the sum of the d_j;
+      Gbar = 2 dA2 * G, Vbar = H^T Gbar, Ybar = g Vbar - (g/p) Re<Vbar, Y> Y,
+      Xbar = Ybar diag(conj s), sbar_k = sum_n conj(X_nk) Ybar_nk,
+    then ubar = alpha w sbar and wbar = alpha Re(conj(u) sbar).
+    Returns (loss_node, v) with v the (T*B, N, K) normalized beamformers.
+    """
+    xv = x.value
+    xc = xv[:, 0] + 1j * xv[:, 1]
+    u_re, u_im, w = comps.u_re.value, comps.u_im.value, comps.w.value
+    v, s, y, pw = _beamformers(xc, u_re + 1j * u_im, w, cfg)
+    gains = objective.batch_gains(h_batch, v)
+    a2 = np.abs(gains) ** 2
+    signal, denom = objective.batch_signal_denom(a2, cfg, variant)
+    rates = np.log1p(signal / denom)
+    total = rates.reshape(*tasks, -1).sum(axis=-1)
+    b, k = rates.shape
+    idx = np.arange(k)
+    alpha = cfg.alpha_vec
+
+    def backward(g_loss):
+        dr = np.reshape(g_loss * factor, (-1, 1, 1))
+        dr = np.broadcast_to(dr, (len(dr), b // len(dr), k)).reshape(b, k)
+        d_tot = dr / (denom + signal)
+        d_int = dr / denom
+        if variant == "corrected":
+            da2 = np.repeat((d_tot - d_int)[:, :, None], k, axis=2)
+            da2[:, idx, idx] = d_tot
+        else:
+            da2 = np.zeros_like(a2)
+            da2[:, idx, idx] = d_tot.sum(axis=1, keepdims=True) - (
+                d_int.sum(axis=1, keepdims=True) - d_int
+            )
+        v_bar = h_t @ (2.0 * da2 * gains)
+        inner = np.sum(v_bar.real * y.real + v_bar.imag * y.imag, axis=(1, 2))
+        gain = np.sqrt(cfg.p / pw)
+        y_bar = gain[:, None, None] * v_bar - (gain * inner / pw)[:, None, None] * y
+        x_bar = y_bar * np.conj(s)[:, None, :]
+        s_bar = np.sum(np.conj(xc) * y_bar, axis=1)
+        aw = alpha * w
+        return (
+            np.stack([x_bar.real, x_bar.imag], axis=1),
+            aw * s_bar.real,
+            aw * s_bar.imag,
+            alpha * (u_re * s_bar.real + u_im * s_bar.imag),
+        )
+
+    parents = (x, comps.u_re, comps.u_im, comps.w)
+    return x.tape.record(total * factor, parents, backward, "rate_loss"), v
+
+
+def _beamformers(x, u, w, cfg):
+    """Normalized beamformers from the solved columns x_k = (S + mu I)^{-1} h_k.
+
+    Scales column k of each (N, K) sample by s_k = alpha_k w_k u_k, so
+    y = x diag(s), and projects onto the power budget: v = y sqrt(P / p)
+    with p = ||y||_F^2. Returns (v, s, y, p).
+    """
+    s = cfg.alpha_vec * w * u
+    y = x * s[:, None, :]
+    pw = np.sum(np.abs(y) ** 2, axis=(1, 2))
+    if np.any(pw == 0.0):
         raise DegenerateInputError(
             "reconstructed beamformer is zero for a sample (all u_k = 0)"
         )
-    gain = ad.sqrt(ad.div(tape.const(np.full((b, 1, 1), cfg.p)), pw))
-    v_re = ad.mul(v_re, gain)
-    v_im = ad.mul(v_im, gain)
-
-    # couplings |h_k^H v_j|^2 and the negated average rate
-    c_re, c_im = h_batch.real, -h_batch.imag  # conj(H)
-    g_re = ad.sub(ad.bmm_const_left(c_re, v_re), ad.bmm_const_left(c_im, v_im))
-    g_im = ad.add(ad.bmm_const_left(c_re, v_im), ad.bmm_const_left(c_im, v_re))
-    a2 = ad.add(ad.square(g_re), ad.square(g_im))
-    signal = ad.bdiag(a2)
-    if variant == "corrected":
-        interference = ad.sub(ad.reduce_sum(a2, axis=2), signal)
-        denom = ad.add_const(interference, cfg.sigma2)
-    elif variant == "verbatim":
-        diag_total = ad.reduce_sum(signal, axis=1, keepdims=True)
-        denom = ad.add_const(ad.sub(diag_total, signal), cfg.sigma2)
-    else:
-        raise ValueError(f"unknown loss variant {variant!r}")
-    rates = ad.log1p(ad.div(signal, denom))
-    if reduction == "mean":
-        factor = -1.0 / (k * per_task)
-    elif reduction == "sum":
-        factor = -1.0 / k
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-    if tasks:
-        total = ad.reduce_sum(ad.reshape(rates, (*tasks, per_task * k)), axis=-1)
-    else:
-        total = ad.reduce_sum(rates)
-    v_hat = v_re.value + 1j * v_im.value
-    return ad.scale(total, factor), v_hat.reshape(*tasks, per_task, n, k)
+    return y * np.sqrt(cfg.p / pw)[:, None, None], s, y, pw
 
 
 # Forward-only twin used by evaluation and memory scoring (no tape, no grads).
@@ -230,13 +270,7 @@ def predict_beamformers(params, h_batch, cfg, v_current=None):
     )
     s += mu[:, None, None] * np.eye(n)
     x = np.linalg.solve(s, np.transpose(h_batch, (0, 2, 1)))
-    v = x * (alpha[None, :] * w * u)[:, None, :]
-    pw = np.sum(np.abs(v) ** 2, axis=(1, 2))
-    if np.any(pw == 0.0):
-        raise DegenerateInputError(
-            "reconstructed beamformer is zero for a sample (all u_k = 0)"
-        )
-    return v * np.sqrt(cfg.p / pw)[:, None, None]
+    return _beamformers(x, u, w, cfg)[0]
 
 
 def evaluate_wsr(params, h_batch, cfg, v_current=None):

@@ -7,6 +7,7 @@ reproduces every output file byte for byte.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import channels, memory, meta, nn, objective, pipeline, wmmse
 from .config import render_config
+from .errors import NumericalError
 from .linalg import normalize_to_power
 from .seeding import rng_for
 
@@ -217,7 +219,15 @@ def emit_results(rows, csv_path, json_path=None):
 
     Sort key: (method, snr_db, seed, numeric slots ascending, then "final").
     Floats are written with repr, so identical inputs give identical bytes.
+    Raises NumericalError, writing nothing, when a wsr_mean or wsr_std is
+    NaN or infinite.
     """
+    for r in rows:
+        if not (math.isfinite(r.wsr_mean) and math.isfinite(r.wsr_std)):
+            raise NumericalError(
+                f"non-finite WSR in row {r.method} snr_db={r.snr_db!r} "
+                f"seed={r.seed} slot={r.slot}: {r.wsr_mean!r} +- {r.wsr_std!r}"
+            )
     ordered = sorted(
         rows, key=lambda r: (r.method, r.snr_db, r.seed, _slot_key(r.slot))
     )

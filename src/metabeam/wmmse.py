@@ -74,16 +74,20 @@ def _assemble_s(h, u, w, cfg):
     return hermitian_rank1_sum(coeffs, h)
 
 
-def reconstruct_v(h, components, cfg):
-    """Closed-form beamformer v_k = alpha_k u_k w_k (S + mu I)^{-1} h_k."""
+def reconstruct_v(h, components, cfg, s=None):
+    """Closed-form beamformer v_k = alpha_k u_k w_k (S + mu I)^{-1} h_k.
+
+    s, when given, is S already assembled from the same (u, w).
+    """
     u = np.asarray(components.u, dtype=np.complex128)
     w = np.asarray(components.w, dtype=np.float64)
-    s = _assemble_s(h, u, w, cfg)
+    if s is None:
+        s = _assemble_s(h, u, w, cfg)
     x = hpd_solve(s, components.mu, h.T)  # columns (S + mu I)^{-1} h_k
     return x * _component_scales(u, w, cfg)[..., None, :]
 
 
-def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200):
+def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
     """Smallest mu >= 0 putting the reconstructed power at the budget.
 
     u and w are (K,) for one triple, which returns a float, or (S, K) for S
@@ -100,6 +104,9 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200):
     the range of S, so instead of 0 this returns a floor proportional to
     trace(S) that keeps the downstream Cholesky solve positive definite and
     perturbs that limit by a negligible relative amount.
+
+    s, when given, is S already assembled from the same (S, K) rows of
+    (u, w), shape (S, N, N).
     """
     single = np.ndim(u) == 1
     u = np.atleast_2d(np.asarray(u, dtype=np.complex128))
@@ -107,7 +114,8 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200):
     scales2 = np.abs(_component_scales(u, w, cfg)) ** 2
     if np.any(np.all(scales2 == 0.0, axis=-1)):
         raise DegenerateInputError("all reconstruction scales are zero")
-    s = _assemble_s(h, u, w, cfg)
+    if s is None:
+        s = _assemble_s(h, u, w, cfg)
     # One Hermitian eigendecomposition per row turns each power evaluation
     # into a rational function of mu: power(mu) = sum_n c[n] / (eig_n + mu)^2.
     eigs, q = np.linalg.eigh(s)
@@ -204,8 +212,9 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
             break
         u = compute_u(h, v[run], cfg)
         w = compute_w(h, v[run], cfg)
-        mu = solve_mu(h, u, w, cfg)
-        v_new = reconstruct_v(h, ComponentTriple(u, w, mu), cfg)
+        s = _assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
+        mu = solve_mu(h, u, w, cfg, s=s)
+        v_new = reconstruct_v(h, ComponentTriple(u, w, mu), cfg, s=s)
         wsr = objective.batch_wsr(h_batch[run], v_new, cfg)
         traces[it, run] = wsr
         gain = wsr > best_wsr[run]

@@ -1,6 +1,8 @@
 """Tape autodiff: per-primitive gradient checks and tape invariants.
 
 Analytic oracles, stated before each assertion:
+- ad.mlp is the matmul/add/ReLU chain it replaces, so its value and every
+  gradient equal that chain's, built node by node in the test, to the bit.
 - sum(square(mul(x, y))): d/dx = 2 x y^2.
 - Adam from a zero state at t=1 has m_hat = g and v_hat = g^2, so the first
   step is exactly theta - lr * g / (|g| + eps).
@@ -47,24 +49,15 @@ def test_elementwise_primitives_match_fd():
     y = rand(rng, 3, 4)
     cases = {
         "add": lambda t, a: ad.reduce_sum(ad.square(ad.add(a, t.const(y)))),
-        "sub": lambda t, a: ad.reduce_sum(ad.square(ad.sub(a, t.const(y)))),
         "mul": lambda t, a: ad.reduce_sum(ad.square(ad.mul(a, t.const(y)))),
-        "div": lambda t, a: ad.reduce_sum(ad.square(ad.div(a, t.const(y**2 + 1.0)))),
-        "neg": lambda t, a: ad.reduce_sum(ad.square(ad.neg(a))),
         "add_const": lambda t, a: ad.reduce_sum(ad.square(ad.add_const(a, 1.7))),
         "scale": lambda t, a: ad.reduce_sum(ad.square(ad.scale(a, -2.3))),
+        "scale_row": lambda t, a: ad.reduce_sum(ad.square(ad.scale(a, y[0]))),
         "square": lambda t, a: ad.reduce_sum(ad.square(ad.square(a))),
         "softplus": lambda t, a: ad.reduce_sum(ad.square(ad.softplus(a))),
     }
     for name, build in cases.items():
         check_grad(build, x)
-
-
-def test_positive_domain_primitives_match_fd():
-    rng = np.random.default_rng(1)
-    x = np.abs(rand(rng, 3, 4)) + 0.5  # keep sqrt/log1p away from 0
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.sqrt(a))), x)
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.log1p(a))), x)
 
 
 def test_softplus_far_negative_is_silent_and_exact():
@@ -80,50 +73,11 @@ def test_softplus_far_negative_is_silent_and_exact():
     np.testing.assert_array_equal(g, [0.0, 0.5])
 
 
-def test_relu_gradient_away_from_kink():
-    rng = np.random.default_rng(2)
-    x = rand(rng, 4, 3)
-    x[np.abs(x) < 0.1] = 0.5
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.relu(a))), x)
-
-
-def test_matmul_and_reductions_match_fd():
-    rng = np.random.default_rng(3)
-    x = rand(rng, 4, 3)
-    w = rand(rng, 3, 5)
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.matmul(a, t.const(w)))), x)
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.matmul(t.const(rand(np.random.default_rng(4), 6, 4)), a))), x)
-    check_grad(lambda t, a: ad.reduce_mean(ad.square(a)), x)
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.reduce_sum(a, axis=1))), x)
-    check_grad(
-        lambda t, a: ad.reduce_sum(ad.square(ad.reduce_sum(a, axis=0, keepdims=True))),
-        x,
-    )
-
-
-def test_task_batched_matmul_matches_fd():
-    # (T, B, i) @ (T, i, o): both operands checked, and each task slice must
-    # equal the 2-D product of that task's operands.
-    rng = np.random.default_rng(13)
-    x = rand(rng, 3, 4, 5)
-    w = rand(rng, 3, 5, 2)
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.matmul(a, t.const(w)))), x)
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.matmul(t.const(x), a))), w)
-    tape = ad.Tape()
-    out = ad.matmul(tape.const(x), tape.leaf(w))
-    for task in range(3):
-        np.testing.assert_array_equal(out.value[task], x[task] @ w[task])
-    with pytest.raises(ValueError, match="matmul"):
-        ad.matmul(tape.const(x), tape.leaf(w[0]))  # shared weight: no adjoint for it
-
-
 def test_shape_primitives_match_fd():
     rng = np.random.default_rng(5)
     x = rand(rng, 2, 6)
     check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.reshape(a, (3, 4)))), x)
     check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.take_cols(a, 1, 4))), x)
-    xb = rand(rng, 3, 4, 4)
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.bdiag(a))), xb)
 
 
 def test_structured_const_products_match_fd():
@@ -134,9 +88,99 @@ def test_structured_const_products_match_fd():
         lambda t, a: ad.reduce_sum(ad.square(ad.weighted_const_sum(a, tensors))),
         coeff,
     )
-    c = rand(rng, 2, 3, 4)
-    x = rand(rng, 2, 4, 5)
-    check_grad(lambda t, a: ad.reduce_sum(ad.square(ad.bmm_const_left(c, a))), x)
+
+
+def mlp_net(rng, sizes, tasks=()):
+    """Random weights and biases of a ReLU MLP; per-task when tasks is (T,)."""
+    weights = [rand(rng, *tasks, i, o) for i, o in zip(sizes[:-1], sizes[1:])]
+    biases = [rand(rng, *tasks, *((1,) if tasks else ()), o) for o in sizes[1:]]
+    return weights, biases
+
+
+def check_mlp_grad(x0, weights, biases):
+    """FD-check ad.mlp with respect to its input and every weight and bias."""
+    arrays = [x0] + [a for pair in zip(weights, biases) for a in pair]
+    shapes = [a.shape for a in arrays]
+    sizes = [a.size for a in arrays]
+
+    def f(vec):
+        tape = ad.Tape()
+        parts = np.split(vec, np.cumsum(sizes)[:-1])
+        leaves = [tape.leaf(p.reshape(sh)) for p, sh in zip(parts, shapes)]
+        out = ad.mlp(leaves[0], leaves[1::2], leaves[2::2])
+        loss = ad.reduce_sum(ad.square(out))
+        grads = ad.grad(tape, loss, leaves)
+        return float(loss.value), np.concatenate([g.ravel() for g in grads])
+
+    x = np.concatenate([a.ravel() for a in arrays])
+    err, ok, _ = ad.finite_diff_check(f, x, h=1e-6, rel_tol=5e-5)
+    assert ok, f"max relative error {err:.3e}"
+
+
+def test_mlp_matches_fd():
+    rng = np.random.default_rng(2)
+    weights, biases = mlp_net(rng, [4, 5, 5, 3])
+    check_mlp_grad(rand(rng, 6, 4), weights, biases)
+
+
+def test_mlp_task_stacked_matches_fd():
+    # (T, B, i) through per-task (T, i, o) weights and (T, 1, o) biases: the
+    # adjoints pass the FD check, and each task's slice equals the 2-D net
+    # on that task's parameters bit for bit.
+    rng = np.random.default_rng(13)
+    weights, biases = mlp_net(rng, [4, 5, 2], tasks=(3,))
+    x = rand(rng, 3, 6, 4)
+    check_mlp_grad(x, weights, biases)
+    tape = ad.Tape()
+    out = ad.mlp(tape.const(x), [tape.leaf(w) for w in weights],
+                 [tape.leaf(b) for b in biases])
+    for task in range(3):
+        one = ad.mlp(tape.const(x[task]), [tape.leaf(w[task]) for w in weights],
+                     [tape.leaf(b[task, 0]) for b in biases])
+        np.testing.assert_array_equal(out.value[task], one.value)
+    with pytest.raises(ValueError, match="mlp"):
+        ad.mlp(tape.const(x), [tape.leaf(w[0]) for w in weights],
+               [tape.leaf(b[0, 0]) for b in biases])  # shared weights: no adjoint
+
+
+def reference_chain(x, weights, biases):
+    """The matmul/add/ReLU chain that ad.mlp fuses, one node per operation."""
+
+    def matmul(a, b):
+        av, bv = a.value, b.value
+        return a.tape.record(
+            av @ bv, (a, b),
+            lambda g: (g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g),
+        )
+
+    def relu(a):
+        mask = a.value > 0.0
+        return a.tape.record(a.value * mask, (a,), lambda g: (g * mask,))
+
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = ad.add(matmul(h, w), b)
+        if i != len(weights) - 1:
+            h = relu(h)
+    return h
+
+
+@pytest.mark.parametrize("tasks, input_leaf", [((), False), ((), True), ((3,), False)])
+def test_mlp_equals_reference_chain_bitwise(tasks, input_leaf):
+    rng = np.random.default_rng(14)
+    weights, biases = mlp_net(rng, [6, 8, 8, 3], tasks=tasks)
+    x = rand(rng, *tasks, 5, 6)
+    results = []
+    for build in (ad.mlp, reference_chain):
+        tape = ad.Tape()
+        xn = tape.leaf(x) if input_leaf else tape.const(x)
+        leaves = [tape.leaf(a) for pair in zip(weights, biases) for a in pair]
+        out = build(xn, leaves[0::2], leaves[1::2])
+        loss = ad.reduce_sum(ad.square(out))
+        wrt = leaves + [xn] if input_leaf else leaves
+        results.append([out.value] + ad.grad(tape, loss, wrt))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_broadcast_gradients_exact():
@@ -267,17 +311,6 @@ def test_csolve_hpd_rejects_indefinite():
     mu = tape.leaf(np.zeros(1))
     with pytest.raises(SingularMatrixError):
         ad.csolve_hpd(s_re, s_im, mu, np.ones((1, n, 1), dtype=complex))
-
-
-def test_take_part_adjoint_scatters():
-    tape = ad.Tape()
-    x0 = np.arange(12.0).reshape(1, 2, 3, 2)
-    x = tape.leaf(x0)
-    loss = ad.reduce_sum(ad.take_part(x, 1))
-    (g,) = ad.grad(tape, loss, [x])
-    expected = np.zeros_like(x0)
-    expected[:, 1] = 1.0
-    np.testing.assert_array_equal(g, expected)
 
 
 def test_sgd_step_formula():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from metabeam import channels, cli, nn, runner
+from metabeam import channels, cli, meta, nn, runner
 from metabeam.config import ExperimentConfig, parse_config, render_config
 from metabeam.errors import NumericalError, SingularMatrixError
 from metabeam.meta import MetaConfig
@@ -174,3 +174,26 @@ def test_non_finite_value_maps_to_exit_2(cfg_path, monkeypatch, capsys):
     code = cli.main(["--config", cfg_path, "eval", "--method", "maml_no_pretrain"])
     assert code == cli.EXIT_NUMERIC
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_results_and_parameters_are_not_written(cfg_path, tmp_path,
+                                                            monkeypatch, capsys):
+    # A NaN WSR row and a NaN parameter reach the writers; the CLI exits with
+    # code 2 and leaves no result file or checkpoint behind.
+    out = str(tmp_path / "nan")
+    nan_row = runner.ResultRow("maml_no_pretrain", 10.0, 0, "final", np.nan, 0.0, 4)
+    monkeypatch.setattr(runner, "run_eval", lambda *a, **kw: [nan_row])
+    code = cli.main(["--config", cfg_path, "--out", out, "eval",
+                     "--method", "maml_no_pretrain"])
+    assert code == cli.EXIT_NUMERIC
+    assert not os.path.exists(os.path.join(out, "eval_maml_no_pretrain.csv"))
+
+    def nan_training(dataset, cfg, meta_cfg, seed=0, init=None, log=None):
+        init.u_net.weights[0][0, 0] = np.nan
+        return init, meta.TrainLog()
+
+    monkeypatch.setattr(meta, "meta_train", nan_training)
+    code = cli.main(["--config", cfg_path, "--out", out, "train", "--method", "maml"])
+    assert code == cli.EXIT_NUMERIC
+    assert not os.path.exists(runner.checkpoint_path(out, "maml"))
+    assert "non-finite" in capsys.readouterr().err

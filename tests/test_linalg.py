@@ -6,7 +6,7 @@ only called afterwards.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metabeam.errors import DegenerateInputError, SingularMatrixError
 from metabeam.linalg import (
@@ -126,6 +126,10 @@ finite = st.floats(
     entries=st.lists(st.tuples(finite, finite), min_size=1, max_size=12),
     target=st.floats(min_value=1e-6, max_value=1e6),
 )
+# ||V||^2 = 5.6e-307 makes target / ||V||^2 overflow; 1e-310 is a subnormal
+# power with few significant bits.
+@example(entries=[(0.0, 7.486837958242181e-154)], target=101.0)
+@example(entries=[(1e-155, 0.0), (0.0, 3e-160)], target=101.0)
 def test_normalize_power_property(entries, target):
     v = np.array([complex(re, im) for re, im in entries]).reshape(-1, 1)
     if total_power(v) == 0.0:

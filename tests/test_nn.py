@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from metabeam import autodiff as ad
 from metabeam import nn
-from metabeam.errors import DataFormatError
+from metabeam.errors import DataFormatError, NumericalError
 
 
 def test_init_predictor_shapes_and_heads():
@@ -122,6 +122,17 @@ def test_checkpoint_file_is_stable(tmp_path):
     nn.save_checkpoint(p1, params)
     nn.save_checkpoint(p2, params)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_non_finite_parameters(tmp_path, bad):
+    rng = np.random.default_rng(11)
+    params = nn.init_predictor(rng, n=2, k=2, width=8)
+    params.mu_net.biases[-1][0] = bad
+    path = tmp_path / "net.ckpt"
+    with pytest.raises(NumericalError):
+        nn.save_checkpoint(path, params)
+    assert not path.exists()
 
 
 def test_checkpoint_corruption_detected(tmp_path):

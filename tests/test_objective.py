@@ -14,7 +14,6 @@ from metabeam.objective import (
     SystemConfig,
     all_sinr,
     batch_all_sinr,
-    batch_loss,
     batch_sample_losses,
     batch_wsr,
     sinr,
@@ -131,20 +130,6 @@ def test_batch_matches_scalar_loop():
         np.testing.assert_allclose(sinrs[i], all_sinr(hb[i], vb[i], cfg), rtol=1e-12)
         assert wsrs[i] == pytest.approx(wsr(hb[i], vb[i], cfg), rel=1e-12)
         assert losses[i] == pytest.approx(sum_rate_loss(hb[i], vb[i], cfg), rel=1e-12)
-
-
-def test_batch_loss_is_mean_over_samples():
-    rng = np.random.default_rng(6)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
-    hb = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-
-    def predict(h):
-        return h.T  # per-user matched-filter columns
-
-    expected = np.mean([sum_rate_loss(h, predict(h), cfg) for h in hb])
-    assert batch_loss(hb, predict, cfg) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        batch_loss(hb[:0], predict, cfg)
 
 
 def test_config_validation():

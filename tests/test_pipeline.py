@@ -181,3 +181,59 @@ def test_full_pipeline_gradient_smoke():
         f, nn.pack(params), h=1e-5, rel_tol=1e-4, coords=30, rng=np.random.default_rng(0)
     )
     assert ok, f"max relative error {err:.3e}"
+
+
+@pytest.mark.parametrize("variant", ["corrected", "verbatim"])
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("tasks", [(), (3,)])
+def test_rate_loss_node_matches_fd(variant, reduction, tasks):
+    # The closed-form adjoint of the node from the solved columns x and the
+    # components (u_re, u_im, w) to the reduced loss, against central
+    # differences in every coordinate. With tasks the per-task losses enter
+    # with distinct weights, so each task's adjoint must reach its own rows.
+    rng = np.random.default_rng(13)
+    per_task, n, k = 4, 3, 3
+    cfg = SystemConfig(n=n, k=k, sigma2=0.5, p=10.0, alpha=(1.0, 0.5, 2.0))
+    b = per_task * int(np.prod(tasks))
+    h = rand_batch(rng, b, k, n)
+    factor = -1.0 / (k * per_task) if reduction == "mean" else -1.0 / k
+    shapes = [(b, 2, n, k), (b, k), (b, k), (b, k)]
+    sizes = [int(np.prod(sh)) for sh in shapes]
+    task_weights = np.array([1.0, -2.0, 0.5])
+
+    def f(vec):
+        parts = np.split(vec, np.cumsum(sizes)[:-1])
+        tape = ad.Tape()
+        x, u_re, u_im, w = [tape.leaf(p.reshape(sh)) for p, sh in zip(parts, shapes)]
+        comps = pipeline.ComponentNodes(u_re=u_re, u_im=u_im, w=w, mu=None)
+        loss, _ = pipeline._rate_loss(
+            x, comps, h, np.transpose(h, (0, 2, 1)).copy(), cfg, variant, factor, tasks
+        )
+        if tasks:
+            assert loss.shape == tasks
+            loss = ad.reduce_sum(ad.scale(loss, task_weights))
+        grads = ad.grad(tape, loss, [x, u_re, u_im, w])
+        return float(loss.value), np.concatenate([g.ravel() for g in grads])
+
+    x0 = np.concatenate([
+        rng.standard_normal(sizes[0]),
+        rng.standard_normal(sizes[1]),
+        rng.standard_normal(sizes[2]),
+        1.0 + np.abs(rng.standard_normal(sizes[3])),
+    ])
+    # The node is smooth (no kinks), so a wide step keeps rounding out of the
+    # differences and no probe may be skipped.
+    err, ok, skipped = ad.finite_diff_check(f, x0, h=1e-4, rel_tol=1e-5, kink_tol=1.0)
+    assert ok and skipped == 0, f"max relative error {err:.3e}"
+
+
+def test_reference_shape_pass_records_at_most_40_nodes():
+    # N = K = 3, width-64 nets, B = 40: 18 parameter leaves, the features,
+    # one node per net and one rate-loss node after the solve.
+    rng = np.random.default_rng(14)
+    cfg, params, h = setup(rng, b=40, width=64)
+    tape = ad.Tape()
+    leaves, _ = nn.leaves_for(tape, params)
+    pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+    assert len(tape) <= 40
+    assert [node.op for node in tape.nodes].count("mlp") == 3

@@ -8,6 +8,7 @@ import pytest
 
 from metabeam import channels, memory, meta, nn, objective, pipeline, runner
 from metabeam.config import ExperimentConfig
+from metabeam.errors import NumericalError
 from metabeam.meta import MetaConfig
 from metabeam.runner import ResultRow
 from metabeam.seeding import rng_for
@@ -200,6 +201,18 @@ def test_emit_results_json_mirror(tmp_path):
         {"method": "wmmse", "snr_db": 0.0, "seed": 0, "slot": "final",
          "wsr_mean": 1.25, "wsr_std": 0.0, "samples": 2}
     ]
+
+
+@pytest.mark.parametrize("mean, std", [(np.nan, 0.5), (1.0, np.inf), (-np.inf, 0.0)])
+def test_emit_results_refuses_non_finite_rows(tmp_path, mean, std):
+    rows = [
+        ResultRow("maml", 10.0, 0, "final", 6.0, 0.5, 8),
+        ResultRow("mml", 10.0, 0, "3", mean, std, 4),
+    ]
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    with pytest.raises(NumericalError, match="mml"):
+        runner.emit_results(rows, str(csv_path), str(json_path))
+    assert not csv_path.exists() and not json_path.exists()
 
 
 def test_emit_results_final_row_cardinality(tmp_path):
