@@ -22,7 +22,7 @@ import weakref
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .linalg import hpd_solve
 
 
 class Tape:
@@ -258,8 +258,8 @@ def csolve_hpd(s_re, s_im, mu, rhs):
     Solves (S + mu I) X = rhs with S = s_re + i s_im given by two (B, N, N)
     real nodes, mu a (B,) node of nonnegative shifts, and rhs a constant
     complex (B, N, K) array. Returns one node of shape (B, 2, N, K) stacking
-    Re X and Im X. Positive definiteness is certified by a batched Cholesky
-    factorization.
+    Re X and Im X. The forward is linalg.hpd_solve, which certifies every
+    matrix and raises SingularMatrixError under its pivot rule.
 
     Adjoint, with G = Gre + i Gim the packed output gradient: the rhs adjoint
     is Q = (S + mu I)^{-1} G (Hermitian, so no transpose), the matrix adjoint
@@ -268,14 +268,10 @@ def csolve_hpd(s_re, s_im, mu, rhs):
     """
     n = s_re.value.shape[-1]
     s = s_re.value + 1j * s_im.value + mu.value[:, None, None] * np.eye(n)
-    try:
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("batched system is not positive definite") from exc
-    x = np.linalg.solve(s, rhs)
+    x = hpd_solve(s, 0.0, rhs)
 
     def backward(g):
-        q = np.linalg.solve(s, g[:, 0] + 1j * g[:, 1])
+        q = np.linalg.solve(s, g[:, 0] + 1j * g[:, 1])  # s is certified
         sbar = -q @ np.conj(np.swapaxes(x, 1, 2))
         return sbar.real, sbar.imag, np.real(np.trace(sbar, axis1=1, axis2=2))
 

@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: gen-data, train, eval, figure, oracle, gradcheck. Exit codes:
-0 success, 1 usage or configuration error, 2 numerical failure.
+Subcommands: gen-data, train, eval, figure, oracle, gradcheck; the global
+flags go before or after the subcommand. Exit codes: 0 success, 1 usage or
+configuration error, 2 numerical failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -137,37 +139,49 @@ def _cmd_gradcheck(args):
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
+def _global_flags(**default):
+    """The flags every subcommand takes, before or after its name."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="experiment config file (key = value)",
+                       **default)
+    flags.add_argument("--seed", type=int, help="override the run seed", **default)
+    flags.add_argument("--out", help="output file or directory", **default)
+    flags.add_argument("--verbose", action="store_true", **default)
+    return flags
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="metabeam",
         description="Multi-user MISO beamforming: WMMSE decomposition, "
         "meta-learned component prediction, loss-ranked replay.",
+        parents=[_global_flags()],
     )
-    parser.add_argument("--config", help="experiment config file (key = value)")
-    parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--out", help="output file or directory")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # After the subcommand the same flags default to SUPPRESS, so one left
+    # out keeps the value (or default) parsed before the subcommand.
+    common = _global_flags(default=argparse.SUPPRESS)
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    sub.add_parser("gen-data", help="generate and write the training dataset")
+    add("gen-data", help="generate and write the training dataset")
 
-    p_train = sub.add_parser("train", help="train one learned method")
+    p_train = add("train", help="train one learned method")
     p_train.add_argument("--method", choices=("maml", "unsupervised"), default="maml")
 
-    p_eval = sub.add_parser("eval", help="evaluate one method over the SNR grid")
+    p_eval = add("eval", help="evaluate one method over the SNR grid")
     p_eval.add_argument("--method", choices=runner_methods(), required=True)
     p_eval.add_argument("--checkpoint", help="checkpoint file for learned methods")
 
-    p_fig = sub.add_parser("figure", help="produce one comparison figure's data")
+    p_fig = add("figure", help="produce one comparison figure's data")
     p_fig.add_argument("--figure", choices=("fig5", "fig6", "fig7", "fig8"),
                        required=True)
 
-    p_oracle = sub.add_parser("oracle", help="compare the solver to the grid oracle")
+    p_oracle = add("oracle", help="compare the solver to the grid oracle")
     p_oracle.add_argument("--instances", type=int, default=20)
     p_oracle.add_argument("--grid-steps", type=int, default=41)
     p_oracle.add_argument("--snr-db", type=float, default=10.0)
 
-    p_gc = sub.add_parser("gradcheck", help="finite-difference check of the pipeline")
+    p_gc = add("gradcheck", help="finite-difference check of the pipeline")
     p_gc.add_argument("--draws", type=int, default=20)
     p_gc.add_argument("--snr-db", type=float, default=10.0)
     return parser

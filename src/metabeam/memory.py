@@ -214,7 +214,7 @@ def _memoryless_loop(init, stream, cfg, meta_cfg, adapt_steps, on_slot):
             if on_slot is not None:
                 on_slot(t, slot_wsr)
             wsr_series.append(float(np.mean(slot_wsr)))
-            params = nn.unstack(stack, init, t - lo)
+            params = nn.from_arrays([a[t - lo] for a in stack], init)
         del stack  # not held through the next group's passes
         lo = hi
     return params, np.array(wsr_series), MemorySet.empty(0)

@@ -13,8 +13,9 @@ tape pass. A group's tasks share one tape with a leading task axis: each task
 keeps its own parameter copy (one slice of per-leaf stacks, weights
 (T, i, o) and biases (T, 1, o)), its own SGD steps and its own gradient, and
 the query gradients enter the meta gradient in task order. adapt_stack holds
-the per-task SGD loop; the support steps of the meta step and the memoryless
-test-time stream (memory.mml_test_loop at capacity 0) both run through it.
+the one SGD loop: the support steps of the meta step, the memoryless
+test-time stream (memory.mml_test_loop at capacity 0) and test-time
+adaptation (adapt_on_test, on the parameters' own arrays) all run through it.
 Every per-task number is computed by the same floating-point operations as a
 one-task-at-a-time loop, so the result is bit-identical to it; the group
 size only trades tape passes (each with a fixed Python cost) against the
@@ -72,11 +73,11 @@ class TrainLog:
 
 
 def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack=None):
-    """One tape pass: loss and flat gradient at params on a channel batch.
+    """One tape pass: loss and per-leaf gradients on a channel batch.
 
-    With stack, per-leaf parameter stacks of T tasks (see nn.stack_params),
-    batch is (T, B, K, N) and the pass returns per-task losses (T,) and
-    per-leaf gradients shaped like the stack.
+    The leaves are params' own arrays, or the per-leaf arrays of stack (see
+    adapt_stack); each gradient is shaped like its leaf. With per-leaf
+    stacks of T tasks, batch is (T, B, K, N) and the loss is per task, (T,).
     """
     tape = ad.Tape()
     leaves, flat = nn.leaves_for(tape, params, stack)
@@ -88,23 +89,25 @@ def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack=None):
         variant=meta_cfg.loss_variant,
         reduction=reduction,
     )
-    if stack is None:
-        grads = ad.grad(tape, loss, flat)
-        return float(loss.value), np.concatenate([g.ravel() for g in grads])
-    return loss.value, ad.grad(tape, ad.reduce_sum(loss), flat)
+    total = ad.reduce_sum(loss) if loss.value.ndim else loss
+    return loss.value, ad.grad(tape, total, flat)
 
 
-def adapt_stack(params, stack, batch, cfg, meta_cfg, steps):
-    """Plain gradient descent for every task of a stack on its own batch.
+def adapt_stack(params, stack, batch, cfg, meta_cfg, steps, reduction="sum"):
+    """Plain gradient descent from per-leaf parameter arrays.
 
-    Task t takes steps SGD steps on the summed loss of batch[t] (batch is
-    (T, B, K, N)), by the same floating-point operations as inner_adapt on
-    that batch alone. Returns the adapted stack and the per-task losses (T,)
-    of the first step, at the input stack (None when steps is 0).
+    Each step is theta <- theta - a * grad of the loss reduced over the batch
+    ("sum", the unnormalized inner objective, or "mean"). stack holds either
+    one copy of the parameters (arrays shaped like params.arrays()) with batch
+    (B, K, N), or per-leaf stacks of T tasks (see nn.stack_params) with batch
+    (T, B, K, N): task t then steps on batch[t] alone, by the same
+    floating-point operations as a one-task stack. The inputs are never
+    mutated. Returns the adapted arrays and the loss of the first step, at
+    the input arrays ((T,) per task for a stack; None when steps is 0).
     """
     first = None
     for step in range(steps):
-        loss, grads = _loss_and_grad(params, batch, cfg, meta_cfg, "sum", stack)
+        loss, grads = _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack)
         if step == 0:
             first = loss
         stack = [nn.sgd_step(a, g, meta_cfg.inner_lr) for a, g in zip(stack, grads)]
@@ -112,29 +115,16 @@ def adapt_stack(params, stack, batch, cfg, meta_cfg, steps):
     return stack, first
 
 
-def inner_adapt(params, support, cfg, meta_cfg, steps=None, reduction="sum"):
-    """Plain gradient descent on the support loss.
-
-    Each step is theta <- theta - a * grad of the summed support loss (the
-    unnormalized inner objective); steps defaults to meta_cfg.inner_steps.
+def adapt_on_test(params, batch, cfg, meta_cfg, steps=None, reduction="sum"):
+    """Test-time adaptation: adapt_stack on params' own arrays and a (B, K, N)
+    batch. steps defaults to meta_cfg.adapt_steps (the deployment-time knob).
     Returns new parameters; the inputs are never mutated.
     """
-    steps = meta_cfg.inner_steps if steps is None else steps
-    vec = nn.pack(params)
-    for _ in range(steps):
-        current = nn.unpack(vec, params)
-        _, g = _loss_and_grad(current, support, cfg, meta_cfg, reduction)
-        vec = nn.sgd_step(vec, g, meta_cfg.inner_lr)
-    return nn.unpack(vec, params)
-
-
-def adapt_on_test(params, batch, cfg, meta_cfg, steps=None, reduction="sum"):
-    """Test-time adaptation; shares the inner_adapt implementation exactly.
-
-    steps defaults to meta_cfg.adapt_steps (the deployment-time knob).
-    """
     steps = meta_cfg.adapt_steps if steps is None else steps
-    return inner_adapt(params, batch, cfg, meta_cfg, steps=steps, reduction=reduction)
+    arrays, _ = adapt_stack(
+        params, list(params.arrays()), batch, cfg, meta_cfg, steps, reduction
+    )
+    return nn.from_arrays(arrays, params)
 
 
 def outer_update(params, tasks, cfg, meta_cfg, adam_state):
@@ -236,9 +226,10 @@ def unsupervised_train(dataset, cfg, meta_cfg, seed=0, init=None, log=None):
         for lo in range(0, size - bs + 1, bs):
             batch = dataset[order[lo : lo + bs]]
             current = nn.unpack(vec, params)
-            loss, g = _loss_and_grad(current, batch, cfg, meta_cfg, "mean")
+            loss, grads = _loss_and_grad(current, batch, cfg, meta_cfg, "mean")
+            g = np.concatenate([g.ravel() for g in grads])
             vec, adam_state = adam_step_packed(vec, g, adam_state, meta_cfg.outer_lr)
-            losses.append(loss)
+            losses.append(float(loss))
         log.epochs.append(epoch)
         log.support_loss.append(float(np.mean(losses)))
         log.query_loss.append(float(np.mean(losses)))

@@ -1,10 +1,13 @@
 """MLP parameters, optimizers, and checkpoint serialization.
 
 The predictor holds three small ReLU MLPs (u-net, w-net, mu-net) sharing one
-input encoding. Parameters live in plain numpy arrays; training flattens them
-into a single vector so the optimizers operate on aligned flat gradients.
+input encoding. Parameters live in plain numpy arrays. Adam flattens them
+into a single vector (pack/unpack); plain SGD steps each leaf's array, or a
+stack of per-task copies of it (stack_params), and from_arrays rebuilds the
+parameters from such per-leaf arrays.
 """
 
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -86,18 +89,24 @@ def pack(params):
 def unpack(vec, template):
     """Rebuild a PredictorParams with template's shapes from a flat vector."""
     vec = np.asarray(vec, dtype=np.float64)
+    ends = list(itertools.accumulate(a.size for a in template.arrays()))
+    if ends[-1] != vec.size:
+        raise ValueError(f"vector has {vec.size} entries, template needs {ends[-1]}")
+    return from_arrays((vec[lo:hi] for lo, hi in zip([0] + ends, ends)), template)
+
+
+def from_arrays(arrays, template):
+    """PredictorParams shaped like template from per-leaf arrays in
+    template.arrays() order, each of its leaf's size (e.g. one task's slice of
+    a stack). Copies every array, so the result keeps no input alive."""
+    arrays = iter(arrays)
     nets = []
-    offset = 0
     for net in template.nets():
         weights, biases = [], []
         for w, b in zip(net.weights, net.biases):
-            weights.append(vec[offset : offset + w.size].reshape(w.shape).copy())
-            offset += w.size
-            biases.append(vec[offset : offset + b.size].copy())
-            offset += b.size
+            weights.append(next(arrays).reshape(w.shape).copy())
+            biases.append(next(arrays).reshape(b.shape).copy())
         nets.append(MlpParams(weights=weights, biases=biases))
-    if offset != vec.size:
-        raise ValueError(f"vector has {vec.size} entries, template needs {offset}")
     return PredictorParams(*nets)
 
 
@@ -124,11 +133,6 @@ def leaves_for(tape, params, stack=None):
 def stack_params(params, t):
     """T copies of params as per-leaf stacks: weights (T, i, o), biases (T, 1, o)."""
     return [np.repeat(a.reshape(1, -1, a.shape[-1]), t, axis=0) for a in params.arrays()]
-
-
-def unstack(stack, template, t):
-    """Task t's parameters from per-leaf stacks, shaped like template."""
-    return unpack(np.concatenate([a[t].ravel() for a in stack]), template)
 
 
 def mlp_forward(net_leaves, x):

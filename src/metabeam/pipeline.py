@@ -7,13 +7,16 @@ average rate. The whole chain runs on the autodiff tape, so gradients flow
 from the rate loss back into the network parameters. The tape holds one node
 per net, a few elementwise nodes for the output maps and the coefficients of
 S, the Hermitian solve, and one rate-loss node with a closed-form backward
-for everything after the solve. That node and the forward-only twin share
-the reconstruction (_beamformers) and the rate terms
+for everything after the solve. The forward-only twin rebuilds its
+beamformers through wmmse.reconstruct_v, the solver's own reconstruction, so
+the solver, the twin and the tape's solve node share linalg.hpd_solve and
+its singularity policy. The tape and the twin share the column scales
+(wmmse.column_scales), the power projection (_to_power) and the rate terms
 (objective.batch_signal_denom).
 
 Input encoding (per sample, length 4*N*K):
     [Re H (row-major K x N), Im H, Re V_cur (row-major N x K), Im V_cur]
-where V_cur defaults to the matched-filter beamformer at full power.
+where V_cur is the matched-filter beamformer at full power.
 """
 
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import nn, objective
+from . import nn, objective, wmmse
 from .errors import DegenerateInputError
 
 MU_FLOOR_SCALE = 1e-4  # mu >= MU_FLOOR_SCALE * sigma2 keeps the solve definite
@@ -34,11 +37,7 @@ def mu_floor(cfg):
 def make_v_current(h_batch, cfg):
     """Reference beamformer fed to the encoder: matched-filter columns
     v_k = h_k scaled to the power budget."""
-    v = np.transpose(h_batch, (0, 2, 1)).copy()
-    pw = np.sum(np.abs(v) ** 2, axis=(1, 2))
-    if np.any(pw == 0.0):
-        raise DegenerateInputError("cannot scale an all-zero reference beamformer")
-    return v * np.sqrt(cfg.p / pw)[:, None, None]
+    return _to_power(np.transpose(h_batch, (0, 2, 1)).copy(), cfg)[0]
 
 
 def encode_features(h_batch, v_current):
@@ -102,19 +101,12 @@ def _outer_products(h_batch):
     return t_re, t_im
 
 
-def reconstruct_and_loss(
-    tape,
-    leaves,
-    h_batch,
-    cfg,
-    v_current=None,
-    variant="corrected",
-    reduction="mean",
-):
+def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
+                         reduction="mean"):
     """Loss of the reconstructed beamformers for a channel batch.
 
     Predicts (u, w, mu), assembles S = sum_k alpha_k |u_k|^2 w_k h_k h_k^H,
-    solves (S + mu I) x_k = h_k, scales columns by alpha_k u_k w_k, projects
+    solves (S + mu I) x_k = h_k, scales columns by alpha_k w_k u_k, projects
     the result onto the power budget, and returns the negated average-rate
     loss reduced over the batch ("mean" or "sum"). The loss value agrees with
     objective.sum_rate_loss evaluated on the reconstructed beamformers.
@@ -139,9 +131,7 @@ def reconstruct_and_loss(
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
     h_batch = h_batch.reshape(-1, k, n)
-    if v_current is None:
-        v_current = make_v_current(h_batch, cfg)
-    features = encode_features(h_batch, v_current)
+    features = encode_features(h_batch, make_v_current(h_batch, cfg))
     comps = predict_components(
         tape, leaves, features.reshape(*tasks, per_task, -1), cfg
     )
@@ -163,8 +153,8 @@ def reconstruct_and_loss(
 def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
     """One tape node from the solved columns to the reduced loss.
 
-    Forward: the forward twin's arithmetic (_beamformers, then
-    objective.batch_signal_denom) and factor times each task's sum of the
+    Forward: the forward twin's arithmetic (wmmse.column_scales, _to_power,
+    then objective.batch_signal_denom) and factor times each task's sum of the
     per-user rates r_k = ln(1 + signal_k / denom_k). Backward in closed form
     (Giles 2008), per sample with Y = X diag(s), s = alpha w u,
     p = ||Y||_F^2, g = sqrt(P / p), V = g Y, G = conj(H) V, A2 = |G|^2:
@@ -180,7 +170,9 @@ def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
     xv = x.value
     xc = xv[:, 0] + 1j * xv[:, 1]
     u_re, u_im, w = comps.u_re.value, comps.u_im.value, comps.w.value
-    v, s, y, pw = _beamformers(xc, u_re + 1j * u_im, w, cfg)
+    s = wmmse.column_scales(u_re + 1j * u_im, w, cfg)
+    y = xc * s[:, None, :]  # x diag(s)
+    v, pw = _to_power(y, cfg)
     gains = objective.batch_gains(h_batch, v)
     a2 = np.abs(gains) ** 2
     signal, denom = objective.batch_signal_denom(a2, cfg, variant)
@@ -221,21 +213,15 @@ def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
     return x.tape.record(total * factor, parents, backward, "rate_loss"), v
 
 
-def _beamformers(x, u, w, cfg):
-    """Normalized beamformers from the solved columns x_k = (S + mu I)^{-1} h_k.
-
-    Scales column k of each (N, K) sample by s_k = alpha_k w_k u_k, so
-    y = x diag(s), and projects onto the power budget: v = y sqrt(P / p)
-    with p = ||y||_F^2. Returns (v, s, y, p).
-    """
-    s = cfg.alpha_vec * w * u
-    y = x * s[:, None, :]
+def _to_power(y, cfg):
+    """Project each (N, K) sample onto the power budget: v = y sqrt(P / p)
+    with p = ||y||_F^2. Returns (v, p)."""
     pw = np.sum(np.abs(y) ** 2, axis=(1, 2))
     if np.any(pw == 0.0):
         raise DegenerateInputError(
-            "reconstructed beamformer is zero for a sample (all u_k = 0)"
+            "beamformer is zero for a sample (a zero channel, or all u_k = 0)"
         )
-    return y * np.sqrt(cfg.p / pw)[:, None, None], s, y, pw
+    return y * np.sqrt(cfg.p / pw)[:, None, None], pw
 
 
 # Forward-only twin used by evaluation and memory scoring (no tape, no grads).
@@ -253,33 +239,25 @@ def predict_components_np(params, features, cfg):
     return u, w, mu
 
 
-def predict_beamformers(params, h_batch, cfg, v_current=None):
-    """Normalized reconstructed beamformers (B, N, K); mirrors the tape path."""
+def predict_beamformers(params, h_batch, cfg):
+    """Normalized reconstructed beamformers (B, N, K); mirrors the tape path.
+
+    The predicted triples go through the solver's reconstruction
+    (wmmse.reconstruct_v), then onto the power budget.
+    """
     h_batch = np.asarray(h_batch, dtype=np.complex128)
-    b, k, n = h_batch.shape
-    if v_current is None:
-        v_current = make_v_current(h_batch, cfg)
-    u, w, mu = predict_components_np(
-        params, encode_features(h_batch, v_current), cfg
-    )
-    alpha = cfg.alpha_vec
-    coeff = alpha[None, :] * np.abs(u) ** 2 * w
-    t_re, t_im = _outer_products(h_batch)
-    s = np.einsum("bk,bknm->bnm", coeff, t_re) + 1j * np.einsum(
-        "bk,bknm->bnm", coeff, t_im
-    )
-    s += mu[:, None, None] * np.eye(n)
-    x = np.linalg.solve(s, np.transpose(h_batch, (0, 2, 1)))
-    return _beamformers(x, u, w, cfg)[0]
+    features = encode_features(h_batch, make_v_current(h_batch, cfg))
+    comps = wmmse.ComponentTriple(*predict_components_np(params, features, cfg))
+    return _to_power(wmmse.reconstruct_v(h_batch, comps, cfg), cfg)[0]
 
 
-def evaluate_wsr(params, h_batch, cfg, v_current=None):
+def evaluate_wsr(params, h_batch, cfg):
     """Per-sample weighted sum rate of the predicted beamformers, (B,)."""
-    v = predict_beamformers(params, h_batch, cfg, v_current=v_current)
+    v = predict_beamformers(params, h_batch, cfg)
     return objective.batch_wsr(h_batch, v, cfg)
 
 
-def per_sample_losses(params, h_batch, cfg, variant="corrected", v_current=None):
+def per_sample_losses(params, h_batch, cfg, variant="corrected"):
     """Per-sample negated average rate of the predicted beamformers, (B,)."""
-    v = predict_beamformers(params, h_batch, cfg, v_current=v_current)
+    v = predict_beamformers(params, h_batch, cfg)
     return objective.batch_sample_losses(h_batch, v, cfg, variant=variant)

@@ -6,6 +6,8 @@ coefficients u, K positive MSE weights w, and one dual scalar mu >= 0; the
 beamformer is reconstructed from that triple in closed form, which is the
 low-dimensional target the predictor networks learn. compute_u, compute_w,
 solve_mu and reconstruct_v also take a leading batch axis (one row per start).
+reconstruct_v also takes a channel batch, for the forward-only predictor
+twin (pipeline.predict_beamformers).
 """
 
 from dataclasses import dataclass
@@ -63,9 +65,9 @@ def compute_u(h, v, cfg):
     return np.diagonal(g, axis1=-2, axis2=-1) / totals
 
 
-def _component_scales(u, w, cfg):
-    """Per-user reconstruction scales alpha_k u_k w_k."""
-    return cfg.alpha_vec * u * w
+def column_scales(u, w, cfg):
+    """Per-user reconstruction scales alpha_k w_k u_k, in that float order."""
+    return cfg.alpha_vec * w * u
 
 
 def _assemble_s(h, u, w, cfg):
@@ -75,16 +77,18 @@ def _assemble_s(h, u, w, cfg):
 
 
 def reconstruct_v(h, components, cfg, s=None):
-    """Closed-form beamformer v_k = alpha_k u_k w_k (S + mu I)^{-1} h_k.
+    """Closed-form beamformer v_k = alpha_k w_k u_k (S + mu I)^{-1} h_k.
 
-    s, when given, is S already assembled from the same (u, w).
+    h is one (K, N) channel shared by every row of the components, or a
+    channel batch (B, K, N) with one (u, w, mu) row per channel. s, when
+    given, is S already assembled from the same (u, w).
     """
     u = np.asarray(components.u, dtype=np.complex128)
     w = np.asarray(components.w, dtype=np.float64)
     if s is None:
         s = _assemble_s(h, u, w, cfg)
-    x = hpd_solve(s, components.mu, h.T)  # columns (S + mu I)^{-1} h_k
-    return x * _component_scales(u, w, cfg)[..., None, :]
+    x = hpd_solve(s, components.mu, np.swapaxes(h, -1, -2))  # (S + mu I)^{-1} h_k
+    return x * column_scales(u, w, cfg)[..., None, :]
 
 
 def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
@@ -111,7 +115,7 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
     single = np.ndim(u) == 1
     u = np.atleast_2d(np.asarray(u, dtype=np.complex128))
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
-    scales2 = np.abs(_component_scales(u, w, cfg)) ** 2
+    scales2 = np.abs(column_scales(u, w, cfg)) ** 2
     if np.any(np.all(scales2 == 0.0, axis=-1)):
         raise DegenerateInputError("all reconstruction scales are zero")
     if s is None:

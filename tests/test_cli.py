@@ -1,6 +1,9 @@
 """CLI exit codes and subcommand plumbing, driven in-process via main()."""
 
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,30 @@ def test_gen_data_writes_training_set(cfg_path, tmp_path, capsys):
     data = channels.read_dataset(str(out))
     np.testing.assert_array_equal(data, runner.train_dataset(parse_config(cfg_path)))
     capsys.readouterr()
+
+
+def test_global_flags_after_the_subcommand_take_effect(cfg_path, tmp_path, capsys):
+    out = tmp_path / "after.bin"
+    argv = ["gen-data", "--config", cfg_path, "--out", str(out), "--seed", "99"]
+    assert cli.main(argv) == cli.EXIT_OK
+    before = tmp_path / "before.bin"
+    assert cli.main(["--config", cfg_path, "--seed", "99", "--out", str(before),
+                     "gen-data"]) == cli.EXIT_OK
+    assert out.read_bytes() == before.read_bytes()
+    args = cli.build_parser().parse_args(["gradcheck", "--verbose"])
+    assert args.verbose is True
+    capsys.readouterr()
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), flags=re.S)
+    lines = [line.split("#")[0] for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("metabeam ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits on a usage error
 
 
 def test_gen_data_seed_override_changes_bytes(cfg_path, tmp_path, capsys):

@@ -89,6 +89,12 @@ def test_hpd_solve_singular_raises():
     rank1 = h @ h.conj().T  # rank 1 in a 2-dim space
     with pytest.raises(SingularMatrixError):
         hpd_solve(rank1, 0.0, np.ones((2, 1), dtype=complex))
+    # The factorization succeeds, but the pivot 1e-13 is below 1e-12 * trace.
+    with pytest.raises(SingularMatrixError):
+        hpd_solve(np.diag([1.0, 1e-13]).astype(complex), 0.0, np.ones(2))
+    # A NaN entry factors into NaN pivots, which fail the pivot rule.
+    with pytest.raises(SingularMatrixError):
+        hpd_solve(np.diag([np.nan, 1.0]).astype(complex), 0.1, np.ones(2))
 
 
 def test_total_power_examples():
@@ -105,6 +111,15 @@ def test_normalize_to_power_basics():
     ratio = out / v
     np.testing.assert_allclose(ratio, ratio.flat[0], rtol=1e-12)
     assert ratio.flat[0].real > 0 and abs(ratio.flat[0].imag) < 1e-15
+
+
+def test_normalize_to_power_huge_entries():
+    # ||V||^2 = 2e400 overflows to inf, and p / inf would be 0.
+    out = normalize_to_power(np.array([[1e200, 1e200j]]), 101.0)
+    np.testing.assert_allclose(out, np.sqrt(101.0 / 2.0) * np.array([[1.0, 1j]]),
+                               rtol=1e-15)
+    with pytest.raises(DegenerateInputError):
+        normalize_to_power(np.array([[np.inf, 1.0]]), 1.0)
 
 
 def test_normalize_to_power_errors():
@@ -172,6 +187,12 @@ def test_rank1_sum_batched_rows_match_2d_calls(seed, batch, k, n):
         np.testing.assert_array_equal(s[row], hermitian_rank1_sum(coeffs[row], vecs))
         loop = sum(c * np.outer(v, v.conj()) for c, v in zip(coeffs[row], vecs))
         np.testing.assert_allclose(s[row], loop, rtol=1e-12, atol=1e-12)
+    # One set of vectors per row, (batch, K, N).
+    rows = rng.standard_normal((batch, k, n)) + 1j * rng.standard_normal((batch, k, n))
+    s = hermitian_rank1_sum(coeffs, rows)
+    assert s.shape == (batch, n, n)
+    for row in range(batch):
+        np.testing.assert_array_equal(s[row], hermitian_rank1_sum(coeffs[row], rows[row]))
 
 
 def test_rank1_sum_batched_validation():
@@ -206,7 +227,7 @@ def test_hpd_solve_batched_raises_on_one_singular_row():
     b = np.ones((2, 1), dtype=complex)
     hpd_solve(a, 0.0, b)
     h = np.array([[1.0], [1j]])
-    a[1] = h @ h.conj().T  # rank 1: its second pivot is at rounding level
+    a[1] = h @ h.conj().T  # rank 1: the factorization fails at its second pivot
     with pytest.raises(SingularMatrixError):
         hpd_solve(a, 0.0, b)
     a[1] = -np.eye(2)  # indefinite: the factorization itself fails

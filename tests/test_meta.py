@@ -1,12 +1,13 @@
-"""Training loops: inner adaptation, the meta step, and both trainers.
+"""Training loops: test-time adaptation, the meta step, and both trainers.
 
 Oracles:
-- inner_adapt with steps=1 must equal theta - a * g with g the independently
-  recomputed summed-loss gradient (plain SGD, no momentum, no normalization).
+- adapt_on_test with steps=1 must equal theta - a * g with g the
+  independently recomputed summed-loss gradient (plain SGD, no momentum, no
+  normalization).
 - outer_update over a single task with inner_lr = 0 degenerates to one Adam
   step on the summed query loss at the unadapted parameters.
 - the task-grouped outer_update equals, bit for bit, a loop that adapts and
-  differentiates one task at a time (inner_adapt + _loss_and_grad).
+  differentiates one task at a time (adapt_on_test + _loss_and_grad).
 """
 
 import dataclasses
@@ -49,21 +50,21 @@ def summed_loss_grad(params, batch, cfg, meta_cfg):
 def test_inner_adapt_zero_rate_is_identity():
     cfg, meta_cfg, params, batch = small_setup()
     frozen = dataclasses.replace(meta_cfg, inner_lr=0.0)
-    out = meta.inner_adapt(params, batch, cfg, frozen, steps=3)
+    out = meta.adapt_on_test(params, batch, cfg, frozen, steps=3)
     np.testing.assert_array_equal(nn.pack(out), nn.pack(params))
 
 
 def test_inner_adapt_single_step_formula():
     cfg, meta_cfg, params, batch = small_setup()
     _, g = summed_loss_grad(params, batch, cfg, meta_cfg)
-    out = meta.inner_adapt(params, batch, cfg, meta_cfg, steps=1)
+    out = meta.adapt_on_test(params, batch, cfg, meta_cfg, steps=1)
     np.testing.assert_allclose(nn.pack(out), nn.pack(params) - meta_cfg.inner_lr * g, rtol=1e-14)
 
 
 def test_inner_adapt_does_not_mutate_input():
     cfg, meta_cfg, params, batch = small_setup()
     before = nn.pack(params).copy()
-    meta.inner_adapt(params, batch, cfg, meta_cfg, steps=2)
+    meta.adapt_on_test(params, batch, cfg, meta_cfg, steps=2)
     np.testing.assert_array_equal(nn.pack(params), before)
 
 
@@ -74,17 +75,10 @@ def test_inner_adapt_descends_on_support():
     for trial in range(40):
         cfg, meta_cfg, params, batch = small_setup(seed=trial)
         before = float(np.mean(pipeline.per_sample_losses(params, batch, cfg)))
-        adapted = meta.inner_adapt(params, batch, cfg, meta_cfg, steps=1)
+        adapted = meta.adapt_on_test(params, batch, cfg, meta_cfg, steps=1)
         after = float(np.mean(pipeline.per_sample_losses(adapted, batch, cfg)))
         wins += after < before
     assert wins >= 38, f"descent in only {wins}/40 trials"
-
-
-def test_adapt_on_test_shares_inner_mechanics():
-    cfg, meta_cfg, params, batch = small_setup()
-    a = meta.adapt_on_test(params, batch, cfg, meta_cfg)  # adapt_steps=3
-    b = meta.inner_adapt(params, batch, cfg, meta_cfg, steps=meta_cfg.adapt_steps)
-    np.testing.assert_array_equal(nn.pack(a), nn.pack(b))
 
 
 def test_outer_update_frozen_inner_is_plain_adam():
@@ -121,9 +115,11 @@ def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
     for task in tasks:
         s_loss, _ = meta._loss_and_grad(params, task.support, cfg, meta_cfg, "sum")
         support_losses.append(s_loss / len(task.support))
-        adapted = meta.inner_adapt(params, task.support, cfg, meta_cfg)
-        q_loss, g = meta._loss_and_grad(adapted, task.query, cfg, meta_cfg, "sum")
-        total_g += g
+        adapted = meta.adapt_on_test(
+            params, task.support, cfg, meta_cfg, steps=meta_cfg.inner_steps
+        )
+        q_loss, grads = meta._loss_and_grad(adapted, task.query, cfg, meta_cfg, "sum")
+        total_g += np.concatenate([g.ravel() for g in grads])
         query_losses.append(q_loss / len(task.query))
     state = adam_state or nn.AdamState.init(vec.size)
     new_vec, state = nn.adam_step(vec, total_g, state, meta_cfg.outer_lr)

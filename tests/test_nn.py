@@ -72,6 +72,17 @@ def test_unpack_copies_do_not_alias():
     assert back.u_net.weights[0].ravel()[0] != vec[0]
 
 
+def test_from_arrays_takes_one_task_of_a_stack_as_a_copy():
+    rng = np.random.default_rng(5)
+    params = nn.init_predictor(rng, n=2, k=2, width=8)
+    scales = np.arange(1.0, 4.0).reshape(3, 1, 1)
+    stack = [scales * a for a in nn.stack_params(params, 3)]  # task t is (t+1) params
+    task = nn.from_arrays([a[2] for a in stack], params)
+    for got, a, leaf in zip(task.arrays(), stack, params.arrays()):
+        np.testing.assert_array_equal(got, 3.0 * leaf)
+        assert not np.shares_memory(got, a)
+
+
 def test_mlp_forward_tape_matches_np_twin():
     rng = np.random.default_rng(6)
     params = nn.init_predictor(rng, n=3, k=3, width=16)

@@ -5,7 +5,7 @@ import pytest
 
 from metabeam import autodiff as ad
 from metabeam import nn, objective, pipeline
-from metabeam.errors import DegenerateInputError
+from metabeam.errors import DegenerateInputError, SingularMatrixError
 from metabeam.objective import SystemConfig
 
 
@@ -117,6 +117,21 @@ def test_forward_twin_matches_tape_reconstruction():
     _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
     v_np = pipeline.predict_beamformers(params, h, cfg)
     np.testing.assert_allclose(v_np, v_hat, atol=1e-12)
+
+
+def test_twin_and_tape_share_the_singularity_policy():
+    # K=1 < N=3 makes S rank one, and a u near 1e6 puts its trace about 1e12
+    # times above the mu shift: every Cholesky factorization succeeds, but
+    # the pivot rule of linalg.hpd_solve rejects the matrices on both paths.
+    rng = np.random.default_rng(9)
+    cfg, params, h = setup(rng, k=1)
+    params.u_net.biases[-1][:] = 1e6
+    with pytest.raises(SingularMatrixError):
+        pipeline.predict_beamformers(params, h, cfg)
+    tape = ad.Tape()
+    leaves, _ = nn.leaves_for(tape, params)
+    with pytest.raises(SingularMatrixError):
+        pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
 
 
 def test_reconstructed_power_is_on_budget():

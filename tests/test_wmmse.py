@@ -90,6 +90,20 @@ def test_reconstruct_diagonal_oracle():
     np.testing.assert_allclose(v, (2.0 / 3.0) * np.eye(2), atol=1e-14)
 
 
+def test_reconstruct_channel_batch_rows_match_single_calls():
+    rng = np.random.default_rng(4)
+    cfg = SystemConfig(n=3, k=2, sigma2=0.5, p=2.0)
+    h = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    u = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    w = 1.0 + rng.uniform(size=(4, 2))
+    mu = rng.uniform(0.1, 1.0, size=4)
+    v = reconstruct_v(h, ComponentTriple(u, w, mu), cfg)
+    assert v.shape == (4, 3, 2)
+    for row in range(4):
+        single = reconstruct_v(h[row], ComponentTriple(u[row], w[row], mu[row]), cfg)
+        np.testing.assert_array_equal(v[row], single)
+
+
 def test_solve_mu_closed_form_unity():
     cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=4.0 / 9.0)
     h = np.array([[1.0 + 0j]])
