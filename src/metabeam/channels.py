@@ -6,7 +6,7 @@ normalized to unit average entry power E|h|^2 = 1.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,12 +82,6 @@ def sample_channels(rng, spec, count, n, k):
     if spec.family == "rician":
         return sample_rician(rng, count, n, k, kappa=spec.kappa)
     return sample_nakagami(rng, count, n, k, m=spec.m)
-
-
-def make_task(rng, spec, n_s, n_q, n, k):
-    """Fresh task from one family: n_s support + n_q query draws (disjoint)."""
-    batch = sample_channels(rng, spec, n_s + n_q, n, k)
-    return Task(support=batch[:n_s], query=batch[n_s:])
 
 
 def task_from_dataset(rng, data, n_s, n_q):

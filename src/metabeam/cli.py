@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from . import channels, nn, objective, pipeline, runner, wmmse
+from . import channels, nn, pipeline, runner, wmmse
 from .config import ExperimentConfig, parse_config
 from .errors import (
     ConfigError,

@@ -86,31 +86,54 @@ def hpd_solve(a, mu, b):
 
 
 def total_power(v):
-    """Total transmit power ||V||_F^2 = sum_k ||v_k||^2 of a beamformer."""
-    v = np.asarray(v)
-    return float(np.sum(np.abs(v) ** 2))
+    """Total transmit power ||V||_F^2 = sum_k ||v_k||^2 of each (N, K)
+    beamformer over the last two axes, shape v.shape[:-2]."""
+    return np.sum(np.abs(v) ** 2, axis=(-2, -1))
+
+
+# Entries up to _MAX_ENTRY square without overflow, and powers from
+# _MIN_POWER up keep p / power finite for any p <= MAX_POWER.
+_MAX_ENTRY = 1e150
+_MIN_POWER = 1e-200
+MAX_POWER = 1e100  # the largest power budget p the projection accepts
 
 
 def normalize_to_power(v, p):
-    """Scale V so that total_power(V) == p exactly (up to float rounding).
+    """scale_to_power without the power: V scaled so total_power(V) == p."""
+    return scale_to_power(v, p)[0]
 
-    Raises DegenerateInputError when ||V||_F^2 is 0 in floating point (an
-    all-zero V, or entries below about 1e-154) or V has a non-finite entry;
-    p must be positive.
+
+def scale_to_power(v, p):
+    """Scale each (N, K) matrix V over the last two axes so that
+    total_power(V) == p (up to float rounding). Returns (the scaled V, the
+    power ||V||_F^2 of each input matrix, shape v.shape[:-2]).
+
+    A matrix with an entry above 1e150 or a power below 1e-200 is first
+    divided by its largest |entry| (its power then reads peak^2 ||V/peak||^2,
+    perhaps inf or 0); the others keep the bits of a call on them alone.
+    Raises DegenerateInputError when the power of some matrix is 0 in floating
+    point (an all-zero V, or entries below about 1e-162) or V has a
+    non-finite entry; p must lie in (0, 1e100].
     """
-    if p <= 0:
-        raise ValueError(f"target power must be positive, got {p}")
+    if not 0.0 < p <= MAX_POWER:
+        raise ValueError(f"target power must be in (0, {MAX_POWER:g}], got {p}")
     v = np.asarray(v, dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        pw = total_power(v)
-    if pw == 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero beamformer")
-    if not pw < np.inf or pw < np.finfo(np.float64).tiny or p / pw == np.inf:
-        # ||V||^2 overflowed, lost precision in the subnormals, or is so
-        # small that p / pw overflows: scale to a unit largest entry first.
-        peak = np.max(np.abs(v))
-        if not np.isfinite(peak):
-            raise DegenerateInputError("cannot normalize a non-finite beamformer")
-        v = v / peak
-        pw = total_power(v)
-    return v * np.sqrt(p / pw)
+    mag = np.abs(v)
+    # cheaper than a per-matrix peak on small matrices; a NaN fails it too
+    if mag.max(initial=0.0) <= _MAX_ENTRY:
+        pw = np.sum(mag**2, axis=(-2, -1))
+        if pw.min(initial=_MIN_POWER) >= _MIN_POWER:
+            return v * np.sqrt(p / pw)[..., None, None], pw
+    peak = mag.max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(peak).all():
+        raise DegenerateInputError("cannot normalize a non-finite beamformer")
+    with np.errstate(over="ignore", under="ignore"):
+        pw = np.sum(mag**2, axis=(-2, -1))
+        if not pw.all():
+            raise DegenerateInputError("cannot normalize an all-zero beamformer")
+        # Rescale the matrices out of range to a unit largest entry, so that
+        # their power neither overflows nor loses precision in the subnormals.
+        scale = np.where((peak <= _MAX_ENTRY) & (pw >= _MIN_POWER), 1.0, peak)
+        unit = v / scale[..., None, None]
+        pw = total_power(unit)
+        return unit * np.sqrt(p / pw)[..., None, None], scale**2 * pw

@@ -131,7 +131,6 @@ def mml_test_loop(
     meta_cfg,
     capacity,
     adapt_steps=None,
-    variant="corrected",
     rank_pool="retained",
     on_slot=None,
 ):
@@ -143,7 +142,8 @@ def mml_test_loop(
     sum rate of the currently adapted parameters on D_t, re-adapt from the
     initialization on memory union D_t (adapt_steps gradient steps, summed
     loss, same mechanics as training-time inner adaptation), then update the
-    memory under the new parameters. With capacity = 0 the memory stays
+    memory under the new parameters, ranked by meta_cfg.loss_variant, the
+    loss the slot adapted with. With capacity = 0 the memory stays
     empty and nothing is carried from one slot to the next, so the slots
     adapt on D_t alone, together on one tape (see _memoryless_loop), with
     the same results as plain per-slot test-time adaptation. adapt_steps
@@ -178,7 +178,8 @@ def mml_test_loop(
             reduction="sum",
         )
         mem = update_memory(
-            mem, batch, t, params, cfg, variant=variant, rank_pool=rank_pool
+            mem, batch, t, params, cfg, variant=meta_cfg.loss_variant,
+            rank_pool=rank_pool,
         )
     return params, np.array(wsr_series), mem
 

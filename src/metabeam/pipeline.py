@@ -10,9 +10,10 @@ S, the Hermitian solve, and one rate-loss node with a closed-form backward
 for everything after the solve. The forward-only twin rebuilds its
 beamformers through wmmse.reconstruct_v, the solver's own reconstruction, so
 the solver, the twin and the tape's solve node share linalg.hpd_solve and
-its singularity policy. The tape and the twin share the column scales
-(wmmse.column_scales), the power projection (_to_power) and the rate terms
-(objective.batch_signal_denom).
+its singularity policy. The tape and the twin share the matched-filter
+input (wmmse.mrt_beamformer), the column scales (wmmse.column_scales), the
+power projection (linalg.scale_to_power) and the rate terms
+(objective.gains and objective.signal_denom).
 
 Input encoding (per sample, length 4*N*K):
     [Re H (row-major K x N), Im H, Re V_cur (row-major N x K), Im V_cur]
@@ -25,19 +26,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn, objective, wmmse
-from .errors import DegenerateInputError
+from .linalg import normalize_to_power, scale_to_power
 
 MU_FLOOR_SCALE = 1e-4  # mu >= MU_FLOOR_SCALE * sigma2 keeps the solve definite
 
 
 def mu_floor(cfg):
     return MU_FLOOR_SCALE * cfg.sigma2
-
-
-def make_v_current(h_batch, cfg):
-    """Reference beamformer fed to the encoder: matched-filter columns
-    v_k = h_k scaled to the power budget."""
-    return _to_power(np.transpose(h_batch, (0, 2, 1)).copy(), cfg)[0]
 
 
 def encode_features(h_batch, v_current):
@@ -131,7 +126,7 @@ def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
     h_batch = h_batch.reshape(-1, k, n)
-    features = encode_features(h_batch, make_v_current(h_batch, cfg))
+    features = encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
     comps = predict_components(
         tape, leaves, features.reshape(*tasks, per_task, -1), cfg
     )
@@ -153,9 +148,10 @@ def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
 def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
     """One tape node from the solved columns to the reduced loss.
 
-    Forward: the forward twin's arithmetic (wmmse.column_scales, _to_power,
-    then objective.batch_signal_denom) and factor times each task's sum of the
-    per-user rates r_k = ln(1 + signal_k / denom_k). Backward in closed form
+    Forward: the forward twin's arithmetic (wmmse.column_scales,
+    scale_to_power, then objective.gains and objective.signal_denom) and
+    factor times each task's sum of the per-user rates
+    r_k = ln(1 + signal_k / denom_k). Backward in closed form
     (Giles 2008), per sample with Y = X diag(s), s = alpha w u,
     p = ||Y||_F^2, g = sqrt(P / p), V = g Y, G = conj(H) V, A2 = |G|^2:
       corrected: dr_k/dA2_kj = 1/(T_k + sigma2) - [j != k]/(I_k + sigma2),
@@ -172,10 +168,10 @@ def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
     u_re, u_im, w = comps.u_re.value, comps.u_im.value, comps.w.value
     s = wmmse.column_scales(u_re + 1j * u_im, w, cfg)
     y = xc * s[:, None, :]  # x diag(s)
-    v, pw = _to_power(y, cfg)
-    gains = objective.batch_gains(h_batch, v)
+    v, pw = scale_to_power(y, cfg.p)
+    gains = objective.gains(h_batch, v)
     a2 = np.abs(gains) ** 2
-    signal, denom = objective.batch_signal_denom(a2, cfg, variant)
+    signal, denom = objective.signal_denom(a2, cfg, variant)
     rates = np.log1p(signal / denom)
     total = rates.reshape(*tasks, -1).sum(axis=-1)
     b, k = rates.shape
@@ -213,17 +209,6 @@ def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
     return x.tape.record(total * factor, parents, backward, "rate_loss"), v
 
 
-def _to_power(y, cfg):
-    """Project each (N, K) sample onto the power budget: v = y sqrt(P / p)
-    with p = ||y||_F^2. Returns (v, p)."""
-    pw = np.sum(np.abs(y) ** 2, axis=(1, 2))
-    if np.any(pw == 0.0):
-        raise DegenerateInputError(
-            "beamformer is zero for a sample (a zero channel, or all u_k = 0)"
-        )
-    return y * np.sqrt(cfg.p / pw)[:, None, None], pw
-
-
 # Forward-only twin used by evaluation and memory scoring (no tape, no grads).
 
 
@@ -246,18 +231,18 @@ def predict_beamformers(params, h_batch, cfg):
     (wmmse.reconstruct_v), then onto the power budget.
     """
     h_batch = np.asarray(h_batch, dtype=np.complex128)
-    features = encode_features(h_batch, make_v_current(h_batch, cfg))
+    features = encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
     comps = wmmse.ComponentTriple(*predict_components_np(params, features, cfg))
-    return _to_power(wmmse.reconstruct_v(h_batch, comps, cfg), cfg)[0]
+    return normalize_to_power(wmmse.reconstruct_v(h_batch, comps, cfg), cfg.p)
 
 
 def evaluate_wsr(params, h_batch, cfg):
     """Per-sample weighted sum rate of the predicted beamformers, (B,)."""
     v = predict_beamformers(params, h_batch, cfg)
-    return objective.batch_wsr(h_batch, v, cfg)
+    return objective.wsr(h_batch, v, cfg)
 
 
 def per_sample_losses(params, h_batch, cfg, variant="corrected"):
     """Per-sample negated average rate of the predicted beamformers, (B,)."""
     v = predict_beamformers(params, h_batch, cfg)
-    return objective.batch_sample_losses(h_batch, v, cfg, variant=variant)
+    return objective.sum_rate_loss(h_batch, v, cfg, variant=variant)

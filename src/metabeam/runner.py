@@ -113,14 +113,10 @@ def _eval_wmmse(cfg, sys_cfg, snr_idx, seed):
     """Per-channel WMMSE rates of one cell, and how many solves stopped at
     max_iters without converging."""
     data = _test_batch(cfg, snr_idx, seed, "eval", cfg.test_size)
-    wsrs = []
-    unconverged = 0
-    for i, h in enumerate(data):
-        res = wmmse.wmmse_solve(h, sys_cfg, seed=i, restarts=cfg.wmmse_restarts)
-        v = normalize_to_power(res.v, sys_cfg.p)
-        wsrs.append(objective.wsr(h, v, sys_cfg))
-        unconverged += not res.converged
-    return np.array(wsrs), unconverged
+    runs = [wmmse.wmmse_solve(h, sys_cfg, seed=i, restarts=cfg.wmmse_restarts)
+            for i, h in enumerate(data)]
+    v = normalize_to_power(np.stack([res.v for res in runs]), sys_cfg.p)
+    return objective.wsr(data, v, sys_cfg), sum(not res.converged for res in runs)
 
 
 def _eval_forward(params, cfg, sys_cfg, snr_idx, seed):
@@ -148,7 +144,6 @@ def _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed, capacity, 
     memory.mml_test_loop(
         params, stream, sys_cfg, cfg.meta, capacity,
         adapt_steps=steps,
-        variant=cfg.meta.loss_variant,
         rank_pool=cfg.rank_pool,
         on_slot=lambda t, w: slot_stats.append((t, w.copy())),
     )

@@ -7,7 +7,9 @@ beamformer is reconstructed from that triple in closed form, which is the
 low-dimensional target the predictor networks learn. compute_u, compute_w,
 solve_mu and reconstruct_v also take a leading batch axis (one row per start).
 reconstruct_v also takes a channel batch, for the forward-only predictor
-twin (pipeline.predict_beamformers).
+twin (pipeline.predict_beamformers), and so does mrt_beamformer, which gives
+the predictor's reference beamformer on the tape and in the twin. Rates and
+the (u, w) updates come from objective's one rate core.
 """
 
 from dataclasses import dataclass
@@ -51,16 +53,13 @@ class OracleResult:
 
 
 def compute_w(h, v, cfg):
-    """MSE weights w_k = 1 + SINR_k (total over interference-plus-noise)."""
-    a2 = np.abs(h.conj() @ v) ** 2
-    signal = np.diagonal(a2, axis1=-2, axis2=-1)
-    totals = cfg.sigma2 + a2.sum(axis=-1)
-    return totals / (totals - signal)
+    """MSE weights w_k = 1 + SINR_k."""
+    return 1.0 + objective.all_sinr(h, v, cfg)
 
 
 def compute_u(h, v, cfg):
     """MMSE receiver gains u_k = h_k^H v_k / (sigma2 + sum_j |h_k^H v_j|^2)."""
-    g = h.conj() @ v
+    g = objective.gains(h, v)
     totals = cfg.sigma2 + np.sum(np.abs(g) ** 2, axis=-1)
     return np.diagonal(g, axis1=-2, axis2=-1) / totals
 
@@ -161,8 +160,11 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
 
 
 def mrt_beamformer(h, cfg):
-    """Matched-filter columns v_k = h_k, scaled to the power budget."""
-    return normalize_to_power(np.asarray(h, dtype=np.complex128).T, cfg.p)
+    """Matched-filter columns v_k = h_k, scaled to the power budget, for one
+    (K, N) channel or a batch (..., K, N); returns (..., N, K)."""
+    h = np.asarray(h, dtype=np.complex128)
+    # contiguous, so the power sum runs in the same order for any input layout
+    return normalize_to_power(np.swapaxes(h, -1, -2).copy(), cfg.p)
 
 
 def zf_beamformer(h, cfg):
@@ -204,9 +206,8 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
             starts.append(normalize_to_power(raw, cfg.p))
     v = np.stack(starts)
     n_starts = len(v)
-    h_batch = np.broadcast_to(h, (n_starts,) + h.shape)
     traces = np.empty((max_iters + 1, n_starts))
-    traces[0] = objective.batch_wsr(h_batch, v, cfg)
+    traces[0] = objective.wsr(h, v, cfg)
     best_wsr, best_v = traces[0].copy(), v.copy()
     iterations = np.zeros(n_starts, dtype=int)
     converged = np.zeros(n_starts, dtype=bool)
@@ -219,7 +220,7 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
         s = _assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
         mu = solve_mu(h, u, w, cfg, s=s)
         v_new = reconstruct_v(h, ComponentTriple(u, w, mu), cfg, s=s)
-        wsr = objective.batch_wsr(h_batch[run], v_new, cfg)
+        wsr = objective.wsr(h, v_new, cfg)
         traces[it, run] = wsr
         gain = wsr > best_wsr[run]
         best_wsr[run[gain]] = wsr[gain]
@@ -237,6 +238,16 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
                        trace, converged=bool(converged[win]))
 
 
+def _directions(h, lam, cfg):
+    """Unit-norm columns of (I + sum_j lam_j / sigma2 * h_j h_j^H)^{-1} h_k."""
+    a = np.eye(cfg.n) + hermitian_rank1_sum(lam / cfg.sigma2, h)
+    x = hpd_solve(a, 0.0, h.T)
+    norms = np.linalg.norm(x, axis=0)
+    if np.any(norms == 0.0):
+        raise DegenerateInputError("a channel row is zero; direction undefined")
+    return x / norms[None, :]
+
+
 def structure_beamformer(h, lam, p, cfg):
     """Beamformer from the dual/power parametrization.
 
@@ -248,12 +259,7 @@ def structure_beamformer(h, lam, p, cfg):
     p = np.asarray(p, dtype=np.float64)
     if np.any(lam < 0) or np.any(p < 0):
         raise ValueError("lam and p must be nonnegative")
-    a = np.eye(cfg.n) + hermitian_rank1_sum(lam / cfg.sigma2, h)
-    x = hpd_solve(a, 0.0, h.T)
-    norms = np.linalg.norm(x, axis=0)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("a channel row is zero; direction undefined")
-    return (x / norms[None, :]) * np.sqrt(p)[None, :]
+    return _directions(h, lam, cfg) * np.sqrt(p)[None, :]
 
 
 def _simplex_grid(k, total, steps):
@@ -287,20 +293,11 @@ def grid_oracle(h, cfg, grid_steps=41):
     h = np.asarray(h, dtype=np.complex128)
     lam_grid = _simplex_grid(cfg.k, cfg.p, grid_steps)
     p_grid = _simplex_grid(cfg.k, cfg.p, grid_steps)
-    alpha = cfg.alpha_vec
     best = (-np.inf, None, None)
     for lam in lam_grid:
-        a = np.eye(cfg.n) + hermitian_rank1_sum(lam / cfg.sigma2, h)
-        x = hpd_solve(a, 0.0, h.T)
-        norms = np.linalg.norm(x, axis=0)
-        if np.any(norms == 0.0):
-            raise DegenerateInputError("a channel row is zero; direction undefined")
-        d = x / norms[None, :]
-        g = np.abs(h.conj() @ d) ** 2  # g[k, j] = |h_k^H d_j|^2
-        signal = p_grid * np.diag(g)[None, :]
-        interference = p_grid @ g.T - signal
-        rates = np.log1p(signal / (cfg.sigma2 + interference)) / np.log(2.0)
-        wsrs = rates @ alpha
+        # the structured beamformer of every power split at once
+        v = _directions(h, lam, cfg) * np.sqrt(p_grid)[:, None, :]
+        wsrs = objective.wsr(h, v, cfg)
         i = int(np.argmax(wsrs))
         if wsrs[i] > best[0]:
             best = (float(wsrs[i]), lam.copy(), p_grid[i].copy())

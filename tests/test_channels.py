@@ -13,7 +13,6 @@ from scipy import stats
 from metabeam.channels import (
     ChannelModelSpec,
     make_mixed_dataset,
-    make_task,
     read_dataset,
     sample_channels,
     task_from_dataset,
@@ -104,20 +103,6 @@ def test_spec_validation():
         ChannelModelSpec("nakagami", m=0.0)
     with pytest.raises(ValueError):
         ChannelModelSpec("lognormal")
-
-
-def test_make_task_structure():
-    rng = np.random.default_rng(9)
-    task = make_task(rng, RAYLEIGH, 4, 6, 2, 3)
-    assert task.support.shape == (4, 3, 2)
-    assert task.query.shape == (6, 3, 2)
-    again = make_task(np.random.default_rng(9), RAYLEIGH, 4, 6, 2, 3)
-    np.testing.assert_array_equal(task.support, again.support)
-    np.testing.assert_array_equal(task.query, again.query)
-    # Support and query come from one draw: no sample appears in both.
-    flat_s = task.support.reshape(4, -1)
-    flat_q = task.query.reshape(6, -1)
-    assert not any((flat_s == q).all(axis=1).any() for q in flat_q)
 
 
 def test_task_from_dataset_draws_without_replacement():

@@ -82,7 +82,8 @@ def test_global_flags_after_the_subcommand_take_effect(cfg_path, tmp_path, capsy
     capsys.readouterr()
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_parse(cfg_path, tmp_path, monkeypatch, capsys):
+    # Every README command line parses, then runs in order at desk scale.
     readme = Path(__file__).resolve().parent.parent / "README.md"
     blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), flags=re.S)
     lines = [line.split("#")[0] for block in blocks for line in block.splitlines()]
@@ -91,6 +92,10 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)  # exits on a usage error
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(["--config", cfg_path] + argv) == cli.EXIT_OK, argv
+    capsys.readouterr()
 
 
 def test_gen_data_seed_override_changes_bytes(cfg_path, tmp_path, capsys):

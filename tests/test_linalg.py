@@ -13,6 +13,7 @@ from metabeam.linalg import (
     hermitian_rank1_sum,
     hpd_solve,
     normalize_to_power,
+    scale_to_power,
     total_power,
 )
 
@@ -100,6 +101,9 @@ def test_hpd_solve_singular_raises():
 def test_total_power_examples():
     assert total_power(np.array([[1.0], [1j]])) == pytest.approx(2.0, abs=0)
     assert total_power(np.zeros((3, 2), dtype=complex)) == 0.0
+    np.testing.assert_array_equal(
+        total_power(np.array([[[1.0], [1j]], [[3.0], [0.0]]])), [2.0, 9.0]
+    )
 
 
 def test_normalize_to_power_basics():
@@ -122,6 +126,25 @@ def test_normalize_to_power_huge_entries():
         normalize_to_power(np.array([[np.inf, 1.0]]), 1.0)
 
 
+def test_normalize_to_power_per_matrix_of_a_batch():
+    # Each (N, K) matrix over the leading axes is scaled on its own, also
+    # when a batch mixes ordinary matrices with ones that need a rescale.
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((2, 3, 4, 2)) + 1j * rng.standard_normal((2, 3, 4, 2))
+    v[0, 1] *= 1e200
+    v[1, 2] *= 1e-120
+    out, pw = scale_to_power(v, 7.0)
+    np.testing.assert_allclose(total_power(out), np.full((2, 3), 7.0), rtol=1e-12)
+    # An ordinary matrix keeps the bits of a call on it alone.
+    np.testing.assert_array_equal(out[1, 0], normalize_to_power(v[1, 0], 7.0))
+    np.testing.assert_array_equal(pw[1, 0], total_power(v[1, 0]))
+    np.testing.assert_allclose(pw[1, 2], total_power(v[1, 2] * 1e120) * 1e-240,
+                               rtol=1e-14)
+    v[1, 1] = 0.0
+    with pytest.raises(DegenerateInputError):
+        normalize_to_power(v, 7.0)
+
+
 def test_normalize_to_power_errors():
     with pytest.raises(DegenerateInputError):
         normalize_to_power(np.zeros((2, 2), dtype=complex), 1.0)
@@ -129,6 +152,13 @@ def test_normalize_to_power_errors():
         normalize_to_power(np.ones((2, 2), dtype=complex), 0.0)
     with pytest.raises(ValueError):
         normalize_to_power(np.ones((2, 2), dtype=complex), -1.0)
+    # Beyond 1e100, p / power could overflow for a matrix with tiny entries.
+    with pytest.raises(ValueError):
+        normalize_to_power(np.ones((2, 2), dtype=complex), 1e101)
+    with pytest.raises(ValueError):
+        normalize_to_power(np.ones((2, 2), dtype=complex), np.nan)
+    with pytest.raises(DegenerateInputError):
+        normalize_to_power(np.array([[1.0, np.nan]]), 1.0)
 
 
 finite = st.floats(

@@ -281,6 +281,19 @@ def test_mml_loop_on_slot_sees_per_sample_rates():
     np.testing.assert_allclose([w.mean() for _, w in seen], series, rtol=1e-15)
 
 
+def test_mml_loop_ranks_memory_by_the_adaptation_loss():
+    # The memory is scored with meta_cfg.loss_variant, the loss the slot
+    # adapted with, so a verbatim stream stores verbatim losses.
+    rng = np.random.default_rng(12)
+    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    meta_cfg = MetaConfig(width=8, adapt_steps=2, loss_variant="verbatim")
+    params = nn.init_predictor(rng, 3, 3, width=8)
+    stream = [rand_batch(rng, 4, 3, 3) for _ in range(3)]
+    final, _, mem = memory.mml_test_loop(params, stream, cfg, meta_cfg, 4)
+    want = pipeline.per_sample_losses(final, mem.as_batch(), cfg, variant="verbatim")
+    np.testing.assert_allclose([e.last_loss for e in mem.entries], want, rtol=1e-12)
+
+
 def test_mml_loop_first_slot_is_unadapted():
     rng, cfg, meta_cfg, params = small_setup()
     stream = [rand_batch(rng, 4, 2, 2)]

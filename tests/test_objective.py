@@ -9,17 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metabeam import objective
-from metabeam.objective import (
-    SystemConfig,
-    all_sinr,
-    batch_all_sinr,
-    batch_sample_losses,
-    batch_wsr,
-    sinr,
-    sum_rate_loss,
-    wsr,
-)
+from metabeam.objective import SystemConfig, all_sinr, sum_rate_loss, wsr
 
 
 def rand_hv(rng, n, k):
@@ -33,8 +23,7 @@ def test_sinr_no_interference():
     cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
     h = np.eye(2, dtype=complex)
     v = np.diag([2.0, 3.0]).astype(complex)
-    assert sinr(h, v, cfg, 0) == pytest.approx(4.0, abs=1e-15)
-    assert sinr(h, v, cfg, 1) == pytest.approx(9.0, abs=1e-15)
+    np.testing.assert_allclose(all_sinr(h, v, cfg), [4.0, 9.0], rtol=0, atol=1e-15)
 
 
 def test_sinr_worked_interference_example():
@@ -119,17 +108,26 @@ def test_loss_variants_differ_with_interference():
 
 
 def test_batch_matches_scalar_loop():
+    # Leading batch axes give the one-channel results of each (channel, V)
+    # pair; a single channel broadcasts against a batch of beamformers.
     rng = np.random.default_rng(5)
     cfg = SystemConfig(n=3, k=2, sigma2=1.0, p=10.0)
-    hb = rng.standard_normal((8, 2, 3)) + 1j * rng.standard_normal((8, 2, 3))
-    vb = rng.standard_normal((8, 3, 2)) + 1j * rng.standard_normal((8, 3, 2))
-    sinrs = batch_all_sinr(hb, vb, cfg)
-    wsrs = batch_wsr(hb, vb, cfg)
-    losses = batch_sample_losses(hb, vb, cfg)
-    for i in range(8):
-        np.testing.assert_allclose(sinrs[i], all_sinr(hb[i], vb[i], cfg), rtol=1e-12)
-        assert wsrs[i] == pytest.approx(wsr(hb[i], vb[i], cfg), rel=1e-12)
-        assert losses[i] == pytest.approx(sum_rate_loss(hb[i], vb[i], cfg), rel=1e-12)
+    hb = rng.standard_normal((2, 4, 2, 3)) + 1j * rng.standard_normal((2, 4, 2, 3))
+    vb = rng.standard_normal((2, 4, 3, 2)) + 1j * rng.standard_normal((2, 4, 3, 2))
+    sinrs = all_sinr(hb, vb, cfg)
+    wsrs = wsr(hb, vb, cfg)
+    shared = wsr(hb[0, 0], vb, cfg)
+    assert sinrs.shape == (2, 4, 2) and wsrs.shape == shared.shape == (2, 4)
+    for variant in ("corrected", "verbatim"):
+        losses = sum_rate_loss(hb, vb, cfg, variant)
+        for i, j in np.ndindex(2, 4):
+            assert losses[i, j] == pytest.approx(
+                sum_rate_loss(hb[i, j], vb[i, j], cfg, variant), rel=1e-12
+            )
+    for i, j in np.ndindex(2, 4):
+        np.testing.assert_allclose(sinrs[i, j], all_sinr(hb[i, j], vb[i, j], cfg), rtol=1e-12)
+        assert wsrs[i, j] == pytest.approx(wsr(hb[i, j], vb[i, j], cfg), rel=1e-12)
+        assert shared[i, j] == pytest.approx(wsr(hb[0, 0], vb[i, j], cfg), rel=1e-12)
 
 
 def test_config_validation():
@@ -141,6 +139,10 @@ def test_config_validation():
         SystemConfig(n=1, k=1, sigma2=0.0, p=1.0)
     with pytest.raises(ValueError):
         SystemConfig(n=1, k=1, sigma2=1.0, p=-1.0)
+    with pytest.raises(ValueError):
+        SystemConfig(n=1, k=1, sigma2=1.0, p=1e101)  # beyond linalg.MAX_POWER
+    with pytest.raises(ValueError):
+        SystemConfig(n=1, k=1, sigma2=1.0, p=float("nan"))
     with pytest.raises(ValueError):
         SystemConfig(n=1, k=2, sigma2=1.0, p=1.0, alpha=(1.0,))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metabeam import autodiff as ad
-from metabeam import nn, objective, pipeline
+from metabeam import nn, objective, pipeline, wmmse
 from metabeam.errors import DegenerateInputError, SingularMatrixError
 from metabeam.objective import SystemConfig
 
@@ -20,10 +20,11 @@ def setup(rng, b=6, k=3, n=3, width=8):
     return cfg, params, h
 
 
-def test_make_v_current_mrt_power_and_direction():
+def test_mrt_beamformer_batch_power_and_direction():
+    # the encoder's reference beamformer: matched filter per sample
     rng = np.random.default_rng(0)
     cfg, _, h = setup(rng)
-    v = pipeline.make_v_current(h, cfg)
+    v = wmmse.mrt_beamformer(h, cfg)
     pw = np.sum(np.abs(v) ** 2, axis=(1, 2))
     np.testing.assert_allclose(pw, cfg.p, rtol=1e-12)
     # columns are the channel rows, up to the single per-sample gain
@@ -31,11 +32,12 @@ def test_make_v_current_mrt_power_and_direction():
     np.testing.assert_allclose(ratio, ratio.flat[0], rtol=1e-12)
 
 
-def test_make_v_current_rejects_zero_channel():
+def test_mrt_beamformer_rejects_zero_channel_in_batch():
     cfg = SystemConfig(n=2, k=2)
-    h = np.zeros((1, 2, 2), dtype=complex)
+    h = np.ones((3, 2, 2), dtype=complex)
+    h[1] = 0.0
     with pytest.raises(DegenerateInputError):
-        pipeline.make_v_current(h, cfg)
+        wmmse.mrt_beamformer(h, cfg)
 
 
 def test_encode_features_layout():
@@ -51,7 +53,7 @@ def test_encode_features_layout():
 def test_predicted_ranges():
     rng = np.random.default_rng(2)
     cfg, params, h = setup(rng, b=10)
-    feats = pipeline.encode_features(h, pipeline.make_v_current(h, cfg))
+    feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
     u, w, mu = pipeline.predict_components_np(params, feats, cfg)
     assert u.shape == (10, 3) and u.dtype == np.complex128
     assert np.all(w >= 1.0)
@@ -62,7 +64,7 @@ def test_predicted_ranges():
 def test_predict_components_tape_matches_np():
     rng = np.random.default_rng(3)
     cfg, params, h = setup(rng)
-    feats = pipeline.encode_features(h, pipeline.make_v_current(h, cfg))
+    feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params)
     comps = pipeline.predict_components(tape, leaves, feats, cfg)
@@ -81,7 +83,7 @@ def test_loss_equals_objective_on_reconstruction():
         loss, v_hat = pipeline.reconstruct_and_loss(
             tape, leaves, h, cfg, variant=variant
         )
-        per_sample = objective.batch_sample_losses(h, v_hat, cfg, variant=variant)
+        per_sample = objective.sum_rate_loss(h, v_hat, cfg, variant=variant)
         assert float(loss.value) == pytest.approx(per_sample.mean(), abs=1e-12)
 
 
@@ -91,7 +93,7 @@ def test_loss_sum_reduction_is_batch_sum():
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params)
     loss, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg, reduction="sum")
-    per_sample = objective.batch_sample_losses(h, v_hat, cfg)
+    per_sample = objective.sum_rate_loss(h, v_hat, cfg)
     assert float(loss.value) == pytest.approx(per_sample.sum(), abs=1e-12)
     with pytest.raises(ValueError):
         pipeline.reconstruct_and_loss(tape, leaves, h, cfg, reduction="median")
@@ -147,7 +149,7 @@ def test_evaluate_wsr_consistent_with_objective():
     cfg, params, h = setup(rng, b=5)
     v = pipeline.predict_beamformers(params, h, cfg)
     np.testing.assert_allclose(
-        pipeline.evaluate_wsr(params, h, cfg), objective.batch_wsr(h, v, cfg), rtol=1e-13
+        pipeline.evaluate_wsr(params, h, cfg), objective.wsr(h, v, cfg), rtol=1e-13
     )
     # per-sample losses and rates are base-change twins for unit weights
     losses = pipeline.per_sample_losses(params, h, cfg)

@@ -54,9 +54,16 @@ def test_w_equals_one_plus_sinr():
         h = rand_h(rng, 3, 3)
         v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         v = v * np.sqrt(cfg.p / total_power(v))
-        np.testing.assert_allclose(
-            compute_w(h, v, cfg), 1.0 + all_sinr(h, v, cfg), atol=1e-12
-        )
+        w = compute_w(h, v, cfg)
+        np.testing.assert_allclose(w, 1.0 + all_sinr(h, v, cfg), atol=1e-12)
+        # and w = 1 / e, the MSE of the receiver compute_u gives, written
+        # out from its definition with a plain matmul
+        g = h.conj() @ v
+        u = compute_u(h, v, cfg)
+        d = np.diag(g)
+        interference = np.sum(np.abs(g) ** 2, axis=1) - np.abs(d) ** 2
+        e = np.abs(1.0 - np.conj(u) * d) ** 2 + np.abs(u) ** 2 * (interference + cfg.sigma2)
+        np.testing.assert_allclose(w, 1.0 / e, rtol=1e-10)
 
 
 def test_u_single_user_closed_form():
