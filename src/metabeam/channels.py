@@ -33,10 +33,10 @@ class ChannelModelSpec:
     def __post_init__(self):
         if self.family not in ("rayleigh", "rician", "nakagami"):
             raise ValueError(f"unknown channel family {self.family!r}")
-        if self.family == "rician" and self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if self.family == "nakagami" and self.m <= 0:
-            raise ValueError("m must be positive")
+        if self.family == "rician" and not 0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa}")
+        if self.family == "nakagami" and not 0 < self.m < np.inf:
+            raise ValueError(f"m must be finite and positive, got {self.m}")
 
 
 @dataclass
@@ -95,19 +95,28 @@ def task_from_dataset(rng, data, n_s, n_q):
     return Task(support=data[idx[:n_s]], query=data[idx[n_s:]])
 
 
-def make_mixed_dataset(rng, mixture, size, n, k):
-    """Dataset of `size` realizations drawn from a mixture of families.
-
-    mixture: sequence of (ChannelModelSpec, fraction) with fractions summing
-    to 1 (tolerance 1e-9). Per-family counts use largest-remainder rounding so
-    they sum to `size` exactly; the concatenated blocks are then shuffled with
-    a deterministic permutation from rng.
-    """
+def check_mixture(mixture):
+    """Raise ValueError unless mixture is a nonempty sequence of
+    (ChannelModelSpec, fraction) with fractions nonnegative and summing to 1
+    (tolerance 1e-9)."""
     fracs = np.array([f for _, f in mixture], dtype=np.float64)
     if len(mixture) == 0:
         raise ValueError("mixture must name at least one family")
-    if np.any(fracs < 0) or abs(fracs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"mixture fractions must be nonnegative and sum to 1, got {fracs.tolist()}")
+    if not (np.all(fracs >= 0) and abs(fracs.sum() - 1.0) <= 1e-9):
+        raise ValueError(
+            f"mixture fractions must be nonnegative and sum to 1, got {fracs.tolist()}")
+
+
+def make_mixed_dataset(rng, mixture, size, n, k):
+    """Dataset of `size` realizations drawn from a mixture of families.
+
+    mixture: sequence of (ChannelModelSpec, fraction) that check_mixture
+    accepts. Per-family counts use largest-remainder rounding so
+    they sum to `size` exactly; the concatenated blocks are then shuffled with
+    a deterministic permutation from rng.
+    """
+    check_mixture(mixture)
+    fracs = np.array([f for _, f in mixture], dtype=np.float64)
     raw = fracs * size
     counts = np.floor(raw).astype(int)
     remainder = size - counts.sum()

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import channels, nn, pipeline, runner, wmmse
-from .config import ExperimentConfig, parse_config
+from .config import METHODS, ExperimentConfig, parse_config, system_for
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -85,7 +85,7 @@ def _cmd_figure(args):
 
 def _cmd_oracle(args):
     cfg = _load_config(args)
-    sys_cfg = runner.system_for(cfg, args.snr_db)
+    sys_cfg = system_for(cfg, args.snr_db)
     if sys_cfg.k > 3:
         print("oracle supports K <= 3", file=sys.stderr)
         return EXIT_USAGE
@@ -107,7 +107,7 @@ def _cmd_oracle(args):
 
 def _cmd_gradcheck(args):
     cfg = _load_config(args)
-    sys_cfg = runner.system_for(cfg, args.snr_db)
+    sys_cfg = system_for(cfg, args.snr_db)
     rng = rng_for(cfg.seed, "gradcheck")
 
     def make_f(h_batch, params):
@@ -169,12 +169,11 @@ def build_parser():
     p_train.add_argument("--method", choices=("maml", "unsupervised"), default="maml")
 
     p_eval = add("eval", help="evaluate one method over the SNR grid")
-    p_eval.add_argument("--method", choices=runner_methods(), required=True)
+    p_eval.add_argument("--method", choices=METHODS, required=True)
     p_eval.add_argument("--checkpoint", help="checkpoint file for learned methods")
 
     p_fig = add("figure", help="produce one comparison figure's data")
-    p_fig.add_argument("--figure", choices=("fig5", "fig6", "fig7", "fig8"),
-                       required=True)
+    p_fig.add_argument("--figure", choices=tuple(runner.FIGURE_CHANNELS), required=True)
 
     p_oracle = add("oracle", help="compare the solver to the grid oracle")
     p_oracle.add_argument("--instances", type=int, default=20)
@@ -185,12 +184,6 @@ def build_parser():
     p_gc.add_argument("--draws", type=int, default=20)
     p_gc.add_argument("--snr-db", type=float, default=10.0)
     return parser
-
-
-def runner_methods():
-    from .config import METHODS
-
-    return METHODS
 
 
 _COMMANDS = {

@@ -1,19 +1,23 @@
 """Experiment configuration: plain-text parsing and the effective-config echo.
 
 Files are line-based `key = value` pairs grouped under `[section]` headers.
-`#` starts a comment. Every key must be registered below; unknown keys are
-rejected with the offending line number so typos cannot silently fall back to
-defaults.
+`#` starts a comment. Every key is one row of KEYS below, which says how to
+parse it, what values it accepts and where the echo writes it; unknown keys
+and unusable values are rejected with the offending line number so typos
+cannot silently fall back to defaults.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
+from . import channels, objective
 from .channels import ChannelModelSpec
 from .errors import ConfigError
 from .meta import MetaConfig
 
 METHODS = ("wmmse", "unsupervised", "maml", "maml_no_pretrain", "mml")
+_TOP_LEVEL_COMMA = re.compile(r",(?![^()]*\))")  # a comma outside parentheses
 
 
 def parse_channel_term(text):
@@ -41,27 +45,10 @@ def parse_channel_term(text):
         raise ConfigError(f"bad channel term {text!r}: {exc}") from exc
 
 
-def _split_top_level(text):
-    """Split on commas that are not inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
 def parse_mix(text):
     """Weighted mixture, e.g. "rayleigh=0.5, rician(kappa=3)=0.5"."""
     mix = []
-    for item in _split_top_level(text):
+    for item in filter(None, (p.strip() for p in _TOP_LEVEL_COMMA.split(text))):
         term, eq, frac = item.rpartition("=")
         if not eq:
             raise ConfigError(f"expected family=fraction in mix item {item!r}")
@@ -75,16 +62,21 @@ def parse_mix(text):
     return mix
 
 
+def format_float(v):
+    """Shortest of `:g` and repr that parses back to exactly v."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 def render_channel_term(spec):
-    if spec.family == "rician":
-        return f"rician(kappa={spec.kappa:g})"
-    if spec.family == "nakagami":
-        return f"nakagami(m={spec.m:g})"
-    return spec.family
+    param = {"rician": "kappa", "nakagami": "m"}.get(spec.family)
+    if param is None:
+        return spec.family
+    return f"{spec.family}({param}={format_float(getattr(spec, param))})"
 
 
 def render_mix(mix):
-    return ", ".join(f"{render_channel_term(s)}={f:g}" for s, f in mix)
+    return ", ".join(f"{render_channel_term(s)}={format_float(f)}" for s, f in mix)
 
 
 def _parse_float_list(text):
@@ -93,6 +85,15 @@ def _parse_float_list(text):
 
 def _parse_str_list(text):
     return [x.strip() for x in text.split(",") if x.strip()]
+
+
+def _parse_bool(text):
+    t = text.strip().lower()
+    if t in ("1", "true", "yes", "on"):
+        return True
+    if t in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
 @dataclass
@@ -136,63 +137,90 @@ class ExperimentConfig:
     emit_json: bool = False
 
 
-def _set_meta(attr, conv):
-    def setter(cfg, text):
-        setattr(cfg.meta, attr, conv(text))
-
-    return setter
-
-
-def _set(attr, conv):
-    def setter(cfg, text):
-        setattr(cfg, attr, conv(text))
-
-    return setter
+def system_for(cfg, snr_db):
+    """SystemConfig at one grid point: P = sigma2 * 10^(snr/10)."""
+    try:
+        p = cfg.sigma2 * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        p = math.inf  # rejected by SystemConfig like any other P out of range
+    return objective.SystemConfig(n=cfg.n, k=cfg.k, sigma2=cfg.sigma2, p=p, alpha=cfg.alpha)
 
 
-def _parse_bool(text):
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+def _reason(check, *args):
+    """True when check(*args) accepts its arguments, else why it does not."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return True
 
 
-# (section, key) -> setter(cfg, raw_text)
-_REGISTRY = {
-    ("run", "seed"): _set("seed", int),
-    ("system", "n"): _set("n", int),
-    ("system", "k"): _set("k", int),
-    ("system", "sigma2"): _set("sigma2", float),
-    ("system", "snr_db"): _set("snr_db", _parse_float_list),
-    ("system", "alpha"): _set("alpha", _parse_float_list),
-    ("train", "mix"): _set("train_mix", parse_mix),
-    ("train", "size"): _set("train_size", int),
-    ("train", "snr_db"): _set("train_snr_db", float),
-    ("test", "channel"): _set("test_channel", parse_channel_term),
-    ("test", "size"): _set("test_size", int),
-    ("test", "seeds"): _set("test_seeds", int),
-    ("test", "slots"): _set("slots", int),
-    ("test", "slot_size"): _set("slot_size", int),
-    ("meta", "inner_lr"): _set_meta("inner_lr", float),
-    ("meta", "outer_lr"): _set_meta("outer_lr", float),
-    ("meta", "n_support"): _set_meta("n_support", int),
-    ("meta", "n_query"): _set_meta("n_query", int),
-    ("meta", "n_tasks"): _set_meta("n_tasks", int),
-    ("meta", "inner_steps"): _set_meta("inner_steps", int),
-    ("meta", "adapt_steps"): _set_meta("adapt_steps", int),
-    ("meta", "epochs"): _set_meta("epochs", int),
-    ("meta", "width"): _set_meta("width", int),
-    ("meta", "batch_size"): _set_meta("batch_size", int),
-    ("meta", "loss_variant"): _set_meta("loss_variant", str.strip),
-    ("memory", "capacity"): _set("capacity", int),
-    ("memory", "adapt_steps"): _set("mem_adapt_steps", int),
-    ("memory", "rank_pool"): _set("rank_pool", str.strip),
-    ("eval", "methods"): _set("methods", _parse_str_list),
-    ("eval", "wmmse_restarts"): _set("wmmse_restarts", int),
-    ("eval", "emit_json"): _set("emit_json", _parse_bool),
-}
+def _at_least(lo):
+    return lambda v: v >= lo or f"must be at least {lo}, got {v}"
+
+
+def _rate(v):
+    return (math.isfinite(v) and v >= 0.0) or f"must be finite and nonnegative, got {v}"
+
+
+def _one_of(*choices):
+    return lambda v: v in choices or f"must be {'|'.join(choices)}, got {v!r}"
+
+
+def _known_methods(names):
+    unknown = [m for m in names if m not in METHODS]
+    return not unknown or f"unknown method {unknown[0]!r}; known: {', '.join(METHODS)}"
+
+
+# One row per key, in echo order: (section, key, attribute path, parser,
+# check). A check returns True or the reason the value is rejected. The
+# [system] keys and train.snr_db have no check of their own: _validate
+# builds the SystemConfig of every SNR they define, which checks them.
+KEYS = (
+    ("run", "seed", "seed", int, None),
+    ("system", "n", "n", int, None),
+    ("system", "k", "k", int, None),
+    ("system", "sigma2", "sigma2", float, None),
+    ("system", "snr_db", "snr_db", _parse_float_list, None),
+    ("system", "alpha", "alpha", _parse_float_list, None),
+    ("train", "mix", "train_mix", parse_mix,
+     lambda mix: _reason(channels.check_mixture, mix)),
+    ("train", "size", "train_size", int, _at_least(1)),
+    ("train", "snr_db", "train_snr_db", float, None),
+    ("test", "channel", "test_channel", parse_channel_term, None),
+    ("test", "size", "test_size", int, _at_least(1)),
+    ("test", "seeds", "test_seeds", int, _at_least(1)),
+    ("test", "slots", "slots", int, _at_least(1)),
+    ("test", "slot_size", "slot_size", int, _at_least(1)),
+    ("meta", "inner_lr", "meta.inner_lr", float, _rate),
+    ("meta", "outer_lr", "meta.outer_lr", float, _rate),
+    ("meta", "n_support", "meta.n_support", int, _at_least(1)),
+    ("meta", "n_query", "meta.n_query", int, _at_least(1)),
+    ("meta", "n_tasks", "meta.n_tasks", int, _at_least(1)),
+    ("meta", "inner_steps", "meta.inner_steps", int, _at_least(0)),
+    ("meta", "adapt_steps", "meta.adapt_steps", int, _at_least(0)),
+    ("meta", "epochs", "meta.epochs", int, _at_least(0)),
+    ("meta", "width", "meta.width", int, _at_least(1)),
+    ("meta", "batch_size", "meta.batch_size", int, _at_least(1)),
+    ("meta", "loss_variant", "meta.loss_variant", str, _one_of("corrected", "verbatim")),
+    ("memory", "capacity", "capacity", int, _at_least(0)),
+    ("memory", "adapt_steps", "mem_adapt_steps", int, _at_least(1)),
+    ("memory", "rank_pool", "rank_pool", str, _one_of("retained", "union")),
+    ("eval", "methods", "methods", _parse_str_list, _known_methods),
+    ("eval", "wmmse_restarts", "wmmse_restarts", int, _at_least(0)),
+    ("eval", "emit_json", "emit_json", _parse_bool, None),
+)
+_ROWS = {(section, key): (path, parse) for section, key, path, parse, _ in KEYS}
+
+
+def _owner(cfg, path):
+    """The object holding the attribute at path, and the attribute's name."""
+    head, _, attr = path.rpartition(".")
+    return (getattr(cfg, head) if head else cfg), attr
+
+
+def _get(cfg, path):
+    return getattr(*_owner(cfg, path))
 
 
 def parse_config_text(text):
@@ -213,14 +241,13 @@ def parse_config_text(text):
         key = key.strip().lower()
         if section is None:
             raise ConfigError(f"line {lineno}: key {key!r} appears before any [section]")
-        setter = _REGISTRY.get((section, key))
-        if setter is None:
+        row = _ROWS.get((section, key))
+        if row is None:
             raise ConfigError(f"line {lineno}: unknown key '{section}.{key}'")
+        path, parse = row
         try:
-            setter(cfg, value.strip())
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
+            setattr(*_owner(cfg, path), parse(value.strip()))
+        except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"line {lineno}: bad value for '{section}.{key}': {exc}"
             ) from exc
@@ -241,113 +268,48 @@ def _validate(cfg, lines):
         known = [lines[k] for k in keys if k in lines]
         raise ConfigError(f"line {max(known)}: {message}" if known else message)
 
+    for section, key, path, _, check in KEYS:
+        verdict = True if check is None else check(_get(cfg, path))
+        if verdict is not True:
+            fail(f"{section}.{key}: {verdict}", f"{section}.{key}")
+    system = ("system.n", "system.k", "system.sigma2", "system.alpha")
+    for grid, snrs in (("system.snr_db", cfg.snr_db), ("train.snr_db", [cfg.train_snr_db])):
+        for snr in snrs:
+            verdict = _reason(system_for, cfg, snr)
+            if verdict is not True:
+                keys = system + (grid,)
+                named = [k for k in keys if k in lines] or list(keys)
+                fail(f"{', '.join(named)}: {verdict} (at {grid} = {format_float(snr)})",
+                     *keys)
     m = cfg.meta
-    if m.loss_variant not in ("corrected", "verbatim"):
-        fail(f"meta.loss_variant must be corrected|verbatim, got {m.loss_variant!r}",
-             "meta.loss_variant")
-    if cfg.rank_pool not in ("retained", "union"):
-        fail(f"memory.rank_pool must be retained|union, got {cfg.rank_pool!r}",
-             "memory.rank_pool")
-    for method in cfg.methods:
-        if method not in METHODS:
-            fail(f"unknown eval method {method!r}; known: {', '.join(METHODS)}",
-                 "eval.methods")
-    if cfg.alpha is not None and len(cfg.alpha) != cfg.k:
-        fail(f"system.alpha needs {cfg.k} entries, got {len(cfg.alpha)}",
-             "system.alpha", "system.k")
-    if cfg.capacity < 0:
-        fail("memory.capacity must be nonnegative", "memory.capacity")
-    if cfg.mem_adapt_steps < 1:
-        fail("memory.adapt_steps must be at least 1", "memory.adapt_steps")
-    for key, value in (("system.n", cfg.n), ("system.k", cfg.k),
-                       ("train.size", cfg.train_size), ("test.size", cfg.test_size),
-                       ("test.seeds", cfg.test_seeds), ("test.slots", cfg.slots),
-                       ("test.slot_size", cfg.slot_size), ("meta.n_tasks", m.n_tasks),
-                       ("meta.n_support", m.n_support), ("meta.n_query", m.n_query),
-                       ("meta.width", m.width), ("meta.batch_size", m.batch_size)):
-        if value < 1:
-            fail(f"{key} must be at least 1, got {value}", key)
-    for key, value in (("meta.epochs", m.epochs), ("meta.inner_steps", m.inner_steps),
-                       ("meta.adapt_steps", m.adapt_steps),
-                       ("eval.wmmse_restarts", cfg.wmmse_restarts)):
-        if value < 0:
-            fail(f"{key} must be nonnegative, got {value}", key)
-    for key, value in (("meta.inner_lr", m.inner_lr), ("meta.outer_lr", m.outer_lr)):
-        if not (math.isfinite(value) and value >= 0.0):
-            fail(f"{key} must be finite and nonnegative, got {value}", key)
-    if not (math.isfinite(cfg.sigma2) and cfg.sigma2 > 0.0):
-        fail(f"system.sigma2 must be finite and positive, got {cfg.sigma2}",
-             "system.sigma2")
-    for key, values in (("system.snr_db", cfg.snr_db), ("train.snr_db", [cfg.train_snr_db])):
-        if not all(math.isfinite(v) for v in values):
-            fail(f"{key} must be finite, got {values}", key)
     if m.n_support + m.n_query > cfg.train_size:
         fail(f"meta.n_support + meta.n_query = {m.n_support + m.n_query} exceeds "
              f"train.size = {cfg.train_size}",
              "meta.n_support", "meta.n_query", "train.size")
 
 
+def _render(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format_float(v)
+    if isinstance(v, ChannelModelSpec):
+        return render_channel_term(v)
+    if isinstance(v, list) and v and isinstance(v[0], tuple):
+        return render_mix(v)
+    if isinstance(v, list):
+        return ", ".join(_render(x) for x in v)
+    return str(v)
+
+
 def render_config(cfg):
     """Full effective configuration in parseable form (the echo file)."""
-
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return f"{v:g}"
-        if isinstance(v, list):
-            return ", ".join(fmt(x) for x in v)
-        return str(v)
-
-    m = cfg.meta
-    lines = [
-        "[run]",
-        f"seed = {cfg.seed}",
-        "",
-        "[system]",
-        f"n = {cfg.n}",
-        f"k = {cfg.k}",
-        f"sigma2 = {fmt(cfg.sigma2)}",
-        f"snr_db = {fmt(cfg.snr_db)}",
-    ]
-    if cfg.alpha is not None:
-        lines.append(f"alpha = {fmt(cfg.alpha)}")
-    lines += [
-        "",
-        "[train]",
-        f"mix = {render_mix(cfg.train_mix)}",
-        f"size = {cfg.train_size}",
-        f"snr_db = {fmt(cfg.train_snr_db)}",
-        "",
-        "[test]",
-        f"channel = {render_channel_term(cfg.test_channel)}",
-        f"size = {cfg.test_size}",
-        f"seeds = {cfg.test_seeds}",
-        f"slots = {cfg.slots}",
-        f"slot_size = {cfg.slot_size}",
-        "",
-        "[meta]",
-        f"inner_lr = {fmt(m.inner_lr)}",
-        f"outer_lr = {fmt(m.outer_lr)}",
-        f"n_support = {m.n_support}",
-        f"n_query = {m.n_query}",
-        f"n_tasks = {m.n_tasks}",
-        f"inner_steps = {m.inner_steps}",
-        f"adapt_steps = {m.adapt_steps}",
-        f"epochs = {m.epochs}",
-        f"width = {m.width}",
-        f"batch_size = {m.batch_size}",
-        f"loss_variant = {m.loss_variant}",
-        "",
-        "[memory]",
-        f"capacity = {cfg.capacity}",
-        f"adapt_steps = {cfg.mem_adapt_steps}",
-        f"rank_pool = {cfg.rank_pool}",
-        "",
-        "[eval]",
-        f"methods = {fmt(cfg.methods)}",
-        f"wmmse_restarts = {cfg.wmmse_restarts}",
-        f"emit_json = {fmt(cfg.emit_json)}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines, section = [], None
+    for sec, key, path, _, _ in KEYS:
+        if sec != section:
+            lines += ["", f"[{sec}]"] if lines else [f"[{sec}]"]
+            section = sec
+        value = _get(cfg, path)
+        if value is not None:
+            lines.append(f"{key} = {_render(value)}")
+    return "\n".join(lines) + "\n"

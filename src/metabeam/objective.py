@@ -19,7 +19,7 @@ class SystemConfig:
 
     n: transmit antennas. k: single-antenna users. sigma2: noise power.
     p: transmit power budget (p = sigma2 * 10^(snr_db/10)).
-    alpha: per-user rate weights, default all ones.
+    alpha: per-user rate weights, finite and nonnegative; default all ones.
     """
 
     n: int
@@ -32,14 +32,16 @@ class SystemConfig:
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n} k={self.k}")
         if not (self.sigma2 > 0 and 0 < self.p <= MAX_POWER):
-            raise ValueError(f"sigma2 must be positive and p in (0, {MAX_POWER:g}]")
+            raise ValueError(f"sigma2 must be positive and p in (0, {MAX_POWER:g}], "
+                             f"got sigma2={self.sigma2:g} p={self.p:g}")
         alpha = self.alpha
         if alpha is None:
             alpha = (1.0,) * self.k
         else:
             alpha = tuple(float(a) for a in alpha)
-            if len(alpha) != self.k or any(a < 0 for a in alpha):
-                raise ValueError("alpha must hold k nonnegative weights")
+            if len(alpha) != self.k or not all(0.0 <= a < np.inf for a in alpha):
+                raise ValueError(f"alpha must hold {self.k} finite nonnegative weights, "
+                                 f"got {list(alpha)}")
         object.__setattr__(self, "alpha", alpha)
 
     @property

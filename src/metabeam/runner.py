@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, memory, meta, nn, objective, pipeline, wmmse
-from .config import render_config
+from .config import render_config, system_for
 from .errors import NumericalError
 from .linalg import normalize_to_power
 from .seeding import rng_for
@@ -31,17 +31,6 @@ class ResultRow:
     wsr_mean: float
     wsr_std: float
     samples: int
-
-
-def system_for(cfg, snr_db):
-    """SystemConfig at one grid point: P = sigma2 * 10^(snr/10)."""
-    return objective.SystemConfig(
-        n=cfg.n,
-        k=cfg.k,
-        sigma2=cfg.sigma2,
-        p=cfg.sigma2 * 10.0 ** (snr_db / 10.0),
-        alpha=cfg.alpha,
-    )
 
 
 def train_dataset(cfg):

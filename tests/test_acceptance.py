@@ -17,7 +17,7 @@ from scipy import stats
 from metabeam import autodiff as ad
 from metabeam import channels, cli, memory, meta, nn, objective, pipeline, runner, wmmse
 from metabeam.channels import ChannelModelSpec
-from metabeam.config import ExperimentConfig, render_config
+from metabeam.config import ExperimentConfig, render_config, system_for
 from metabeam.linalg import normalize_to_power
 from metabeam.meta import MetaConfig
 from metabeam.seeding import rng_for
@@ -215,7 +215,7 @@ def test_criterion_07_adaptation_beats_unsupervised_at_high_snr(trained):
     t0 = time.time()
     wins = {}
     for snr in (15.0, 20.0):
-        sys_cfg = runner.system_for(cfg, snr)
+        sys_cfg = system_for(cfg, snr)
         wins[snr] = 0
         for s in range(5):
             rng = rng_for(cfg.seed, "accept", "c7", snr, s)
@@ -237,7 +237,7 @@ def test_criterion_07_adaptation_beats_unsupervised_at_high_snr(trained):
 
 def test_criterion_08_memory_improves_mismatched_adaptation(trained):
     cfg, pm, _, _, _ = trained
-    sys_cfg = runner.system_for(cfg, 10.0)
+    sys_cfg = system_for(cfg, 10.0)
     wins, margins = {}, {}
     for m in (1.0, 10.0):
         spec = ChannelModelSpec("nakagami", m=m)
@@ -266,7 +266,7 @@ def test_criterion_08_memory_improves_mismatched_adaptation(trained):
 
 def test_criterion_09_memory_invariants(trained):
     cfg, pm, _, out, _ = trained
-    sys_cfg = runner.system_for(cfg, 10.0)
+    sys_cfg = system_for(cfg, 10.0)
 
     # (a) |memory| <= capacity at every slot of a streaming run, checked by a
     # step-by-step mirror of the loop that must match it bit for bit.

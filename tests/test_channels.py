@@ -152,6 +152,8 @@ def test_mixed_dataset_fraction_validation():
             [(RAYLEIGH, 1.5), (RAYLEIGH, -0.5)],
             10, 2, 2,
         )
+    with pytest.raises(ValueError):
+        make_mixed_dataset(np.random.default_rng(0), [(RAYLEIGH, float("nan"))], 10, 2, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from metabeam import channels, cli, meta, nn, runner
-from metabeam.config import ExperimentConfig, parse_config, render_config
+from metabeam.config import METHODS, ExperimentConfig, parse_config, render_config
 from metabeam.errors import NumericalError, SingularMatrixError
 from metabeam.meta import MetaConfig
 
@@ -44,6 +44,22 @@ def test_help_exits_ok(capsys):
 def test_unknown_method_is_usage_error(capsys):
     assert cli.main(["eval", "--method", "dueling-dqn"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+def test_method_and_figure_choices_come_from_their_owners(capsys):
+    parser = cli.build_parser()
+    for method in METHODS:
+        assert parser.parse_args(["eval", "--method", method]).method == method
+    for figure in runner.FIGURE_CHANNELS:
+        assert parser.parse_args(["figure", "--figure", figure]).figure == figure
+    assert cli.main(["figure", "--figure", "fig9"]) == cli.EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_out_of_range_snr_flag_is_usage_error(capsys):
+    # 10^(4000/10) overflows a float; the power is rejected, not a traceback
+    assert cli.main(["gradcheck", "--draws", "1", "--snr-db", "4000"]) == cli.EXIT_USAGE
+    assert "p in (0" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_usage_error(capsys):

@@ -1,13 +1,19 @@
 """Config parsing, validation, and the effective-config echo."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metabeam.channels import ChannelModelSpec
 from metabeam.config import (
+    KEYS,
+    METHODS,
     ExperimentConfig,
+    format_float,
     parse_channel_term,
     parse_config,
     parse_config_text,
@@ -17,6 +23,7 @@ from metabeam.config import (
     render_mix,
 )
 from metabeam.errors import ConfigError
+from metabeam.meta import MetaConfig
 
 
 def test_empty_text_gives_defaults():
@@ -85,7 +92,8 @@ def test_parse_channel_terms():
     assert parse_channel_term("rayleigh") == ChannelModelSpec("rayleigh")
     assert parse_channel_term("rician(kappa=5)") == ChannelModelSpec("rician", kappa=5.0)
     assert parse_channel_term(" nakagami(m=2) ") == ChannelModelSpec("nakagami", m=2.0)
-    for bad in ("ricean", "rician(kappa=", "rician(kappa)", "rician(q=1)", "nakagami(m=0)"):
+    for bad in ("ricean", "rician(kappa=", "rician(kappa)", "rician(q=1)", "nakagami(m=0)",
+                "rician(kappa=nan)", "rician(kappa=inf)", "nakagami(m=inf)", "nakagami(m=nan)"):
         with pytest.raises(ConfigError):
             parse_channel_term(bad)
 
@@ -125,11 +133,13 @@ def test_echo_round_trip_modified_config():
         n = 2
         k = 2
         alpha = 0.5, 1.5
+        sigma2 = 0.3333333333
         [train]
-        mix = nakagami(m=3)=1
+        mix = nakagami(m=3)=0.123456789, rician(kappa=3.14159265)=0.876543211
         [test]
         channel = rician(kappa=7)
         [meta]
+        inner_lr = 0.0123456789
         width = 8
         loss_variant = verbatim
         [memory]
@@ -143,6 +153,9 @@ def test_echo_round_trip_modified_config():
     echoed = parse_config_text(render_config(cfg))
     assert echoed == cfg
     assert echoed.alpha == [0.5, 1.5]
+    # full-precision values that `:g` would shorten to a different float
+    assert (echoed.sigma2, echoed.meta.inner_lr) == (0.3333333333, 0.0123456789)
+    assert echoed.train_mix[1][0].kappa == 3.14159265
     assert echoed.emit_json is True
 
 
@@ -184,6 +197,17 @@ def test_validation_errors():
         ("[system]\nsigma2 = nan\n", "system.sigma2"),
         ("[system]\nsnr_db = 0, inf\n", "system.snr_db"),
         ("[train]\nsnr_db = nan\n", "train.snr_db"),
+        # P = sigma2 * 10^(snr/10) outside (0, 1e100]
+        ("[system]\nsnr_db = 0, 1001\n", "system.snr_db"),
+        ("[system]\nsnr_db = -4000\n", "system.snr_db"),
+        ("[system]\nsnr_db = 4000\n", "system.snr_db"),
+        ("[train]\nsnr_db = 2000\n", "train.snr_db"),
+        ("[system]\nalpha = nan, 1, 1\n", "system.alpha"),
+        ("[system]\nalpha = -1, 1, 1\n", "system.alpha"),
+        ("[system]\nk = 3\nalpha = 1, 1\n", "system.alpha"),
+        ("[train]\nmix = rayleigh=0.7\n", "train.mix"),
+        ("[train]\nmix = rayleigh=0.5, rician(kappa=3)=0.6\n", "train.mix"),
+        ("[system]\nn = 0\n", "system.n"),
     ],
     ids=lambda v: " ".join(v.split()),
 )
@@ -211,3 +235,89 @@ def test_parse_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[run]\nseed = 9\n", encoding="utf-8")
     assert parse_config(str(path)).seed == 9
+
+
+def test_bad_value_in_a_term_reports_line_and_key():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("[run]\nseed = 1\n[train]\nmix = rayleigh=half\n")
+    assert str(err.value).startswith("line 4:")
+    assert "train.mix" in str(err.value)
+
+
+def test_format_float_is_short_and_exact():
+    assert [format_float(v) for v in (1.0, 0.5, 0.001, 20.0, -0.0)] == ["1", "0.5", "0.001", "20", "-0"]
+    for v in (0.0123456789, 1 / 3, 3.14159265, 1e-300, 2.0**60 + 1.0):
+        assert float(format_float(v)) == v
+
+
+def test_table_names_every_field_once():
+    paths = [path for _, _, path, _, _ in KEYS]
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "meta"]
+    fields += [f"meta.{f.name}" for f in dataclasses.fields(MetaConfig)]
+    assert sorted(paths) == sorted(fields)
+    assert len({(section, key) for section, key, *_ in KEYS}) == len(KEYS)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_SPECS = st.one_of(
+    st.just(ChannelModelSpec("rayleigh")),
+    st.builds(ChannelModelSpec, st.just("rician"), kappa=_floats(0.0, 50.0)),
+    st.builds(ChannelModelSpec, st.just("nakagami"), m=_floats(1e-3, 50.0)),
+)
+
+
+@st.composite
+def _configs(draw):
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    k = ints(1, 4)
+    train_size = ints(2, 1000)
+    n_support = ints(1, train_size - 1)
+    frac = draw(_floats(0.0, 1.0))
+    meta = MetaConfig(
+        inner_lr=draw(_floats(0.0, 10.0)), outer_lr=draw(_floats(0.0, 10.0)),
+        n_support=n_support, n_query=ints(1, train_size - n_support),
+        n_tasks=ints(1, 100), inner_steps=ints(0, 10), adapt_steps=ints(0, 10),
+        epochs=ints(0, 1000), width=ints(1, 128), batch_size=ints(1, 100),
+        loss_variant=draw(st.sampled_from(["corrected", "verbatim"])),
+    )
+    return ExperimentConfig(
+        seed=ints(0, 2**32), n=ints(1, 8), k=k,
+        sigma2=draw(_floats(1e-3, 1e3)),
+        snr_db=draw(st.lists(_floats(-100.0, 100.0), max_size=5)),
+        alpha=draw(st.none() | st.lists(_floats(0.0, 10.0), min_size=k, max_size=k)),
+        train_mix=[(draw(_SPECS), frac), (draw(_SPECS), 1.0 - frac)],
+        train_size=train_size, train_snr_db=draw(_floats(-100.0, 100.0)),
+        test_channel=draw(_SPECS), test_size=ints(1, 500), test_seeds=ints(1, 10),
+        slots=ints(1, 100), slot_size=ints(1, 100), meta=meta,
+        capacity=ints(0, 256), mem_adapt_steps=ints(1, 10),
+        rank_pool=draw(st.sampled_from(["retained", "union"])),
+        methods=draw(st.lists(st.sampled_from(METHODS), unique=True)),
+        wmmse_restarts=ints(0, 10), emit_json=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_configs())
+def test_echo_round_trip_property(cfg):
+    assert parse_config_text(render_config(cfg)) == cfg
+
+
+def test_readme_config_blocks_match_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 2
+    text = "".join(blocks)
+    assert parse_config_text(text) == ExperimentConfig()
+    assigned, section = set(), None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            assigned.add((section, line.partition("=")[0].strip()))
+    assert assigned == {(s, k) for s, k, *_ in KEYS} - {("system", "alpha")}

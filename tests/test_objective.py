@@ -145,6 +145,10 @@ def test_config_validation():
         SystemConfig(n=1, k=1, sigma2=1.0, p=float("nan"))
     with pytest.raises(ValueError):
         SystemConfig(n=1, k=2, sigma2=1.0, p=1.0, alpha=(1.0,))
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            SystemConfig(n=1, k=2, sigma2=1.0, p=1.0, alpha=(bad, 1.0))
+    assert SystemConfig(n=1, k=2, sigma2=1.0, p=1.0, alpha=(0.0, 2.5)).alpha == (0.0, 2.5)
 
 
 @settings(max_examples=60, deadline=None)

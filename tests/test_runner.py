@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from metabeam import channels, memory, meta, nn, objective, pipeline, runner
-from metabeam.config import ExperimentConfig
+from metabeam.config import ExperimentConfig, system_for
 from metabeam.errors import NumericalError
 from metabeam.meta import MetaConfig
 from metabeam.runner import ResultRow
@@ -31,11 +31,11 @@ def tiny_cfg(**overrides):
 
 def test_system_for_power_grid():
     cfg = tiny_cfg(sigma2=2.0)
-    sys_cfg = runner.system_for(cfg, 10.0)
+    sys_cfg = system_for(cfg, 10.0)
     assert sys_cfg.p == pytest.approx(20.0)
     assert sys_cfg.sigma2 == 2.0
     assert (sys_cfg.n, sys_cfg.k) == (2, 2)
-    assert runner.system_for(cfg, 0.0).p == pytest.approx(2.0)
+    assert system_for(cfg, 0.0).p == pytest.approx(2.0)
 
 
 def test_train_dataset_and_init_are_method_independent():
@@ -72,7 +72,7 @@ def test_wmmse_rows_match_k1_closed_form(tmp_path):
     rows = runner.run_eval(cfg, "wmmse", str(tmp_path))
     assert len(rows) == 2  # one final row per (snr, seed)
     for snr_idx, snr_db in enumerate(cfg.snr_db):
-        sys_cfg = runner.system_for(cfg, snr_db)
+        sys_cfg = system_for(cfg, snr_db)
         for seed in range(cfg.test_seeds):
             rng = rng_for(cfg.seed, "test", "eval", snr_idx, seed)
             data = channels.sample_channels(rng, cfg.test_channel, cfg.test_size, cfg.n, cfg.k)
