@@ -10,12 +10,13 @@ Nodes refer to their tape weakly, so a tape and its nodes hold no reference
 cycle and are freed by reference counting as soon as the caller drops them;
 recording on a node whose tape is gone raises.
 
-Besides a few elementwise primitives the tape has coarse nodes whose
-backward is written in closed form: mlp runs a whole ReLU network as one
-node, and csolve_hpd solves batched complex Hermitian positive definite
-systems (complex values travel as stacked real and imaginary parts). Callers
-record their own closed-form nodes through Tape.record, as the rate loss of
-pipeline.reconstruct_and_loss does.
+The tape has no elementwise primitives, only coarse nodes whose backward is
+written in closed form: mlp runs a whole ReLU network as one node,
+csolve_hpd solves batched complex Hermitian positive definite systems
+(complex values travel as stacked real and imaginary parts), and reduce_sum
+sums a per-task loss. Callers record their own closed-form nodes through
+Tape.record, as pipeline.reconstruct_and_loss does for the predictor head
+and the rate loss.
 """
 
 import weakref
@@ -116,70 +117,6 @@ def grad(tape, loss, wrt):
     return out
 
 
-def _unbroadcast(g, shape):
-    """Reduce a gradient back to the shape the operand had before broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def _unary(a, value, backward, op):
-    return a.tape.record(value, (a,), lambda g: (backward(g),), op)
-
-
-def add(a, b):
-    sa, sb = a.value.shape, b.value.shape
-    return a.tape.record(
-        a.value + b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
-        "add",
-    )
-
-
-def mul(a, b):
-    av, bv = a.value, b.value
-    return a.tape.record(
-        av * bv,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * bv, av.shape) if a.requires_grad else None,
-            _unbroadcast(g * av, bv.shape) if b.requires_grad else None,
-        ),
-        "mul",
-    )
-
-
-def add_const(a, c):
-    return _unary(a, a.value + c, lambda g: g, "add_const")
-
-
-def scale(a, c):
-    """Product with a constant that broadcasts to a's shape (a scalar, or
-    e.g. per-user weights along the last axis)."""
-    return _unary(a, a.value * c, lambda g: g * c, "scale")
-
-
-def square(a):
-    av = a.value
-    return _unary(a, av * av, lambda g: g * (2.0 * av), "square")
-
-
-def softplus(a):
-    """log(1 + exp(x)), computed stably; derivative is the logistic sigmoid."""
-    av = a.value
-    out = np.logaddexp(0.0, av)
-    with np.errstate(over="ignore"):  # exp(-x) -> inf gives the exact limit 0
-        sig = 1.0 / (1.0 + np.exp(-av))
-    return _unary(a, out, lambda g: g * sig, "softplus")
-
-
 def mlp(x, weights, biases):
     """ReLU MLP as one node: affine, ReLU, ..., affine (linear output).
 
@@ -187,7 +124,7 @@ def mlp(x, weights, biases):
     (T, B, i) with one weight (T, i, o) and bias (T, 1, o) per task. The
     backward runs, layer by layer from the output, the float operations of
     the matmul/add/ReLU chain it stands for: g <- g * mask below the output
-    layer, db = g summed over the broadcast axes, dW = h^T g, g <- g W^T.
+    layer, db = g summed over the batch axis, dW = h^T g, g <- g W^T.
     """
     inputs, masks = [], []
     h = x.value
@@ -208,7 +145,7 @@ def mlp(x, weights, biases):
         for i in range(last, -1, -1):
             if i != last:
                 g = g * masks[i]
-            grads[2 * i + 1] = _unbroadcast(g, biases[i].value.shape)
+            grads[2 * i + 1] = g.sum(axis=-2).reshape(biases[i].value.shape)
             grads[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g
             if i or x.requires_grad:
                 g = g @ np.swapaxes(weights[i].value, -1, -2)
@@ -220,36 +157,8 @@ def mlp(x, weights, biases):
 
 def reduce_sum(a):
     av = a.value
-    return _unary(a, av.sum(), lambda g: np.broadcast_to(g, av.shape).copy(), "sum")
-
-
-def reshape(a, shape):
-    av = a.value
-    return _unary(a, av.reshape(shape), lambda g: g.reshape(av.shape), "reshape")
-
-
-def take_cols(a, j0, j1):
-    """Column slice along the last axis, with scatter-back adjoint."""
-    av = a.value
-
-    def backward(g):
-        out = np.zeros_like(av)
-        out[..., j0:j1] = g
-        return out
-
-    return _unary(a, av[..., j0:j1], backward, "take_cols")
-
-
-def weighted_const_sum(coeff, tensors):
-    """einsum('bk,bk...->b...') with constant per-coefficient tensors.
-
-    coeff is a (B, K) node, tensors a constant (B, K, N, N) array; the result
-    is the coefficient-weighted sum of the constant blocks, e.g. the Hermitian
-    quadratic term assembled from per-user rank-one outer products.
-    """
-    out = np.einsum("bk,bkij->bij", coeff.value, tensors)
-    return _unary(coeff, out, lambda g: np.einsum("bij,bkij->bk", g, tensors),
-                  "weighted_const_sum")
+    return a.tape.record(av.sum(), (a,), lambda g: (np.broadcast_to(g, av.shape).copy(),),
+                         "sum")
 
 
 def csolve_hpd(s_re, s_im, mu, rhs):

@@ -17,6 +17,10 @@ _HEADER = struct.Struct("<5sIII")  # magic, N, K, count (little-endian u32)
 _MAX_ENTRIES = 1 << 28  # refuse absurd allocations from corrupt headers
 
 
+# The one parameter each family reads (None: it reads none).
+FAMILY_PARAM = {"rayleigh": None, "rician": "kappa", "nakagami": "m"}
+
+
 @dataclass(frozen=True)
 class ChannelModelSpec:
     """A named fading family plus its parameters.
@@ -31,7 +35,7 @@ class ChannelModelSpec:
     m: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("rayleigh", "rician", "nakagami"):
+        if self.family not in FAMILY_PARAM:
             raise ValueError(f"unknown channel family {self.family!r}")
         if self.family == "rician" and not 0 <= self.kappa < np.inf:
             raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa}")

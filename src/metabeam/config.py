@@ -40,9 +40,14 @@ def parse_channel_term(text):
             except ValueError as exc:
                 raise ConfigError(f"bad numeric value in channel term {text!r}") from exc
     try:
-        return ChannelModelSpec(family=name, **kwargs)
+        spec = ChannelModelSpec(family=name, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad channel term {text!r}: {exc}") from exc
+    param = channels.FAMILY_PARAM[name]
+    unused = sorted(kwargs.keys() - {param})
+    if unused:
+        raise ConfigError(f"{name} reads {param or 'no parameter'}, not {unused[0]!r}")
+    return spec
 
 
 def parse_mix(text):
@@ -69,7 +74,7 @@ def format_float(v):
 
 
 def render_channel_term(spec):
-    param = {"rician": "kappa", "nakagami": "m"}.get(spec.family)
+    param = channels.FAMILY_PARAM[spec.family]
     if param is None:
         return spec.family
     return f"{spec.family}({param}={format_float(getattr(spec, param))})"
@@ -167,21 +172,26 @@ def _one_of(*choices):
     return lambda v: v in choices or f"must be {'|'.join(choices)}, got {v!r}"
 
 
+def _nonempty(values):
+    return bool(values) or "must name at least one value"
+
+
 def _known_methods(names):
     unknown = [m for m in names if m not in METHODS]
-    return not unknown or f"unknown method {unknown[0]!r}; known: {', '.join(METHODS)}"
+    return (f"unknown method {unknown[0]!r}; known: {', '.join(METHODS)}" if unknown
+            else _nonempty(names))
 
 
 # One row per key, in echo order: (section, key, attribute path, parser,
 # check). A check returns True or the reason the value is rejected. The
-# [system] keys and train.snr_db have no check of their own: _validate
+# [system] keys and train.snr_db have no range check of their own: _validate
 # builds the SystemConfig of every SNR they define, which checks them.
 KEYS = (
     ("run", "seed", "seed", int, None),
     ("system", "n", "n", int, None),
     ("system", "k", "k", int, None),
     ("system", "sigma2", "sigma2", float, None),
-    ("system", "snr_db", "snr_db", _parse_float_list, None),
+    ("system", "snr_db", "snr_db", _parse_float_list, _nonempty),
     ("system", "alpha", "alpha", _parse_float_list, None),
     ("train", "mix", "train_mix", parse_mix,
      lambda mix: _reason(channels.check_mixture, mix)),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DataFormatError, NumericalError
 
 CHECKPOINT_MAGIC = b"MMLP1"
@@ -135,13 +134,8 @@ def stack_params(params, t):
     return [np.repeat(a.reshape(1, -1, a.shape[-1]), t, axis=0) for a in params.arrays()]
 
 
-def mlp_forward(net_leaves, x):
-    """ReLU MLP on the tape, one node: affine, ReLU, ..., affine (linear output)."""
-    return ad.mlp(x, net_leaves.weights, net_leaves.biases)
-
-
 def mlp_forward_np(net, x):
-    """Forward-only twin of mlp_forward on plain arrays."""
+    """Forward-only twin of autodiff.mlp on plain arrays."""
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):

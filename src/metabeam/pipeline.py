@@ -4,23 +4,21 @@ Given a batch of channels, three small MLPs predict the decomposed solver
 state (u, w, mu); the beamformer is rebuilt in closed form through a batched
 Hermitian solve, scaled to the power budget, and scored by the negated
 average rate. The whole chain runs on the autodiff tape, so gradients flow
-from the rate loss back into the network parameters. The tape holds one node
-per net, a few elementwise nodes for the output maps and the coefficients of
-S, the Hermitian solve, and one rate-loss node with a closed-form backward
-for everything after the solve. The forward-only twin rebuilds its
-beamformers through wmmse.reconstruct_v, the solver's own reconstruction, so
-the solver, the twin and the tape's solve node share linalg.hpd_solve and
-its singularity policy. The tape and the twin share the matched-filter
-input (wmmse.mrt_beamformer), the column scales (wmmse.column_scales), the
-power projection (linalg.scale_to_power) and the rate terms
-(objective.gains and objective.signal_denom).
+from the rate loss back into the network parameters. After one node per net
+the tape holds closed-form nodes only: Re S and Im S and mu on the raw net
+outputs, the Hermitian solve, and one rate-loss node for everything after
+the solve. Their forward values come from the forward-only twin's own code:
+the output maps (_heads), the S assembly (wmmse.assemble_s), the solve
+(linalg.hpd_solve, through wmmse.reconstruct_v in the twin), the column
+scales (wmmse.column_scales), the power projection (linalg.scale_to_power)
+and the rate terms (objective.gains and objective.signal_denom). So the
+tape's beamformers equal the twin's to the bit, and the solver, the twin and
+the tape share one singularity policy.
 
 Input encoding (per sample, length 4*N*K):
     [Re H (row-major K x N), Im H, Re V_cur (row-major N x K), Im V_cur]
 where V_cur is the matched-filter beamformer at full power.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,53 +45,6 @@ def encode_features(h_batch, v_current):
         ],
         axis=1,
     )
-
-
-@dataclass
-class ComponentNodes:
-    """Tape nodes for the predicted decomposition of a batch."""
-
-    u_re: object  # (B, K)
-    u_im: object  # (B, K)
-    w: object  # (B, K), >= 1
-    mu: object  # (B,), >= mu_floor
-
-
-def predict_components(tape, leaves, features, cfg):
-    """Run the three nets on encoded features and apply the output maps.
-
-    u is read raw as K (re, im) pairs; w = 1 + softplus(.) >= 1 mirrors the
-    weight identity w = 1 + SINR; mu = softplus(.) + mu_floor stays positive
-    so the downstream solve is always definite.
-
-    Task-batched features (T, B, 4NK) run through per-task leaves (see
-    nn.leaves_for); the components then come out flattened to T*B samples.
-    """
-    k = cfg.k
-    x = tape.const(features)
-    u_raw = nn.mlp_forward(leaves.u_net, x)
-    w_raw = nn.mlp_forward(leaves.w_net, x)
-    mu_raw = nn.mlp_forward(leaves.mu_net, x)
-    if features.ndim == 3:
-        u_raw = ad.reshape(u_raw, (-1, 2 * k))
-        w_raw = ad.reshape(w_raw, (-1, k))
-    u_re = ad.take_cols(u_raw, 0, k)
-    u_im = ad.take_cols(u_raw, k, 2 * k)
-    w = ad.add_const(ad.softplus(w_raw), 1.0)
-    mu = ad.add_const(ad.softplus(ad.reshape(mu_raw, (-1,))), mu_floor(cfg))
-    return ComponentNodes(u_re=u_re, u_im=u_im, w=w, mu=mu)
-
-
-def _outer_products(h_batch):
-    """Constant per-user outer products h_k h_k^H split into re/im parts.
-
-    Returns (B, K, N, N) float arrays (t_re, t_im) with
-    h h^H = t_re + i t_im for each user row.
-    """
-    hr, hi = h_batch.real, h_batch.imag
-    t_re = np.einsum("bkn,bkm->bknm", hr, hr) + np.einsum("bkn,bkm->bknm", hi, hi)
-    t_im = np.einsum("bkn,bkm->bknm", hi, hr) - np.einsum("bkn,bkm->bknm", hr, hi)
-    return t_re, t_im
 
 
 def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
@@ -127,26 +78,81 @@ def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
         raise ValueError(f"unknown reduction {reduction!r}")
     h_batch = h_batch.reshape(-1, k, n)
     features = encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
-    comps = predict_components(
-        tape, leaves, features.reshape(*tasks, per_task, -1), cfg
-    )
-
-    # c_k = alpha_k |u_k|^2 w_k, the rank-one coefficients of S
-    u2 = ad.add(ad.square(comps.u_re), ad.square(comps.u_im))
-    c = ad.scale(ad.mul(u2, comps.w), cfg.alpha_vec)
-    t_re, t_im = _outer_products(h_batch)
-    s_re = ad.weighted_const_sum(c, t_re)
-    s_im = ad.weighted_const_sum(c, t_im)
-
-    # x_k = (S + mu I)^{-1} h_k for all users at once
-    rhs = np.transpose(h_batch, (0, 2, 1)).copy()
-    x = ad.csolve_hpd(s_re, s_im, comps.mu, rhs)
-    loss, v_hat = _rate_loss(x, comps, h_batch, rhs, cfg, variant, factor, tasks)
+    x = tape.const(features.reshape(*tasks, per_task, -1))
+    raw = (ad.mlp(x, net.weights, net.biases) for net in leaves.nets())
+    loss, v_hat = _head_and_loss(*raw, h_batch, cfg, variant, factor, tasks)
     return loss, v_hat.reshape(*tasks, per_task, n, k)
 
 
-def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
-    """One tape node from the solved columns to the reduced loss.
+def _head_and_loss(u_raw, w_raw, mu_raw, h_batch, cfg, variant, factor, tasks):
+    """Everything after the nets, from their raw output nodes to the loss:
+    Re S and Im S on the raw u and w outputs, mu on the raw mu output, the
+    solve and the rate loss. Returns (loss_node, v) as _rate_loss does.
+
+    The values are the twin's: _heads, then S = wmmse.assemble_s(h, u, w) =
+    sum_k c_k h_k h_k^H with c_k = alpha_k |u_k|^2 w_k. The adjoint G of
+    either part of S gives cbar_k = Re or Im of h_k^T G conj(h_k); with
+    h = a + ib these are a^T G a + b^T G b and b^T G a - a^T G b, so one real
+    batched matmul [a; b] G serves either. Then ubar = 2 alpha w cbar u and
+    wbar = alpha |u|^2 cbar.
+    """
+    tape, k, alpha = u_raw.tape, cfg.k, cfg.alpha_vec
+    u, w, mu = _heads(*(r.value.reshape(len(h_batch), -1) for r in (u_raw, w_raw, mu_raw)),
+                      cfg)
+    s = wmmse.assemble_s(h_batch, u, w, cfg)
+    a, b = h_batch.real, h_batch.imag
+    ab = np.concatenate([a, b], axis=1)  # (B, 2K, N)
+    dc_du, dc_dw = 2.0 * alpha * w * u, alpha * np.abs(u) ** 2
+
+    def s_node(part, partner, op):
+        def backward(g):
+            q = np.einsum("bkn,bkn->bk", ab @ g, partner)
+            c_bar = q[:, :k] + q[:, k:]
+            return _raw_adjoints(u_raw, w_raw, dc_du * c_bar, dc_dw * c_bar)
+
+        return tape.record(part, (u_raw, w_raw), backward, op)
+
+    s_re = s_node(s.real, ab, "s_re")
+    s_im = s_node(s.imag, np.concatenate([-b, a], axis=1), "s_im")
+    sig_mu = _sigmoid(mu_raw.value)
+    mu = tape.record(mu, (mu_raw,), lambda g: (g.reshape(sig_mu.shape) * sig_mu,), "mu")
+    # x_k = (S + mu I)^{-1} h_k for all users at once
+    rhs = np.transpose(h_batch, (0, 2, 1)).copy()
+    x = ad.csolve_hpd(s_re, s_im, mu, rhs)
+    return _rate_loss(x, u_raw, w_raw, u, w, h_batch, rhs, cfg, variant, factor, tasks)
+
+
+def _heads(u_raw, w_raw, mu_raw, cfg):
+    """The output maps from the raw net outputs to (u, w, mu), over any
+    leading axes.
+
+    u is read as K (re, im) pairs; w = 1 + softplus(.) >= 1 mirrors the
+    weight identity w = 1 + SINR; mu = softplus(.) + mu_floor stays positive
+    so the downstream solve is always definite.
+    """
+    k = cfg.k
+    u = u_raw[..., :k] + 1j * u_raw[..., k:]
+    w = 1.0 + np.logaddexp(0.0, w_raw)
+    mu = np.logaddexp(0.0, mu_raw[..., 0]) + mu_floor(cfg)
+    return u, w, mu
+
+
+def _sigmoid(x):
+    """The derivative of softplus, exactly 0 far below zero."""
+    with np.errstate(over="ignore"):  # exp(-x) -> inf gives the exact limit 0
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _raw_adjoints(u_raw, w_raw, u_bar, w_bar):
+    """Adjoints of the raw u and w net outputs (nodes) from those of u
+    (complex, Re + i Im) and of w, through the maps of _heads."""
+    return (np.concatenate([u_bar.real, u_bar.imag], axis=-1).reshape(u_raw.shape),
+            w_bar.reshape(w_raw.shape) * _sigmoid(w_raw.value))
+
+
+def _rate_loss(x, u_raw, w_raw, u, w, h_batch, h_t, cfg, variant, factor, tasks):
+    """One tape node from the solved columns and the raw u and w net outputs
+    to the reduced loss; u and w are the values _heads maps those to.
 
     Forward: the forward twin's arithmetic (wmmse.column_scales,
     scale_to_power, then objective.gains and objective.signal_denom) and
@@ -160,13 +166,13 @@ def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
         [j != k]/denom_k with T the sum of the d_j;
       Gbar = 2 dA2 * G, Vbar = H^T Gbar, Ybar = g Vbar - (g/p) Re<Vbar, Y> Y,
       Xbar = Ybar diag(conj s), sbar_k = sum_n conj(X_nk) Ybar_nk,
-    then ubar = alpha w sbar and wbar = alpha Re(conj(u) sbar).
+    then ubar = alpha w sbar and wbar = alpha Re(conj(u) sbar), mapped onto
+    the raw outputs by _raw_adjoints.
     Returns (loss_node, v) with v the (T*B, N, K) normalized beamformers.
     """
     xv = x.value
     xc = xv[:, 0] + 1j * xv[:, 1]
-    u_re, u_im, w = comps.u_re.value, comps.u_im.value, comps.w.value
-    s = wmmse.column_scales(u_re + 1j * u_im, w, cfg)
+    s = wmmse.column_scales(u, w, cfg)
     y = xc * s[:, None, :]  # x diag(s)
     v, pw = scale_to_power(y, cfg.p)
     gains = objective.gains(h_batch, v)
@@ -197,31 +203,21 @@ def _rate_loss(x, comps, h_batch, h_t, cfg, variant, factor, tasks):
         y_bar = gain[:, None, None] * v_bar - (gain * inner / pw)[:, None, None] * y
         x_bar = y_bar * np.conj(s)[:, None, :]
         s_bar = np.sum(np.conj(xc) * y_bar, axis=1)
-        aw = alpha * w
         return (
             np.stack([x_bar.real, x_bar.imag], axis=1),
-            aw * s_bar.real,
-            aw * s_bar.imag,
-            alpha * (u_re * s_bar.real + u_im * s_bar.imag),
+            *_raw_adjoints(u_raw, w_raw, alpha * w * s_bar,
+                           alpha * (u.real * s_bar.real + u.imag * s_bar.imag)),
         )
 
-    parents = (x, comps.u_re, comps.u_im, comps.w)
-    return x.tape.record(total * factor, parents, backward, "rate_loss"), v
+    return x.tape.record(total * factor, (x, u_raw, w_raw), backward, "rate_loss"), v
 
 
 # Forward-only twin used by evaluation and memory scoring (no tape, no grads).
 
 
 def predict_components_np(params, features, cfg):
-    """(u, w, mu) values on plain arrays; mirrors predict_components."""
-    k = cfg.k
-    u_raw = nn.mlp_forward_np(params.u_net, features)
-    w_raw = nn.mlp_forward_np(params.w_net, features)
-    mu_raw = nn.mlp_forward_np(params.mu_net, features)
-    u = u_raw[:, :k] + 1j * u_raw[:, k : 2 * k]
-    w = 1.0 + np.logaddexp(0.0, w_raw)
-    mu = np.logaddexp(0.0, mu_raw[:, 0]) + mu_floor(cfg)
-    return u, w, mu
+    """(u, w, mu) values on plain arrays: the three nets, then _heads."""
+    return _heads(*(nn.mlp_forward_np(net, features) for net in params.nets()), cfg)
 
 
 def predict_beamformers(params, h_batch, cfg):

@@ -6,10 +6,10 @@ coefficients u, K positive MSE weights w, and one dual scalar mu >= 0; the
 beamformer is reconstructed from that triple in closed form, which is the
 low-dimensional target the predictor networks learn. compute_u, compute_w,
 solve_mu and reconstruct_v also take a leading batch axis (one row per start).
-reconstruct_v also takes a channel batch, for the forward-only predictor
-twin (pipeline.predict_beamformers), and so does mrt_beamformer, which gives
-the predictor's reference beamformer on the tape and in the twin. Rates and
-the (u, w) updates come from objective's one rate core.
+reconstruct_v and assemble_s also take a channel batch, for the
+forward-only predictor twin (pipeline.predict_beamformers) and the tape, and
+so does mrt_beamformer, which gives the predictor's reference beamformer.
+Rates and the (u, w) updates come from objective's one rate core.
 """
 
 from dataclasses import dataclass
@@ -69,8 +69,9 @@ def column_scales(u, w, cfg):
     return cfg.alpha_vec * w * u
 
 
-def _assemble_s(h, u, w, cfg):
-    """S = sum_k alpha_k |u_k|^2 w_k h_k h_k^H, the shared quadratic term."""
+def assemble_s(h, u, w, cfg):
+    """S = sum_k alpha_k |u_k|^2 w_k h_k h_k^H: the one assembly of S, for
+    the solver, the forward twin and the tape's S nodes."""
     coeffs = cfg.alpha_vec * np.abs(u) ** 2 * w
     return hermitian_rank1_sum(coeffs, h)
 
@@ -85,7 +86,7 @@ def reconstruct_v(h, components, cfg, s=None):
     u = np.asarray(components.u, dtype=np.complex128)
     w = np.asarray(components.w, dtype=np.float64)
     if s is None:
-        s = _assemble_s(h, u, w, cfg)
+        s = assemble_s(h, u, w, cfg)
     x = hpd_solve(s, components.mu, np.swapaxes(h, -1, -2))  # (S + mu I)^{-1} h_k
     return x * column_scales(u, w, cfg)[..., None, :]
 
@@ -118,7 +119,7 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
     if np.any(np.all(scales2 == 0.0, axis=-1)):
         raise DegenerateInputError("all reconstruction scales are zero")
     if s is None:
-        s = _assemble_s(h, u, w, cfg)
+        s = assemble_s(h, u, w, cfg)
     # One Hermitian eigendecomposition per row turns each power evaluation
     # into a rational function of mu: power(mu) = sum_n c[n] / (eig_n + mu)^2.
     eigs, q = np.linalg.eigh(s)
@@ -217,7 +218,7 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
             break
         u = compute_u(h, v[run], cfg)
         w = compute_w(h, v[run], cfg)
-        s = _assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
+        s = assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
         mu = solve_mu(h, u, w, cfg, s=s)
         v_new = reconstruct_v(h, ComponentTriple(u, w, mu), cfg, s=s)
         wsr = objective.wsr(h, v_new, cfg)

@@ -93,7 +93,9 @@ def test_parse_channel_terms():
     assert parse_channel_term("rician(kappa=5)") == ChannelModelSpec("rician", kappa=5.0)
     assert parse_channel_term(" nakagami(m=2) ") == ChannelModelSpec("nakagami", m=2.0)
     for bad in ("ricean", "rician(kappa=", "rician(kappa)", "rician(q=1)", "nakagami(m=0)",
-                "rician(kappa=nan)", "rician(kappa=inf)", "nakagami(m=inf)", "nakagami(m=nan)"):
+                "rician(kappa=nan)", "rician(kappa=inf)", "nakagami(m=inf)", "nakagami(m=nan)",
+                "rayleigh(kappa=5)", "nakagami(kappa=2)", "rician(m=2)",
+                "rician(kappa=3, m=2)"):
         with pytest.raises(ConfigError):
             parse_channel_term(bad)
 
@@ -208,6 +210,12 @@ def test_validation_errors():
         ("[train]\nmix = rayleigh=0.7\n", "train.mix"),
         ("[train]\nmix = rayleigh=0.5, rician(kappa=3)=0.6\n", "train.mix"),
         ("[system]\nn = 0\n", "system.n"),
+        # empty lists: no SNR to run at, no method to run
+        ("[system]\nsnr_db =\n", "system.snr_db"),
+        ("[eval]\nmethods =\n", "eval.methods"),
+        # a parameter the family does not read (a typo for m, say)
+        ("[test]\nchannel = rayleigh(kappa=5)\n", "test.channel"),
+        ("[train]\nmix = nakagami(kappa=2)=1\n", "train.mix"),
     ],
     ids=lambda v: " ".join(v.split()),
 )
@@ -288,7 +296,7 @@ def _configs(draw):
     return ExperimentConfig(
         seed=ints(0, 2**32), n=ints(1, 8), k=k,
         sigma2=draw(_floats(1e-3, 1e3)),
-        snr_db=draw(st.lists(_floats(-100.0, 100.0), max_size=5)),
+        snr_db=draw(st.lists(_floats(-100.0, 100.0), min_size=1, max_size=5)),
         alpha=draw(st.none() | st.lists(_floats(0.0, 10.0), min_size=k, max_size=k)),
         train_mix=[(draw(_SPECS), frac), (draw(_SPECS), 1.0 - frac)],
         train_size=train_size, train_snr_db=draw(_floats(-100.0, 100.0)),
@@ -296,7 +304,7 @@ def _configs(draw):
         slots=ints(1, 100), slot_size=ints(1, 100), meta=meta,
         capacity=ints(0, 256), mem_adapt_steps=ints(1, 10),
         rank_pool=draw(st.sampled_from(["retained", "union"])),
-        methods=draw(st.lists(st.sampled_from(METHODS), unique=True)),
+        methods=draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)),
         wmmse_restarts=ints(0, 10), emit_json=draw(st.booleans()),
     )
 

@@ -90,7 +90,7 @@ def test_mlp_forward_tape_matches_np_twin():
     for net in params.nets():
         tape = ad.Tape()
         tree, _ = nn.leaves_for(tape, nn.PredictorParams(net, net, net))
-        out = nn.mlp_forward(tree.u_net, tape.const(x))
+        out = ad.mlp(tape.const(x), tree.u_net.weights, tree.u_net.biases)
         np.testing.assert_allclose(out.value, nn.mlp_forward_np(net, x), atol=1e-12)
 
 

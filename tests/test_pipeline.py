@@ -1,5 +1,7 @@
 """Prediction pipeline: encoding, output ranges, loss identity, twins."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,16 +64,35 @@ def test_predicted_ranges():
 
 
 def test_predict_components_tape_matches_np():
+    # The tape's head nodes hold the twin's values to the bit: mu is the
+    # twin's mu, and Re S and Im S split wmmse.assemble_s of the twin's (u, w).
     rng = np.random.default_rng(3)
     cfg, params, h = setup(rng)
-    feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params)
-    comps = pipeline.predict_components(tape, leaves, feats, cfg)
+    pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+    nodes = {node.op: node for node in tape.nodes}
+    feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
     u, w, mu = pipeline.predict_components_np(params, feats, cfg)
-    np.testing.assert_allclose(comps.u_re.value + 1j * comps.u_im.value, u, atol=1e-13)
-    np.testing.assert_allclose(comps.w.value, w, atol=1e-13)
-    np.testing.assert_allclose(comps.mu.value, mu, atol=1e-13)
+    s = wmmse.assemble_s(h, u, w, cfg)
+    np.testing.assert_array_equal(nodes["mu"].value, mu)
+    np.testing.assert_array_equal(nodes["s_re"].value, s.real)
+    np.testing.assert_array_equal(nodes["s_im"].value, s.imag)
+
+
+def test_softplus_far_negative_is_silent_and_exact():
+    # exp(800) overflows: the head maps and the sigmoid their adjoints use
+    # must still come out exact (w = 1, mu = mu_floor, sigmoid 0) without a
+    # RuntimeWarning.
+    cfg = SystemConfig(n=3, k=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, w, mu = pipeline._heads(np.zeros((1, 6)), np.array([[-800.0, 0.0, 800.0]]),
+                                   np.array([[-800.0]]), cfg)
+        sig = pipeline._sigmoid(np.array([-800.0, 0.0, 800.0]))
+    assert (w[0, 0], w[0, 2]) == (1.0, 801.0)
+    assert mu[0] == pipeline.mu_floor(cfg)
+    np.testing.assert_array_equal(sig, [0.0, 0.5, 1.0])
 
 
 def test_loss_equals_objective_on_reconstruction():
@@ -112,13 +133,25 @@ def test_loss_variants_differ_for_multiuser():
 
 
 def test_forward_twin_matches_tape_reconstruction():
+    # The tape and the twin run the same float operations, so their
+    # beamformers agree to the bit: for a 2-D batch, and for each task of a
+    # task-stacked batch whose tasks hold distinct parameters.
     rng = np.random.default_rng(7)
-    cfg, params, h = setup(rng)
+    cfg, params, h = setup(rng, b=12)
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params)
     _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
-    v_np = pipeline.predict_beamformers(params, h, cfg)
-    np.testing.assert_allclose(v_np, v_hat, atol=1e-12)
+    np.testing.assert_array_equal(v_hat, pipeline.predict_beamformers(params, h, cfg))
+
+    stack = [a * (1.0 + 0.1 * np.arange(3).reshape(3, 1, 1))
+             for a in nn.stack_params(params, 3)]
+    h = h.reshape(3, 4, 3, 3)
+    tape = ad.Tape()
+    leaves, _ = nn.leaves_for(tape, params, stack)
+    _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+    for t in range(3):
+        task = nn.from_arrays([a[t] for a in stack], params)
+        np.testing.assert_array_equal(v_hat[t], pipeline.predict_beamformers(task, h[t], cfg))
 
 
 def test_twin_and_tape_share_the_singularity_policy():
@@ -200,57 +233,98 @@ def test_full_pipeline_gradient_smoke():
     assert ok, f"max relative error {err:.3e}"
 
 
-@pytest.mark.parametrize("variant", ["corrected", "verbatim"])
-@pytest.mark.parametrize("reduction", ["mean", "sum"])
-@pytest.mark.parametrize("tasks", [(), (3,)])
-def test_rate_loss_node_matches_fd(variant, reduction, tasks):
-    # The closed-form adjoint of the node from the solved columns x and the
-    # components (u_re, u_im, w) to the reduced loss, against central
-    # differences in every coordinate. With tasks the per-task losses enter
-    # with distinct weights, so each task's adjoint must reach its own rows.
-    rng = np.random.default_rng(13)
-    per_task, n, k = 4, 3, 3
-    cfg = SystemConfig(n=n, k=k, sigma2=0.5, p=10.0, alpha=(1.0, 0.5, 2.0))
-    b = per_task * int(np.prod(tasks))
-    h = rand_batch(rng, b, k, n)
-    factor = -1.0 / (k * per_task) if reduction == "mean" else -1.0 / k
-    shapes = [(b, 2, n, k), (b, k), (b, k), (b, k)]
+def fd_check_nodes(loss_fn, shapes, x0, tasks, h):
+    """Every-coordinate central-difference check, with step h, of
+    loss_fn(*leaves) with respect to leaves of the given shapes. With tasks
+    the per-task losses enter with distinct weights, so each task's adjoint
+    must reach its own rows."""
     sizes = [int(np.prod(sh)) for sh in shapes]
     task_weights = np.array([1.0, -2.0, 0.5])
 
     def f(vec):
         parts = np.split(vec, np.cumsum(sizes)[:-1])
         tape = ad.Tape()
-        x, u_re, u_im, w = [tape.leaf(p.reshape(sh)) for p, sh in zip(parts, shapes)]
-        comps = pipeline.ComponentNodes(u_re=u_re, u_im=u_im, w=w, mu=None)
-        loss, _ = pipeline._rate_loss(
-            x, comps, h, np.transpose(h, (0, 2, 1)).copy(), cfg, variant, factor, tasks
-        )
+        leaves = [tape.leaf(p.reshape(sh)) for p, sh in zip(parts, shapes)]
+        loss = loss_fn(*leaves)
         if tasks:
             assert loss.shape == tasks
-            loss = ad.reduce_sum(ad.scale(loss, task_weights))
-        grads = ad.grad(tape, loss, [x, u_re, u_im, w])
+            loss = ad.reduce_sum(
+                tape.record(loss.value * task_weights, (loss,),
+                            lambda g: (g * task_weights,))
+            )
+        grads = ad.grad(tape, loss, leaves)
         return float(loss.value), np.concatenate([g.ravel() for g in grads])
 
-    x0 = np.concatenate([
-        rng.standard_normal(sizes[0]),
-        rng.standard_normal(sizes[1]),
-        rng.standard_normal(sizes[2]),
-        1.0 + np.abs(rng.standard_normal(sizes[3])),
-    ])
-    # The node is smooth (no kinks), so a wide step keeps rounding out of the
-    # differences and no probe may be skipped.
-    err, ok, skipped = ad.finite_diff_check(f, x0, h=1e-4, rel_tol=1e-5, kink_tol=1.0)
+    # The nodes are smooth (no kinks), so no probe may be skipped.
+    err, ok, skipped = ad.finite_diff_check(f, x0, h=h, rel_tol=1e-5, kink_tol=1.0)
     assert ok and skipped == 0, f"max relative error {err:.3e}"
 
 
+def head_case(variant, reduction, tasks):
+    rng = np.random.default_rng(13)
+    per_task, n, k = 4, 3, 3
+    cfg = SystemConfig(n=n, k=k, sigma2=0.5, p=10.0, alpha=(1.0, 0.5, 2.0))
+    b = per_task * int(np.prod(tasks))
+    h = rand_batch(rng, b, k, n)
+    factor = -1.0 / (k * per_task) if reduction == "mean" else -1.0 / k
+    raw_shapes = [(*tasks, per_task, 2 * k), (*tasks, per_task, k), (*tasks, per_task, 1)]
+    return rng, cfg, h, factor, raw_shapes
+
+
+@pytest.mark.parametrize("variant", ["corrected", "verbatim"])
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("tasks", [(), (3,)])
+def test_rate_loss_node_matches_fd(variant, reduction, tasks):
+    # The closed-form adjoint of the node from the solved columns x and the
+    # raw u and w net outputs to the reduced loss, against central
+    # differences in every coordinate.
+    rng, cfg, h, factor, (u_shape, w_shape, _) = head_case(variant, reduction, tasks)
+    b, k, n = h.shape
+    rhs = np.transpose(h, (0, 2, 1)).copy()
+
+    def loss_fn(x, u_raw, w_raw):
+        u, w, _ = pipeline._heads(u_raw.value.reshape(b, -1), w_raw.value.reshape(b, -1),
+                                  np.zeros((b, 1)), cfg)
+        loss, _ = pipeline._rate_loss(x, u_raw, w_raw, u, w, h, rhs, cfg, variant, factor,
+                                      tasks)
+        return loss
+
+    shapes = [(b, 2, n, k), u_shape, w_shape]
+    x0 = rng.standard_normal(sum(int(np.prod(sh)) for sh in shapes))
+    # a wide step keeps rounding out of the differences
+    fd_check_nodes(loss_fn, shapes, x0, tasks, h=1e-4)
+
+
+@pytest.mark.parametrize("variant", ["corrected", "verbatim"])
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("tasks", [(), (3,)])
+def test_head_nodes_match_fd(variant, reduction, tasks):
+    # The Re S, Im S and mu nodes, through the solve and the rate loss, from
+    # the raw outputs of all three nets, against central differences in
+    # every coordinate.
+    rng, cfg, h, factor, shapes = head_case(variant, reduction, tasks)
+
+    def loss_fn(u_raw, w_raw, mu_raw):
+        loss, _ = pipeline._head_and_loss(u_raw, w_raw, mu_raw, h, cfg, variant, factor,
+                                          tasks)
+        return loss
+
+    x0 = rng.standard_normal(sum(int(np.prod(sh)) for sh in shapes))
+    # The solve makes the chain curved enough that the truncation error of
+    # a 1e-4 step (which falls as h^2) reaches 3e-5 on a small gradient.
+    fd_check_nodes(loss_fn, shapes, x0, tasks, h=1e-5)
+
+
 def test_reference_shape_pass_records_at_most_40_nodes():
-    # N = K = 3, width-64 nets, B = 40: 18 parameter leaves, the features,
-    # one node per net and one rate-loss node after the solve.
+    # N = K = 3, width-64 nets, B = 40: exactly 27 nodes, namely 18 parameter
+    # leaves, the features, one node per net, Re S, Im S, mu, the solve and
+    # one rate-loss node after it.
     rng = np.random.default_rng(14)
     cfg, params, h = setup(rng, b=40, width=64)
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params)
     pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
-    assert len(tape) <= 40
-    assert [node.op for node in tape.nodes].count("mlp") == 3
+    assert [node.op for node in tape.nodes] == (
+        ["leaf"] * 18 + ["const"] + ["mlp"] * 3
+        + ["s_re", "s_im", "mu", "csolve_hpd", "rate_loss"]
+    )
