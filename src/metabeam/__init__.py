@@ -20,12 +20,11 @@ from .meta import MetaConfig, TrainLog
 from .memory import MemoryEntry, MemorySet
 from .nn import MlpParams, PredictorParams
 from .objective import SystemConfig
-from .wmmse import ComponentTriple, OracleResult, WmmseResult
+from .wmmse import OracleResult, WmmseResult
 
 __all__ = [
     "CapabilityError",
     "ChannelModelSpec",
-    "ComponentTriple",
     "ConfigError",
     "DataFormatError",
     "DegenerateInputError",

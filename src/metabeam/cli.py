@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen-data, train, eval, figure, oracle, gradcheck; the global
-flags go before or after the subcommand. Exit codes: 0 success, 1 usage or
+Subcommands: gen-data, train, eval, figure, oracle, gradcheck (which checks
+the configured loss through training's own tape pass); the global flags go
+before or after the subcommand. Exit codes: 0 success, 1 usage or
 configuration error, 2 numerical failure.
 """
 
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from . import channels, nn, pipeline, runner, wmmse
+from . import channels, meta, nn, runner, wmmse
 from .config import METHODS, ExperimentConfig, parse_config, system_for
 from .errors import (
     ConfigError,
@@ -58,11 +59,12 @@ def _cmd_train(args):
 def _cmd_eval(args):
     cfg = _load_config(args)
     out_dir = args.out or "out"
+    if args.checkpoint and args.method not in runner.CHECKPOINT_OF:
+        raise ValueError(f"--method {args.method} reads no checkpoint")
     os.makedirs(out_dir, exist_ok=True)
     if args.checkpoint:
         # place the provided checkpoint where run_eval expects it
-        wanted = "unsupervised" if args.method == "unsupervised" else "maml"
-        target = runner.checkpoint_path(out_dir, wanted)
+        target = runner.checkpoint_path(out_dir, runner.CHECKPOINT_OF[args.method])
         if os.path.abspath(args.checkpoint) != os.path.abspath(target):
             nn.save_checkpoint(target, nn.load_checkpoint(args.checkpoint))
     rows = runner.run_eval(cfg, args.method, out_dir, verbose=args.verbose)
@@ -111,13 +113,10 @@ def _cmd_gradcheck(args):
     rng = rng_for(cfg.seed, "gradcheck")
 
     def make_f(h_batch, params):
-        def f(vec):
-            p = nn.unpack(vec, params)
-            tape = ad.Tape()
-            leaves, flat = nn.leaves_for(tape, p)
-            loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h_batch, sys_cfg)
-            gs = ad.grad(tape, loss, flat)
-            return float(loss.value), np.concatenate([g.ravel() for g in gs])
+        def f(vec):  # the configured loss, by training's own tape pass
+            loss, grads = meta._loss_and_grad(
+                nn.unpack(vec, params), h_batch, sys_cfg, cfg.meta, "mean")
+            return float(loss), np.concatenate([g.ravel() for g in grads])
 
         return f
 
@@ -170,7 +169,7 @@ def build_parser():
 
     p_eval = add("eval", help="evaluate one method over the SNR grid")
     p_eval.add_argument("--method", choices=METHODS, required=True)
-    p_eval.add_argument("--checkpoint", help="checkpoint file for learned methods")
+    p_eval.add_argument("--checkpoint", help="checkpoint of " + ", ".join(runner.CHECKPOINT_OF))
 
     p_fig = add("figure", help="produce one comparison figure's data")
     p_fig.add_argument("--figure", choices=tuple(runner.FIGURE_CHANNELS), required=True)

@@ -1,7 +1,8 @@
 """Complex linear algebra helpers for small dense systems.
 
-All routines work on numpy complex128 arrays. Channel vectors are 1-D of
-length N; beamformer matrices are (N, K) with one column per user.
+All routines work on numpy complex128 arrays, over any leading batch axes.
+A channel is a (K, N) array of K row vectors; beamformer matrices are
+(N, K) with one column per user.
 hpd_solve is the package's one Hermitian positive definite solve: the WMMSE
 solver, the forward-only twin and the tape's solve node share its policy.
 """
@@ -14,35 +15,25 @@ from .errors import DegenerateInputError, SingularMatrixError
 PIVOT_RTOL = 1e-12
 
 
-def hermitian_rank1_sum(coeffs, vectors, n=None):
+def hermitian_rank1_sum(coeffs, vectors):
     """Sum of rank-one terms c_k * h_k h_k^H.
 
-    coeffs: real nonnegative, shape (K,) or batched (..., K). vectors: K
-    vectors of length N, either shared by every batch row (a sequence of 1-D
-    arrays, or an array of shape (K, N)) or one set per row, shape
-    (..., K, N). n is required when the sum is empty and fixes the output
-    size.
+    coeffs: real nonnegative, shape (K,) or batched (..., K). vectors: an
+    array of K vectors of length N, either (K, N), shared by every batch row,
+    or one set per row, (..., K, N).
 
     Returns (..., N, N) Hermitian PSD complex matrices; the construction makes
     each result exactly equal to its own conjugate transpose.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    try:
-        vectors = np.asarray(vectors, dtype=np.complex128)
-    except ValueError as exc:
-        raise ValueError("all vectors must share the same length") from exc
-    k = vectors.shape[-2] if vectors.ndim > 1 else len(vectors)
-    if coeffs.shape[-1:] != (k,):
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    if coeffs.shape[-1:] != vectors.shape[-2:-1]:
         raise ValueError(
             f"need one coefficient per vector, got {coeffs.shape[-1:]} coeffs "
-            f"and {k} vectors"
+            f"and {vectors.shape[-2:-1]} vectors"
         )
     if np.any(coeffs < 0):
         raise ValueError("coefficients must be nonnegative")
-    if k == 0:
-        if n is None:
-            raise ValueError("empty sum needs an explicit size n")
-        return np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.complex128)
     out = np.einsum("...k,...kn,...km->...nm", coeffs, vectors, vectors.conj())
     # Mirrored entries of (S + S^H)/2 evaluate the same expression, so the
     # result equals its conjugate transpose to the bit (the sum alone does

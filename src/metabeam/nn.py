@@ -2,9 +2,10 @@
 
 The predictor holds three small ReLU MLPs (u-net, w-net, mu-net) sharing one
 input encoding. Parameters live in plain numpy arrays. Adam flattens them
-into a single vector (pack/unpack); plain SGD steps each leaf's array, or a
-stack of per-task copies of it (stack_params), and from_arrays rebuilds the
-parameters from such per-leaf arrays.
+into a single vector (pack/unpack), and a checkpoint's payload is that
+vector; plain SGD steps each leaf's array, or a stack of per-task copies of
+it (stack_params), and from_arrays rebuilds the parameters from such
+per-leaf arrays.
 """
 
 import itertools
@@ -176,11 +177,12 @@ def save_checkpoint(path, params):
     """Write params to a binary file.
 
     Layout: magic "MMLP1", u32 net count, then per net a u32 layer-size list
-    (count followed by sizes), then every weight matrix (row-major) and bias
-    in order as float64 little-endian. Raises NumericalError, writing
-    nothing, when any parameter is NaN or infinite.
+    (count followed by sizes), then pack(params) as float64 little-endian
+    (each weight matrix row-major, then its bias, in order). Raises
+    NumericalError, writing nothing, when any parameter is NaN or infinite.
     """
-    if not all(np.all(np.isfinite(a)) for a in params.arrays()):
+    vec = pack(params)
+    if not np.isfinite(vec).all():
         raise NumericalError(f"refusing to write non-finite parameters to {path}")
     nets = params.nets()
     with open(path, "wb") as fh:
@@ -189,8 +191,7 @@ def save_checkpoint(path, params):
         for net in nets:
             sizes = net.sizes
             fh.write(struct.pack(f"<I{len(sizes)}I", len(sizes), *sizes))
-        for arr in params.arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(vec.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -204,7 +205,7 @@ def load_checkpoint(path):
     offset += 4
     if net_count != 3:
         raise DataFormatError(f"expected 3 nets, header says {net_count}")
-    all_sizes = []
+    layers = []  # per net, its (fan_in, fan_out) pairs
     for _ in range(net_count):
         if offset + 4 > len(blob):
             raise DataFormatError(f"truncated header at byte {offset}")
@@ -213,26 +214,20 @@ def load_checkpoint(path):
         if n_sizes < 2 or n_sizes > 64 or offset + 4 * n_sizes > len(blob):
             raise DataFormatError(f"implausible layer count {n_sizes} at byte {offset}")
         sizes = struct.unpack_from(f"<{n_sizes}I", blob, offset)
+        layers.append(list(zip(sizes, sizes[1:])))
         offset += 4 * n_sizes
-        all_sizes.append(list(sizes))
-    nets = []
-    for sizes in all_sizes:
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            need = (fan_in * fan_out + fan_out) * 8
-            if offset + need > len(blob):
-                raise DataFormatError(
-                    f"truncated payload at byte {offset}, need {need} more"
-                )
-            w = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=offset)
-            offset += fan_in * fan_out * 8
-            b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-            offset += fan_out * 8
-            weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
-            biases.append(b.astype(np.float64))
-        nets.append(MlpParams(weights=weights, biases=biases))
-    if offset != len(blob):
+    need = 8 * sum(i * o + o for net in layers for i, o in net)
+    if offset + need > len(blob):
+        raise DataFormatError(f"truncated payload at byte {offset}, need {need} bytes")
+    if offset + need < len(blob):
         raise DataFormatError(
-            f"{len(blob) - offset} trailing bytes after payload at byte {offset}"
+            f"{len(blob) - offset - need} trailing bytes after payload at byte "
+            f"{offset + need}"
         )
-    return PredictorParams(*nets)
+    # a shape-only template: unpack reads nothing but its leaves' shapes
+    template = PredictorParams(*(
+        MlpParams([np.empty((i, o)) for i, o in net], [np.empty(o) for _, o in net])
+        for net in layers
+    ))
+    return unpack(np.frombuffer(blob, dtype="<f8", count=need // 8, offset=offset),
+                  template)

@@ -228,8 +228,8 @@ def predict_beamformers(params, h_batch, cfg):
     """
     h_batch = np.asarray(h_batch, dtype=np.complex128)
     features = encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
-    comps = wmmse.ComponentTriple(*predict_components_np(params, features, cfg))
-    return normalize_to_power(wmmse.reconstruct_v(h_batch, comps, cfg), cfg.p)
+    v = wmmse.reconstruct_v(h_batch, *predict_components_np(params, features, cfg), cfg)
+    return normalize_to_power(v, cfg.p)
 
 
 def evaluate_wsr(params, h_batch, cfg):

@@ -20,6 +20,8 @@ from .linalg import normalize_to_power
 from .seeding import rng_for
 
 RESULT_HEADER = "method,snr_db,seed,slot,wsr_mean,wsr_std,samples"
+# The checkpoint each learned method's eval reads; mml reuses maml's.
+CHECKPOINT_OF = {"unsupervised": "unsupervised", "maml": "maml", "mml": "maml"}
 
 
 @dataclass(frozen=True)
@@ -152,10 +154,9 @@ def run_eval(cfg, method, out_dir, capacity=None, verbose=False):
     checkpoint. capacity overrides the configured memory size for mml.
     """
     rows = []
-    needs_ckpt = {"unsupervised": "unsupervised", "maml": "maml", "mml": "maml"}
     params = None
-    if method in needs_ckpt:
-        path = checkpoint_path(out_dir, needs_ckpt[method])
+    if method in CHECKPOINT_OF:
+        path = checkpoint_path(out_dir, CHECKPOINT_OF[method])
         if not os.path.exists(path):
             raise FileNotFoundError(
                 f"{method} needs a checkpoint at {path}; run training first"

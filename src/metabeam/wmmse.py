@@ -4,12 +4,13 @@ The weighted-MMSE alternating solver maximizes the weighted sum rate under a
 total power budget. Each iterate is summarized by K complex receiver
 coefficients u, K positive MSE weights w, and one dual scalar mu >= 0; the
 beamformer is reconstructed from that triple in closed form, which is the
-low-dimensional target the predictor networks learn. compute_u, compute_w,
-solve_mu and reconstruct_v also take a leading batch axis (one row per start).
-reconstruct_v and assemble_s also take a channel batch, for the
-forward-only predictor twin (pipeline.predict_beamformers) and the tape, and
-so does mrt_beamformer, which gives the predictor's reference beamformer.
-Rates and the (u, w) updates come from objective's one rate core.
+low-dimensional target the predictor networks learn. compute_u, compute_w
+and reconstruct_v also take a leading batch axis (one row per start), and
+solve_mu takes rows only: one start is a one-row call. reconstruct_v and
+assemble_s also take a channel batch, for the forward-only predictor twin
+(pipeline.predict_beamformers) and the tape, and so does mrt_beamformer,
+which gives the predictor's reference beamformer. Rates and the (u, w)
+updates come from objective's one rate core.
 """
 
 from dataclasses import dataclass
@@ -27,18 +28,8 @@ from .linalg import (
 
 
 @dataclass
-class ComponentTriple:
-    """Decomposed WMMSE state: receiver gains u, MSE weights w, dual mu."""
-
-    u: np.ndarray  # (K,) complex128, or (S, K) for a batch of S triples
-    w: np.ndarray  # (K,) float64, or (S, K)
-    mu: float  # or an (S,) array
-
-
-@dataclass
 class WmmseResult:
     v: np.ndarray  # (N, K) beamformer
-    components: ComponentTriple  # triple recomputed at the returned iterate
     iterations: int
     wsr_trace: np.ndarray  # WSR of each iterate, initial point included
     converged: bool  # the winning start stopped on eps, not at max_iters
@@ -76,31 +67,31 @@ def assemble_s(h, u, w, cfg):
     return hermitian_rank1_sum(coeffs, h)
 
 
-def reconstruct_v(h, components, cfg, s=None):
+def reconstruct_v(h, u, w, mu, cfg, s=None):
     """Closed-form beamformer v_k = alpha_k w_k u_k (S + mu I)^{-1} h_k.
 
-    h is one (K, N) channel shared by every row of the components, or a
-    channel batch (B, K, N) with one (u, w, mu) row per channel. s, when
-    given, is S already assembled from the same (u, w).
+    u (complex) and w (real) are (K,) with a scalar mu, or rows (S, K) with
+    mu (S,). h is one (K, N) channel shared by every row, or a channel batch
+    (B, K, N) with one (u, w, mu) row per channel. s, when given, is S
+    already assembled from the same (u, w).
     """
-    u = np.asarray(components.u, dtype=np.complex128)
-    w = np.asarray(components.w, dtype=np.float64)
     if s is None:
         s = assemble_s(h, u, w, cfg)
-    x = hpd_solve(s, components.mu, np.swapaxes(h, -1, -2))  # (S + mu I)^{-1} h_k
+    x = hpd_solve(s, mu, np.swapaxes(h, -1, -2))  # (S + mu I)^{-1} h_k
     return x * column_scales(u, w, cfg)[..., None, :]
 
 
 def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
     """Smallest mu >= 0 putting the reconstructed power at the budget.
 
-    u and w are (K,) for one triple, which returns a float, or (S, K) for S
-    triples, which returns one mu per row. The reconstructed power is
-    strictly decreasing in mu: returns 0 when the power at mu = 0 is already
-    within budget, otherwise a mu with power in [P (1 - rtol), P]. Raises
-    DegenerateInputError when all reconstruction scales of a row vanish (the
-    power can then never reach P), and SingularMatrixError when the budget is
-    unreachable or the search has not converged after max_iters steps.
+    u (complex) and w (real) are (S, K) rows, one triple each, and h is the
+    (K, N) channel they share; returns one mu per row, (S,). The
+    reconstructed power is strictly decreasing in mu: returns 0 when the
+    power at mu = 0 is already within budget, otherwise a mu with power in
+    [P (1 - rtol), P]. Raises DegenerateInputError when all reconstruction
+    scales of a row vanish (the power can then never reach P), and
+    SingularMatrixError when the budget is unreachable or the search has not
+    converged after max_iters steps.
 
     With fewer users than antennas S can be rank deficient while the budget
     is slack (the unconstrained optimum). The mu -> 0+ limit of the
@@ -109,12 +100,8 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
     trace(S) that keeps the downstream Cholesky solve positive definite and
     perturbs that limit by a negligible relative amount.
 
-    s, when given, is S already assembled from the same (S, K) rows of
-    (u, w), shape (S, N, N).
+    s, when given, is S already assembled from the same rows, (S, N, N).
     """
-    single = np.ndim(u) == 1
-    u = np.atleast_2d(np.asarray(u, dtype=np.complex128))
-    w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     scales2 = np.abs(column_scales(u, w, cfg)) ** 2
     if np.any(np.all(scales2 == 0.0, axis=-1)):
         raise DegenerateInputError("all reconstruction scales are zero")
@@ -156,8 +143,7 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
         raise SingularMatrixError("power budget unreachable")
     # Rows still at mu = 0 had a slack budget there.
     floor = np.where(eigs[:, 0] > 10.0 * noise, 0.0, 100.0 * noise)
-    mu = np.where(mu == 0.0, floor, mu)
-    return float(mu[0]) if single else mu
+    return np.where(mu == 0.0, floor, mu)
 
 
 def mrt_beamformer(h, cfg):
@@ -191,8 +177,7 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
     All starts advance together as one batch; a start that stops is frozen
     while the others go on, so each follows the iterates it would alone.
     Always returns the best iterate seen; the returned trace belongs to the
-    winning start (the first one reaching the best WSR) and the returned
-    triple is recomputed at the best iterate.
+    winning start (the first one reaching the best WSR).
     """
     h = np.asarray(h, dtype=np.complex128)
     if v0 is not None:
@@ -220,7 +205,7 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
         w = compute_w(h, v[run], cfg)
         s = assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
         mu = solve_mu(h, u, w, cfg, s=s)
-        v_new = reconstruct_v(h, ComponentTriple(u, w, mu), cfg, s=s)
+        v_new = reconstruct_v(h, u, w, mu, cfg, s=s)
         wsr = objective.wsr(h, v_new, cfg)
         traces[it, run] = wsr
         gain = wsr > best_wsr[run]
@@ -230,13 +215,9 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
         v[run] = v_new
         iterations[run] = it
     win = int(np.argmax(best_wsr))
-    best_v = best_v[win]
-    u = compute_u(h, best_v, cfg)
-    w = compute_w(h, best_v, cfg)
-    mu = solve_mu(h, u, w, cfg)
     trace = traces[: iterations[win] + 1, win].copy()
-    return WmmseResult(best_v, ComponentTriple(u, w, mu), int(iterations[win]),
-                       trace, converged=bool(converged[win]))
+    return WmmseResult(best_v[win], int(iterations[win]), trace,
+                       converged=bool(converged[win]))
 
 
 def _directions(h, lam, cfg):

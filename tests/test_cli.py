@@ -1,5 +1,6 @@
 """CLI exit codes and subcommand plumbing, driven in-process via main()."""
 
+import inspect
 import os
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metabeam import channels, cli, meta, nn, runner
+from metabeam import channels, cli, meta, nn, pipeline, runner
 from metabeam.config import METHODS, ExperimentConfig, parse_config, render_config
 from metabeam.errors import NumericalError, SingularMatrixError
 from metabeam.meta import MetaConfig
@@ -166,6 +167,26 @@ def test_eval_accepts_external_checkpoint(cfg_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("method", ["wmmse", "maml_no_pretrain"])
+def test_eval_checkpoint_rejected_for_methods_that_read_none(cfg_path, tmp_path,
+                                                             method, capsys):
+    # --checkpoint must not land on another method's checkpoint: these
+    # methods read none, so the flag is a usage error and nothing is written.
+    out = tmp_path / "out"
+    out.mkdir()
+    maml = runner.checkpoint_path(str(out), "maml")
+    other = str(tmp_path / "other.ckpt")
+    nn.save_checkpoint(maml, nn.init_predictor(np.random.default_rng(0), 2, 2, width=8))
+    nn.save_checkpoint(other, nn.init_predictor(np.random.default_rng(1), 2, 2, width=8))
+    before = open(maml, "rb").read()
+    code = cli.main(["--config", cfg_path, "--out", str(out), "eval",
+                     "--method", method, "--checkpoint", other])
+    assert code == cli.EXIT_USAGE
+    assert "reads no checkpoint" in capsys.readouterr().err
+    assert open(maml, "rb").read() == before
+    assert sorted(os.listdir(out)) == ["maml.ckpt"]
+
+
 def test_eval_no_pretrain_needs_no_checkpoint(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "np")
     code = cli.main(
@@ -202,6 +223,28 @@ def test_gradcheck_subcommand_passes(cfg_path, capsys):
     code = cli.main(["--config", cfg_path, "gradcheck", "--draws", "2"])
     assert code == cli.EXIT_OK
     assert "gradcheck" in capsys.readouterr().out
+
+
+def test_gradcheck_differentiates_the_configured_loss(cfg_path, tmp_path,
+                                                      monkeypatch, capsys):
+    # With loss_variant = verbatim the checked loss is the verbatim one that
+    # training differentiates, not the default variant.
+    verbatim = tmp_path / "verbatim.cfg"
+    verbatim.write_text(open(cfg_path).read() + "\n[meta]\nloss_variant = verbatim\n")
+    real = pipeline.reconstruct_and_loss
+    variants = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        variants.append(bound.arguments["variant"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "reconstruct_and_loss", spy)
+    code = cli.main(["--config", str(verbatim), "gradcheck", "--draws", "1"])
+    assert code == cli.EXIT_OK
+    assert variants and set(variants) == {"verbatim"}
+    capsys.readouterr()
 
 
 def test_numerical_failure_maps_to_exit_2(cfg_path, monkeypatch, capsys):

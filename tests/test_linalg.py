@@ -44,13 +44,6 @@ def test_rank1_sum_exactly_hermitian():
         assert np.linalg.eigvalsh(s).min() >= -1e-12
 
 
-def test_rank1_sum_empty_needs_n():
-    got = hermitian_rank1_sum(np.zeros(0), np.zeros((0, 3), dtype=complex), n=3)
-    np.testing.assert_array_equal(got, np.zeros((3, 3), dtype=complex))
-    with pytest.raises(ValueError):
-        hermitian_rank1_sum(np.zeros(0), np.zeros((0, 3), dtype=complex))
-
-
 def test_rank1_sum_length_mismatch():
     with pytest.raises(ValueError):
         hermitian_rank1_sum(np.ones(2), np.ones((3, 2), dtype=complex))
@@ -231,8 +224,6 @@ def test_rank1_sum_batched_validation():
         hermitian_rank1_sum(np.ones((4, 3)), vecs)  # K mismatch on the last axis
     with pytest.raises(ValueError):
         hermitian_rank1_sum(-np.ones((4, 2)), vecs)
-    got = hermitian_rank1_sum(np.zeros((4, 0)), np.zeros((0, 3), dtype=complex), n=3)
-    np.testing.assert_array_equal(got, np.zeros((4, 3, 3), dtype=complex))
 
 
 def test_hpd_solve_batched_rows_match_2d_calls():

@@ -126,6 +126,16 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def test_checkpoint_payload_is_the_packed_vector(tmp_path):
+    # After the header (magic, net count, per net its size count and sizes)
+    # the file holds pack(params) as little-endian float64, nothing else.
+    params = nn.init_predictor(np.random.default_rng(12), n=2, k=3, width=8)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(path, params)
+    header = 5 + 4 + sum(4 * (1 + len(net.sizes)) for net in params.nets())
+    assert path.read_bytes()[header:] == nn.pack(params).astype("<f8").tobytes()
+
+
 def test_checkpoint_file_is_stable(tmp_path):
     rng = np.random.default_rng(9)
     params = nn.init_predictor(rng, n=2, k=2, width=8)

@@ -24,7 +24,6 @@ from metabeam.linalg import (
 )
 from metabeam.objective import SystemConfig, all_sinr, wsr
 from metabeam.wmmse import (
-    ComponentTriple,
     compute_u,
     compute_w,
     grid_oracle,
@@ -82,8 +81,7 @@ def test_u_single_user_closed_form():
 def test_reconstruct_scalar_oracle():
     cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=10.0)
     h = np.array([[1.0 + 0j]])
-    comps = ComponentTriple(u=np.array([1.0 + 0j]), w=np.array([2.0]), mu=1.0)
-    v = reconstruct_v(h, comps, cfg)
+    v = reconstruct_v(h, np.array([1.0 + 0j]), np.array([2.0]), 1.0, cfg)
     assert v[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
@@ -92,8 +90,7 @@ def test_reconstruct_diagonal_oracle():
     # (1 + 0.5)^{-1} e_k = (2/3) e_k.
     cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
     h = np.eye(2, dtype=complex)
-    comps = ComponentTriple(u=np.ones(2, complex), w=np.ones(2), mu=0.5)
-    v = reconstruct_v(h, comps, cfg)
+    v = reconstruct_v(h, np.ones(2, complex), np.ones(2), 0.5, cfg)
     np.testing.assert_allclose(v, (2.0 / 3.0) * np.eye(2), atol=1e-14)
 
 
@@ -104,27 +101,28 @@ def test_reconstruct_channel_batch_rows_match_single_calls():
     u = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     w = 1.0 + rng.uniform(size=(4, 2))
     mu = rng.uniform(0.1, 1.0, size=4)
-    v = reconstruct_v(h, ComponentTriple(u, w, mu), cfg)
+    v = reconstruct_v(h, u, w, mu, cfg)
     assert v.shape == (4, 3, 2)
     for row in range(4):
-        single = reconstruct_v(h[row], ComponentTriple(u[row], w[row], mu[row]), cfg)
+        single = reconstruct_v(h[row], u[row], w[row], mu[row], cfg)
         np.testing.assert_array_equal(v[row], single)
 
 
 def test_solve_mu_closed_form_unity():
     cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=4.0 / 9.0)
     h = np.array([[1.0 + 0j]])
-    mu = solve_mu(h, np.array([1.0 + 0j]), np.array([2.0]), cfg)
-    assert mu == pytest.approx(1.0, abs=1e-8)
+    mu = solve_mu(h, np.array([[1.0 + 0j]]), np.array([[2.0]]), cfg)
+    assert mu.shape == (1,)
+    assert mu[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_solve_mu_zero_when_unconstrained():
     cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=10.0)
     h = np.array([[1.0 + 0j]])
-    mu = solve_mu(h, np.array([10.0 + 0j]), np.array([1.0]), cfg)
-    assert mu == 0.0
-    comps = ComponentTriple(u=np.array([10.0 + 0j]), w=np.array([1.0]), mu=mu)
-    assert total_power(reconstruct_v(h, comps, cfg)) <= cfg.p
+    u, w = np.array([[10.0 + 0j]]), np.array([[1.0]])
+    mu = solve_mu(h, u, w, cfg)
+    np.testing.assert_array_equal(mu, [0.0])
+    assert total_power(reconstruct_v(h, u, w, mu, cfg)) <= cfg.p
 
 
 def test_solve_mu_hits_power_budget():
@@ -133,10 +131,10 @@ def test_solve_mu_hits_power_budget():
         n, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         cfg = SystemConfig(n=n, k=k, sigma2=1.0, p=float(rng.uniform(0.5, 20.0)))
         h = rand_h(rng, k, n)
-        u = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        w = rng.uniform(1.0, 5.0, size=k)
-        mu = solve_mu(h, u, w, cfg)
-        p_used = total_power(reconstruct_v(h, ComponentTriple(u, w, mu), cfg))
+        u = rng.standard_normal((1, k)) + 1j * rng.standard_normal((1, k))
+        w = rng.uniform(1.0, 5.0, size=(1, k))
+        (mu,) = solve_mu(h, u, w, cfg)
+        p_used = total_power(reconstruct_v(h, u[0], w[0], mu, cfg))
         if mu > 1e-6:
             assert p_used == pytest.approx(cfg.p, rel=1e-8)
         else:
@@ -146,7 +144,7 @@ def test_solve_mu_hits_power_budget():
 
 def _assert_budget_row(h, u, w, mu, cfg, rtol=1e-9):
     """mu puts the power in [P (1 - rtol), P], or is 0 / the rank floor."""
-    p_used = total_power(reconstruct_v(h, ComponentTriple(u, w, mu), cfg))
+    p_used = total_power(reconstruct_v(h, u, w, mu, cfg))
     in_band = cfg.p * (1.0 - rtol - 1e-10) <= p_used <= cfg.p * (1.0 + 1e-10)
     trace_s = np.trace(hermitian_rank1_sum(np.abs(u) ** 2 * w, h)).real
     floor = mu == 0.0 or mu == pytest.approx(100.0 * PIVOT_RTOL * trace_s, rel=1e-6)
@@ -170,9 +168,9 @@ def test_solve_mu_batched_rows_match_1d_calls(seed, rows, n, k, snr_db):
     mu = solve_mu(h, u, w, cfg)
     assert mu.shape == (rows,)
     for row in range(rows):
-        single = solve_mu(h, u[row], w[row], cfg)
-        assert isinstance(single, float)
-        assert mu[row] == pytest.approx(single, rel=1e-12, abs=0.0)
+        single = solve_mu(h, u[row : row + 1], w[row : row + 1], cfg)
+        assert single.shape == (1,)
+        assert mu[row] == pytest.approx(single[0], rel=1e-12, abs=0.0)
         _assert_budget_row(h, u[row], w[row], mu[row], cfg)
 
 
@@ -198,18 +196,18 @@ def test_solve_mu_unreachable_or_unconverged_raises():
     cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=1.0)
     h = np.array([[1.0 + 0j]])
     with pytest.raises(SingularMatrixError):
-        solve_mu(h, np.array([1e-10 + 0j]), np.array([1e30]), cfg)
+        solve_mu(h, np.array([[1e-10 + 0j]]), np.array([[1e30]]), cfg)
     # The unity oracle above needs one Newton step; zero steps cannot reach it.
     cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=4.0 / 9.0)
     with pytest.raises(SingularMatrixError):
-        solve_mu(h, np.array([1.0 + 0j]), np.array([2.0]), cfg, max_iters=0)
+        solve_mu(h, np.array([[1.0 + 0j]]), np.array([[2.0]]), cfg, max_iters=0)
 
 
 def test_solve_mu_degenerate_zero_components():
     cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
     h = rand_h(np.random.default_rng(4), 2, 2)
     with pytest.raises(DegenerateInputError):
-        solve_mu(h, np.zeros(2, complex), np.ones(2), cfg)
+        solve_mu(h, np.zeros((1, 2), complex), np.ones((1, 2)), cfg)
 
 
 def test_start_portfolio_beamformers():
@@ -256,12 +254,15 @@ def test_wmmse_monotone_trace_and_power():
 
 
 def test_wmmse_fixed_point():
-    # At convergence the (u, w, mu) triple regenerates the beamformer.
+    # At convergence the (u, w, mu) triple of the returned beamformer
+    # regenerates it.
     rng = np.random.default_rng(8)
     cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
     h = rand_h(rng, 3, 3)
     res = wmmse_solve(h, cfg, eps=1e-12, max_iters=2000)
-    v_back = reconstruct_v(h, res.components, cfg)
+    u, w = compute_u(h, res.v, cfg), compute_w(h, res.v, cfg)
+    (mu,) = solve_mu(h, u[None], w[None], cfg)
+    v_back = reconstruct_v(h, u, w, mu, cfg)
     assert np.abs(v_back - res.v).max() < 1e-5
 
 
