@@ -73,6 +73,7 @@ def _cmd_eval(args):
         os.path.join(out_dir, f"eval_{args.method}.json") if cfg.emit_json else None
     )
     runner.emit_results(rows, csv_path, json_path)
+    runner.echo_config(cfg, out_dir)
     print(f"results: {csv_path}")
     return EXIT_OK
 
@@ -88,9 +89,6 @@ def _cmd_figure(args):
 def _cmd_oracle(args):
     cfg = _load_config(args)
     sys_cfg = system_for(cfg, args.snr_db)
-    if sys_cfg.k > 3:
-        print("oracle supports K <= 3", file=sys.stderr)
-        return EXIT_USAGE
     rng = rng_for(cfg.seed, "oracle")
     ratios = []
     for i in range(args.instances):
@@ -165,7 +163,7 @@ def build_parser():
     add("gen-data", help="generate and write the training dataset")
 
     p_train = add("train", help="train one learned method")
-    p_train.add_argument("--method", choices=("maml", "unsupervised"), default="maml")
+    p_train.add_argument("--method", choices=runner.TRAINED, default="maml")
 
     p_eval = add("eval", help="evaluate one method over the SNR grid")
     p_eval.add_argument("--method", choices=METHODS, required=True)

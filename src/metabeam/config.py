@@ -134,7 +134,6 @@ class ExperimentConfig:
     meta: MetaConfig = field(default_factory=MetaConfig)
     # [memory]
     capacity: int = 64
-    mem_adapt_steps: int = 5
     rank_pool: str = "retained"
     # [eval]
     methods: list = field(default_factory=lambda: list(METHODS))
@@ -214,7 +213,6 @@ KEYS = (
     ("meta", "batch_size", "meta.batch_size", int, _at_least(1)),
     ("meta", "loss_variant", "meta.loss_variant", str, _one_of("corrected", "verbatim")),
     ("memory", "capacity", "capacity", int, _at_least(0)),
-    ("memory", "adapt_steps", "mem_adapt_steps", int, _at_least(1)),
     ("memory", "rank_pool", "rank_pool", str, _one_of("retained", "union")),
     ("eval", "methods", "methods", _parse_str_list, _known_methods),
     ("eval", "wmmse_restarts", "wmmse_restarts", int, _at_least(0)),

@@ -124,38 +124,28 @@ def update_memory(mem, fresh, t, params, cfg, variant="corrected", rank_pool="re
     return MemorySet(capacity=capacity, entries=survivors)
 
 
-def mml_test_loop(
-    params,
-    stream,
-    cfg,
-    meta_cfg,
-    capacity,
-    adapt_steps=None,
-    rank_pool="retained",
-    on_slot=None,
-):
+def mml_test_loop(params, stream, cfg, meta_cfg, capacity, rank_pool="retained", on_slot=None):
     """Streaming adaptation with replay memory.
 
     `params` is the pre-trained initialization; every slot re-adapts from it
     rather than from the previous slot's weights, so the memory set is the
     only state carried along the stream. For each slot batch D_t: record the
     sum rate of the currently adapted parameters on D_t, re-adapt from the
-    initialization on memory union D_t (adapt_steps gradient steps, summed
-    loss, same mechanics as training-time inner adaptation), then update the
-    memory under the new parameters, ranked by meta_cfg.loss_variant, the
-    loss the slot adapted with. With capacity = 0 the memory stays
-    empty and nothing is carried from one slot to the next, so the slots
-    adapt on D_t alone, together on one tape (see _memoryless_loop), with
-    the same results as plain per-slot test-time adaptation. adapt_steps
-    defaults to meta_cfg.adapt_steps. on_slot, if given, observes
+    initialization on memory union D_t (meta_cfg.adapt_steps gradient
+    steps, summed loss, same mechanics as training-time inner adaptation),
+    then update the memory under the new parameters, ranked by
+    meta_cfg.loss_variant, the loss the slot adapted with. With capacity = 0
+    the memory stays empty and nothing is carried from one slot to the
+    next, so the slots adapt on D_t alone, together on one tape (see
+    _memoryless_loop), with the same results as plain per-slot test-time
+    adaptation. Every capacity adapts the same steps, so the memory is all
+    that separates capacity M from capacity 0. on_slot, if given, observes
     (t, per_sample_wsr) once per slot, in slot order.
 
     Returns (final_params, wsr_per_slot, final_memory).
     """
-    if adapt_steps is None:
-        adapt_steps = meta_cfg.adapt_steps
     if capacity == 0:
-        return _memoryless_loop(params, stream, cfg, meta_cfg, adapt_steps, on_slot)
+        return _memoryless_loop(params, stream, cfg, meta_cfg, on_slot)
     init = params
     mem = MemorySet.empty(capacity)
     wsr_series = []
@@ -169,14 +159,7 @@ def mml_test_loop(
         train_batch = (
             batch if stored is None else np.concatenate([stored, batch], axis=0)
         )
-        params = meta_mod.adapt_on_test(
-            init,
-            train_batch,
-            cfg,
-            meta_cfg,
-            steps=adapt_steps,
-            reduction="sum",
-        )
+        params = meta_mod.adapt_on_test(init, train_batch, cfg, meta_cfg)
         mem = update_memory(
             mem, batch, t, params, cfg, variant=meta_cfg.loss_variant,
             rank_pool=rank_pool,
@@ -184,7 +167,7 @@ def mml_test_loop(
     return params, np.array(wsr_series), mem
 
 
-def _memoryless_loop(init, stream, cfg, meta_cfg, adapt_steps, on_slot):
+def _memoryless_loop(init, stream, cfg, meta_cfg, on_slot):
     """The capacity-0 stream: slots adapt from init in task-batched passes.
 
     Runs of consecutive equal-sized slots, at most SLOT_GROUP_SAMPLES
@@ -208,7 +191,7 @@ def _memoryless_loop(init, stream, cfg, meta_cfg, adapt_steps, on_slot):
             np.stack(batches[lo:hi]),
             cfg,
             meta_cfg,
-            adapt_steps,
+            meta_cfg.adapt_steps,
         )
         for t in range(lo, hi):
             slot_wsr = pipeline.evaluate_wsr(params, batches[t], cfg)

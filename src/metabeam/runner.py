@@ -9,18 +9,20 @@ reproduces every output file byte for byte.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import channels, memory, meta, nn, objective, pipeline, wmmse
-from .config import render_config, system_for
+from .config import METHODS, render_config, system_for
 from .errors import NumericalError
 from .linalg import normalize_to_power
 from .seeding import rng_for
 
 RESULT_HEADER = "method,snr_db,seed,slot,wsr_mean,wsr_std,samples"
-# The checkpoint each learned method's eval reads; mml reuses maml's.
+# The methods run_training trains, and the checkpoint each learned method's
+# eval reads; mml reuses maml's.
+TRAINED = ("maml", "unsupervised")
 CHECKPOINT_OF = {"unsupervised": "unsupervised", "maml": "maml", "mml": "maml"}
 
 
@@ -58,8 +60,8 @@ def run_training(cfg, method, out_dir, verbose=False):
     methods share the dataset and the initial parameters, differing only in
     the update rule.
     """
-    if method not in ("maml", "unsupervised"):
-        raise ValueError(f"run_training handles maml|unsupervised, got {method!r}")
+    if method not in TRAINED:
+        raise ValueError(f"run_training handles {'|'.join(TRAINED)}, got {method!r}")
     os.makedirs(out_dir, exist_ok=True)
     sys_cfg = system_for(cfg, cfg.train_snr_db)
     dataset = train_dataset(cfg)
@@ -74,11 +76,16 @@ def run_training(cfg, method, out_dir, verbose=False):
         fh.write("epoch,support_loss,query_loss,wall_time\n")
         for e, s, q, w in zip(log.epochs, log.support_loss, log.query_loss, log.wall_time):
             fh.write(f"{e},{s!r},{q!r},{w:.3f}\n")
-    with open(os.path.join(out_dir, "config_effective.txt"), "w", encoding="utf-8") as fh:
-        fh.write(render_config(cfg))
+    echo_config(cfg, out_dir)
     if verbose:
         print(f"[train] {method}: {len(log.epochs)} epochs -> {path}")
     return path
+
+
+def echo_config(cfg, out_dir):
+    """Write the config a run used to <out_dir>/config_effective.txt."""
+    with open(os.path.join(out_dir, "config_effective.txt"), "w", encoding="utf-8") as fh:
+        fh.write(render_config(cfg))
 
 
 def _test_batch(cfg, snr_idx, seed, tag, count):
@@ -123,18 +130,18 @@ def _stream_for(cfg, snr_idx, seed):
     ]
 
 
-def _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed, capacity, steps):
+def _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed, capacity):
     """Streaming rows for one cell: one row per slot plus a final aggregate.
 
-    maml and maml_no_pretrain run the same loop with capacity 0, so the mml
-    M=0 ablation produces maml's rows verbatim. The final row pools the
+    Every streaming method runs the same loop and adapts meta.adapt_steps
+    steps per slot; maml and maml_no_pretrain run it at capacity 0, so the
+    mml M=0 ablation produces maml's rows verbatim. The final row pools the
     per-sample rates of every slot.
     """
     stream = _stream_for(cfg, snr_idx, seed)
     slot_stats = []
     memory.mml_test_loop(
         params, stream, sys_cfg, cfg.meta, capacity,
-        adapt_steps=steps,
         rank_pool=cfg.rank_pool,
         on_slot=lambda t, w: slot_stats.append((t, w.copy())),
     )
@@ -153,6 +160,12 @@ def run_eval(cfg, method, out_dir, capacity=None, verbose=False):
     Learned methods read their checkpoint from out_dir; mml reuses the maml
     checkpoint. capacity overrides the configured memory size for mml.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown eval method {method!r}")
+    if method != "mml":
+        capacity = 0  # only mml streams with a memory
+    elif capacity is None:
+        capacity = cfg.capacity
     rows = []
     params = None
     if method in CHECKPOINT_OF:
@@ -173,22 +186,14 @@ def run_eval(cfg, method, out_dir, capacity=None, verbose=False):
             elif method == "unsupervised":
                 rows.append(_row(method, snr_db, seed, "final",
                                  _eval_forward(params, cfg, sys_cfg, snr_idx, seed)))
-            elif method == "maml":
-                rows.extend(_eval_stream(method, params, cfg, sys_cfg, snr_db,
-                                         snr_idx, seed, 0, cfg.meta.adapt_steps))
-            elif method == "maml_no_pretrain":
-                fresh = nn.init_predictor(
-                    rng_for(cfg.seed, "init-no-pretrain", seed), cfg.n, cfg.k,
-                    width=cfg.meta.width,
-                )
-                rows.extend(_eval_stream(method, fresh, cfg, sys_cfg, snr_db,
-                                         snr_idx, seed, 0, cfg.meta.adapt_steps))
-            elif method == "mml":
-                cap = cfg.capacity if capacity is None else capacity
-                rows.extend(_eval_stream(method, params, cfg, sys_cfg, snr_db,
-                                         snr_idx, seed, cap, cfg.mem_adapt_steps))
             else:
-                raise ValueError(f"unknown eval method {method!r}")
+                if method == "maml_no_pretrain":
+                    params = nn.init_predictor(
+                        rng_for(cfg.seed, "init-no-pretrain", seed), cfg.n, cfg.k,
+                        width=cfg.meta.width,
+                    )
+                rows.extend(_eval_stream(method, params, cfg, sys_cfg, snr_db,
+                                         snr_idx, seed, capacity))
             if verbose:
                 print(f"[eval] {method} snr={snr_db:g} seed={seed}: "
                       f"wsr={rows[-1].wsr_mean:.4f}{note}")
@@ -225,20 +230,8 @@ def emit_results(rows, csv_path, json_path=None):
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     if json_path is not None:
-        payload = [
-            {
-                "method": r.method,
-                "snr_db": r.snr_db,
-                "seed": r.seed,
-                "slot": r.slot,
-                "wsr_mean": r.wsr_mean,
-                "wsr_std": r.wsr_std,
-                "samples": r.samples,
-            }
-            for r in ordered
-        ]
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump([asdict(r) for r in ordered], fh, indent=2, sort_keys=True)
             fh.write("\n")
     return csv_path
 
@@ -257,25 +250,18 @@ def run_figure(cfg, figure, out_dir, verbose=False):
     Trains any missing checkpoints first, then sweeps the SNR grid and writes
     <figure>.csv (plus .json when configured).
     """
-    from dataclasses import replace as _replace
-
     if figure not in FIGURE_CHANNELS:
         raise ValueError(f"unknown figure {figure!r}; known: {sorted(FIGURE_CHANNELS)}")
-    fig_cfg = _replace(cfg, test_channel=FIGURE_CHANNELS[figure])
+    fig_cfg = replace(cfg, test_channel=FIGURE_CHANNELS[figure])
     os.makedirs(out_dir, exist_ok=True)
-    wanted = set(fig_cfg.methods)
-    if {"maml", "mml"} & wanted and not os.path.exists(checkpoint_path(out_dir, "maml")):
-        run_training(fig_cfg, "maml", out_dir, verbose=verbose)
-    if "unsupervised" in wanted and not os.path.exists(
-        checkpoint_path(out_dir, "unsupervised")
-    ):
-        run_training(fig_cfg, "unsupervised", out_dir, verbose=verbose)
+    for trained in sorted({CHECKPOINT_OF[m] for m in fig_cfg.methods if m in CHECKPOINT_OF}):
+        if not os.path.exists(checkpoint_path(out_dir, trained)):
+            run_training(fig_cfg, trained, out_dir, verbose=verbose)
     rows = []
     for method in fig_cfg.methods:
         rows.extend(run_eval(fig_cfg, method, out_dir, verbose=verbose))
     csv_path = os.path.join(out_dir, f"{figure}.csv")
     json_path = os.path.join(out_dir, f"{figure}.json") if cfg.emit_json else None
     emit_results(rows, csv_path, json_path)
-    with open(os.path.join(out_dir, "config_effective.txt"), "w", encoding="utf-8") as fh:
-        fh.write(render_config(fig_cfg))
+    echo_config(fig_cfg, out_dir)
     return csv_path

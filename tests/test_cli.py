@@ -1,5 +1,6 @@
 """CLI exit codes and subcommand plumbing, driven in-process via main()."""
 
+import dataclasses
 import inspect
 import os
 import re
@@ -24,7 +25,7 @@ def cfg_path(tmp_path):
     )
     cfg = ExperimentConfig(
         n=2, k=2, snr_db=[10.0], train_size=24, test_size=6, test_seeds=1,
-        slots=2, slot_size=4, meta=meta, capacity=4, mem_adapt_steps=1,
+        slots=2, slot_size=4, meta=meta, capacity=4,
         wmmse_restarts=2,
     )
     path = tmp_path / "tiny.cfg"
@@ -187,6 +188,16 @@ def test_eval_checkpoint_rejected_for_methods_that_read_none(cfg_path, tmp_path,
     assert sorted(os.listdir(out)) == ["maml.ckpt"]
 
 
+def test_eval_echoes_the_config_it_ran(cfg_path, tmp_path, capsys):
+    out = tmp_path / "echo"
+    code = cli.main(["--config", cfg_path, "--seed", "7", "--out", str(out), "eval",
+                     "--method", "wmmse"])
+    assert code == cli.EXIT_OK
+    ran = dataclasses.replace(parse_config(cfg_path), seed=7)
+    assert parse_config(str(out / "config_effective.txt")) == ran
+    capsys.readouterr()
+
+
 def test_eval_no_pretrain_needs_no_checkpoint(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "np")
     code = cli.main(
@@ -214,9 +225,9 @@ def test_oracle_subcommand_passes(cfg_path, capsys):
 
 def test_oracle_rejects_large_k(tmp_path, capsys):
     big = tmp_path / "big.cfg"
-    big.write_text("n = 4\nk = 4\nalpha = 1, 1, 1, 1\n")
+    big.write_text("[system]\nn = 4\nk = 4\nalpha = 1, 1, 1, 1\n")
     assert cli.main(["--config", str(big), "oracle"]) == cli.EXIT_USAGE
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: grid oracle supports K <= 3, got K=4\n"
 
 
 def test_gradcheck_subcommand_passes(cfg_path, capsys):

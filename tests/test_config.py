@@ -166,7 +166,6 @@ def test_validation_errors():
         "[meta]\nloss_variant = fancy\n",
         "[memory]\nrank_pool = newest\n",
         "[memory]\ncapacity = -1\n",
-        "[memory]\nadapt_steps = 0\n",
         "[eval]\nmethods = maml, sgd\n",
         "[system]\nk = 0\n",
         "[test]\nslots = 0\n",
@@ -175,6 +174,9 @@ def test_validation_errors():
     for text in bad:
         with pytest.raises(ConfigError):
             parse_config_text(text)
+    # test-time steps are meta.adapt_steps for every method, memory or not
+    with pytest.raises(ConfigError, match=r"^line 3: unknown key 'memory\.adapt_steps'$"):
+        parse_config_text("[memory]\ncapacity = 8\nadapt_steps = 5\n")
 
 
 @pytest.mark.parametrize(
@@ -302,7 +304,7 @@ def _configs(draw):
         train_size=train_size, train_snr_db=draw(_floats(-100.0, 100.0)),
         test_channel=draw(_SPECS), test_size=ints(1, 500), test_seeds=ints(1, 10),
         slots=ints(1, 100), slot_size=ints(1, 100), meta=meta,
-        capacity=ints(0, 256), mem_adapt_steps=ints(1, 10),
+        capacity=ints(0, 256),
         rank_pool=draw(st.sampled_from(["retained", "union"])),
         methods=draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)),
         wmmse_restarts=ints(0, 10), emit_json=draw(st.booleans()),

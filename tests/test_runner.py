@@ -22,7 +22,7 @@ def tiny_cfg(**overrides):
     )
     base = dict(
         n=2, k=2, snr_db=[10.0], train_size=24, test_size=6, test_seeds=2,
-        slots=3, slot_size=4, meta=meta, capacity=4, mem_adapt_steps=1,
+        slots=3, slot_size=4, meta=meta, capacity=4,
         wmmse_restarts=1,
     )
     base.update(overrides)
@@ -152,13 +152,12 @@ def test_maml_no_pretrain_rows_match_sequential_stream(tmp_path, monkeypatch):
     monkeypatch.setattr(memory, "SLOT_GROUP_SAMPLES", 2 * cfg.slot_size)
     batched = runner.run_eval(cfg, "maml_no_pretrain", out)
 
-    def sequential(params, stream, cfg, meta_cfg, capacity, adapt_steps=None, on_slot=None,
-                   **_):
+    def sequential(params, stream, cfg, meta_cfg, capacity, on_slot=None, **_):
         assert capacity == 0
         current = params
         for t, batch in enumerate(stream):
             on_slot(t, pipeline.evaluate_wsr(current, batch, cfg))
-            current = meta.adapt_on_test(params, batch, cfg, meta_cfg, steps=adapt_steps)
+            current = meta.adapt_on_test(params, batch, cfg, meta_cfg)
 
     monkeypatch.setattr(memory, "mml_test_loop", sequential)
     assert batched == runner.run_eval(cfg, "maml_no_pretrain", out)
@@ -248,6 +247,8 @@ def test_run_figure_writes_all_methods(tmp_path):
     lines = open(path).read().splitlines()
     methods = {l.split(",")[0] for l in lines[1:]}
     assert methods == {"wmmse", "maml", "mml"}
+    # only the checkpoint these methods read is trained
+    assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["maml.ckpt"]
     # the figure overrides the test channel, not the training mix
     echo = (tmp_path / "config_effective.txt").read_text()
     assert "channel = nakagami(m=1)" in echo
