@@ -7,12 +7,15 @@ hpd_solve is the package's one Hermitian positive definite solve: the WMMSE
 solver, the forward-only twin and the tape's solve node share its policy.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DegenerateInputError, SingularMatrixError
 
 # Relative pivot threshold for declaring a factorization singular.
 PIVOT_RTOL = 1e-12
+TINY = np.finfo(np.float64).tiny  # floor of a trace the threshold scales
 
 
 def hermitian_rank1_sum(coeffs, vectors):
@@ -32,13 +35,20 @@ def hermitian_rank1_sum(coeffs, vectors):
             f"need one coefficient per vector, got {coeffs.shape[-1:]} coeffs "
             f"and {vectors.shape[-2:-1]} vectors"
         )
-    if np.any(coeffs < 0):
+    if (coeffs < 0).any():
         raise ValueError("coefficients must be nonnegative")
     out = np.einsum("...k,...kn,...km->...nm", coeffs, vectors, vectors.conj())
     # Mirrored entries of (S + S^H)/2 evaluate the same expression, so the
     # result equals its conjugate transpose to the bit (the sum alone does
     # not guarantee that under fused-multiply-add contraction).
-    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+    return 0.5 * (out + out.swapaxes(-1, -2).conj())
+
+
+@lru_cache(maxsize=None)
+def _identity(n):
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def hpd_solve(a, mu, b):
@@ -59,14 +69,14 @@ def hpd_solve(a, mu, b):
     if rows != n:
         raise ValueError(f"rhs length {rows} does not match A size {n}")
     mu = np.asarray(mu, dtype=np.float64)
-    s = a + mu[..., None, None] * np.eye(n) if mu.any() else a
+    s = a + mu[..., None, None] * _identity(n) if mu.any() else a
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"A + {mu} I is not positive definite") from exc
-    pivots = np.diagonal(chol, axis1=-2, axis2=-1).real ** 2
+    pivots = chol.diagonal(axis1=-2, axis2=-1).real ** 2
     trace = np.einsum("...ii->...", s).real
-    threshold = PIVOT_RTOL * np.maximum(trace, np.finfo(np.float64).tiny)
+    threshold = PIVOT_RTOL * np.maximum(trace, TINY)
     # one pass over the pivots (a NaN fails it); per-matrix minima cost more
     if not (pivots > threshold[..., None]).all():
         raise SingularMatrixError(

@@ -7,6 +7,7 @@ on H and V (broadcast against each other); one channel is the no-batch case.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +45,12 @@ class SystemConfig:
                                  f"got {list(alpha)}")
         object.__setattr__(self, "alpha", alpha)
 
-    @property
+    @cached_property
     def alpha_vec(self):
-        return np.asarray(self.alpha, dtype=np.float64)
+        """The weights as a read-only float array, built once per config."""
+        vec = np.asarray(self.alpha, dtype=np.float64)
+        vec.flags.writeable = False
+        return vec
 
 
 def gains(h, v):
@@ -62,7 +66,7 @@ def signal_denom(a2, cfg, variant="corrected"):
     denom_k = sigma2 + sum_{j != k} |h_k^H v_j|^2; variant "verbatim" keeps
     the cross-user diagonal denom_k = sigma2 + sum_{j != k} |h_j^H v_j|^2.
     """
-    signal = np.diagonal(a2, axis1=-2, axis2=-1)
+    signal = a2.diagonal(axis1=-2, axis2=-1)
     if variant == "corrected":
         denom = cfg.sigma2 + a2.sum(axis=-1) - signal
     elif variant == "verbatim":
@@ -72,15 +76,26 @@ def signal_denom(a2, cfg, variant="corrected"):
     return signal, denom
 
 
-def all_sinr(h, v, cfg):
-    """SINR_k = |h_k^H v_k|^2 / (sigma2 + sum_{j != k} |h_k^H v_j|^2), (..., K)."""
-    signal, denom = signal_denom(np.abs(gains(h, v)) ** 2, cfg)
+def sinr_from_couplings(a2, cfg):
+    """SINR_k = |h_k^H v_k|^2 / (sigma2 + sum_{j != k} |h_k^H v_j|^2), (..., K),
+    from the couplings a2 = |gains|^2, shape (..., K, K)."""
+    signal, denom = signal_denom(a2, cfg)
     return signal / denom
 
 
-def wsr(h, v, cfg):
+def wsr_from_sinr(sinr, cfg):
     """Weighted sum rate sum_k alpha_k log2(1 + SINR_k) in bit/s/Hz, (...)."""
-    return np.log2(1.0 + all_sinr(h, v, cfg)) @ cfg.alpha_vec
+    return np.log2(1.0 + sinr) @ cfg.alpha_vec
+
+
+def all_sinr(h, v, cfg):
+    """SINR of every user of beamformer V on channel H, (..., K)."""
+    return sinr_from_couplings(np.abs(gains(h, v)) ** 2, cfg)
+
+
+def wsr(h, v, cfg):
+    """Weighted sum rate of beamformer V on channel H in bit/s/Hz, (...)."""
+    return wsr_from_sinr(all_sinr(h, v, cfg), cfg)
 
 
 def sum_rate_loss(h, v, cfg, variant="corrected"):

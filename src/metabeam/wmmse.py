@@ -10,7 +10,8 @@ solve_mu takes rows only: one start is a one-row call. reconstruct_v and
 assemble_s also take a channel batch, for the forward-only predictor twin
 (pipeline.predict_beamformers) and the tape, and so does mrt_beamformer,
 which gives the predictor's reference beamformer. Rates and the (u, w)
-updates come from objective's one rate core.
+updates come from objective's one rate core: the solver evaluates each
+iterate's couplings once, and they feed its rate, the next u and the next w.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from . import objective
 from .errors import CapabilityError, DegenerateInputError, SingularMatrixError
 from .linalg import (
     PIVOT_RTOL,
+    TINY,
     hermitian_rank1_sum,
     hpd_solve,
     normalize_to_power,
@@ -43,16 +45,31 @@ class OracleResult:
     v: np.ndarray  # (N, K) best beamformer found
 
 
-def compute_w(h, v, cfg):
-    """MSE weights w_k = 1 + SINR_k."""
-    return 1.0 + objective.all_sinr(h, v, cfg)
+def _couplings(h, v, cfg):
+    """One coupling evaluation of the iterate V: its gains g = h_k^H v_j,
+    a2 = |g|^2 and the SINR of every user. It gives V's rate
+    (objective.wsr_from_sinr) and, through _receivers_and_weights, the next
+    (u, w), so the solver builds each iterate's gain matrix once."""
+    g = objective.gains(h, v)
+    a2 = np.abs(g) ** 2
+    return g, a2, objective.sinr_from_couplings(a2, cfg)
+
+
+def _receivers_and_weights(g, a2, sinr, cfg):
+    """MMSE receivers u_k = h_k^H v_k / (sigma2 + sum_j |h_k^H v_j|^2) and
+    MSE weights w_k = 1 + SINR_k from one coupling evaluation."""
+    u = g.diagonal(axis1=-2, axis2=-1) / (cfg.sigma2 + a2.sum(axis=-1))
+    return u, 1.0 + sinr
 
 
 def compute_u(h, v, cfg):
-    """MMSE receiver gains u_k = h_k^H v_k / (sigma2 + sum_j |h_k^H v_j|^2)."""
-    g = objective.gains(h, v)
-    totals = cfg.sigma2 + np.sum(np.abs(g) ** 2, axis=-1)
-    return np.diagonal(g, axis1=-2, axis2=-1) / totals
+    """MMSE receiver gains u_k of the iterate V."""
+    return _receivers_and_weights(*_couplings(h, v, cfg), cfg)[0]
+
+
+def compute_w(h, v, cfg):
+    """MSE weights w_k = 1 + SINR_k of the iterate V."""
+    return _receivers_and_weights(*_couplings(h, v, cfg), cfg)[1]
 
 
 def column_scales(u, w, cfg):
@@ -103,20 +120,20 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
     s, when given, is S already assembled from the same rows, (S, N, N).
     """
     scales2 = np.abs(column_scales(u, w, cfg)) ** 2
-    if np.any(np.all(scales2 == 0.0, axis=-1)):
+    if (scales2 == 0.0).all(axis=-1).any():
         raise DegenerateInputError("all reconstruction scales are zero")
     if s is None:
         s = assemble_s(h, u, w, cfg)
     # One Hermitian eigendecomposition per row turns each power evaluation
     # into a rational function of mu: power(mu) = sum_n c[n] / (eig_n + mu)^2.
     eigs, q = np.linalg.eigh(s)
-    proj = np.abs(np.swapaxes(q, 1, 2).conj() @ h.T) ** 2  # |q_n^H h_k|^2
-    c = np.sum(scales2[:, None, :] * proj, axis=-1)
+    proj = np.abs(q.swapaxes(1, 2).conj() @ h.T) ** 2  # |q_n^H h_k|^2
+    c = np.add.reduce(scales2[:, None, :] * proj, axis=-1)
     # Eigenvalues at rounding scale are exact zeros of S, and their terms of
     # c are rounding noise too (each scaled column h_k lies in the range of
     # S), so drop both: power(mu) is then a clean decreasing rational
     # function all the way down to mu = 0.
-    noise = PIVOT_RTOL * np.maximum(eigs.sum(axis=-1), np.finfo(np.float64).tiny)
+    noise = PIVOT_RTOL * np.maximum(np.add.reduce(eigs, axis=-1), TINY)
     live = eigs > noise[:, None]
     c = np.where(live, c, 0.0)
     eigs_live = np.where(live, eigs, 1.0)
@@ -124,22 +141,25 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
     # Newton on power(mu)^(-1/2), which is concave and increasing in mu
     # (More & Sorensen 1983): started at mu = 0 left of the root it climbs
     # without overshooting. Aiming at P (1 - rtol/2) makes the first iterate
-    # with power <= P land inside the band [P (1 - rtol), P].
+    # with power <= P land inside the band [P (1 - rtol), P]. A pass is bare
+    # ufunc calls; rows already in the band keep their mu, and the in-place
+    # update of the others shows through the column view mu_col.
     p = cfg.p
     target = p * (1.0 - 0.5 * rtol)
     mu = np.zeros(len(u))
+    mu_col = mu[:, None]
     todo = np.ones(len(u), dtype=bool)
     for _ in range(max_iters + 1):
-        d = eigs_live + mu[:, None]
-        pw = np.sum(c / d**2, axis=-1)
+        d = eigs_live + mu_col
+        pw = np.add.reduce(c / d**2, axis=-1)
         todo &= pw > p
-        if not todo.any():
+        if not np.logical_or.reduce(todo):
             break
-        step = pw * (np.sqrt(pw / target) - 1.0) / np.sum(c / d**3, axis=-1)
-        mu = np.where(todo, mu + step, mu)
+        step = pw * (np.sqrt(pw / target) - 1.0) / np.add.reduce(c / d**3, axis=-1)
+        np.add(mu, step, out=mu, where=todo)
     else:
         raise SingularMatrixError(f"mu search not converged in {max_iters} steps")
-    if not np.all(mu <= 1e18):
+    if not (mu <= 1e18).all():
         raise SingularMatrixError("power budget unreachable")
     # Rows still at mu = 0 had a slack budget there.
     floor = np.where(eigs[:, 0] > 10.0 * noise, 0.0, 100.0 * noise)
@@ -176,6 +196,9 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
     when the Frobenius change of V drops below eps or max_iters is reached.
     All starts advance together as one batch; a start that stops is frozen
     while the others go on, so each follows the iterates it would alone.
+    One coupling evaluation per iterate (objective.gains on the running
+    starts) gives its rate and then the next (u, w), bit for bit what
+    compute_u, compute_w and objective.wsr give.
     Always returns the best iterate seen; the returned trace belongs to the
     winning start (the first one reaching the best WSR).
     """
@@ -192,8 +215,9 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
             starts.append(normalize_to_power(raw, cfg.p))
     v = np.stack(starts)
     n_starts = len(v)
+    g, a2, sinr = _couplings(h, v, cfg)  # of the running starts' iterates
     traces = np.empty((max_iters + 1, n_starts))
-    traces[0] = objective.wsr(h, v, cfg)
+    traces[0] = objective.wsr_from_sinr(sinr, cfg)
     best_wsr, best_v = traces[0].copy(), v.copy()
     iterations = np.zeros(n_starts, dtype=int)
     converged = np.zeros(n_starts, dtype=bool)
@@ -201,19 +225,22 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
         run = np.flatnonzero(~converged)
         if run.size == 0:
             break
-        u = compute_u(h, v[run], cfg)
-        w = compute_w(h, v[run], cfg)
+        u, w = _receivers_and_weights(g, a2, sinr, cfg)
         s = assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
         mu = solve_mu(h, u, w, cfg, s=s)
         v_new = reconstruct_v(h, u, w, mu, cfg, s=s)
-        wsr = objective.wsr(h, v_new, cfg)
+        g, a2, sinr = _couplings(h, v_new, cfg)
+        wsr = objective.wsr_from_sinr(sinr, cfg)
         traces[it, run] = wsr
         gain = wsr > best_wsr[run]
         best_wsr[run[gain]] = wsr[gain]
         best_v[run[gain]] = v_new[gain]
-        converged[run] = np.linalg.norm(v_new - v[run], axis=(1, 2)) < eps
+        stop = np.linalg.norm(v_new - v[run], axis=(1, 2)) < eps
+        converged[run] = stop
         v[run] = v_new
         iterations[run] = it
+        if stop.any():  # keep the couplings of the starts still running
+            g, a2, sinr = g[~stop], a2[~stop], sinr[~stop]
     win = int(np.argmax(best_wsr))
     trace = traces[: iterations[win] + 1, win].copy()
     return WmmseResult(best_v[win], int(iterations[win]), trace,

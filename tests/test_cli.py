@@ -71,10 +71,10 @@ def test_missing_config_file_is_usage_error(capsys):
 
 def test_invalid_config_value_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("k = 0\n")
+    bad.write_text("[system]\nk = 0\n")
     assert cli.main(["--config", str(bad), "gen-data"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert "line 2" in err and "system.k" in err
 
 
 def test_gen_data_writes_training_set(cfg_path, tmp_path, capsys):

@@ -24,6 +24,7 @@ from metabeam.linalg import (
 )
 from metabeam.objective import SystemConfig, all_sinr, wsr
 from metabeam.wmmse import (
+    assemble_s,
     compute_u,
     compute_w,
     grid_oracle,
@@ -349,6 +350,91 @@ def test_wmmse_converged_flag():
     assert capped.iterations == 5 and len(capped.wsr_trace) == 6
 
 
+def _portfolio(h, cfg, seed, restarts):
+    """The starts wmmse_solve runs when no v0 is given, in its order."""
+    start_rng = np.random.default_rng(seed)
+    starts = [mrt_beamformer(h, cfg), zf_beamformer(h, cfg)]
+    for _ in range(restarts):
+        raw = start_rng.standard_normal((cfg.n, cfg.k)) + 1j * start_rng.standard_normal(
+            (cfg.n, cfg.k))
+        starts.append(normalize_to_power(raw, cfg.p))
+    return starts
+
+
+def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
+    """The textbook WMMSE iterate for one start, each step recomputed from
+    the last V: (u, w), S, mu, the closed-form V and its rate. Stops on
+    ||V_new - V||_F < eps; returns (best V, WSR trace, iterations,
+    converged), the best V being the first iterate with the largest WSR."""
+    v = v0[None]
+    trace = [wsr(h, v, cfg)[0]]
+    best_v = v[0]
+    converged = False
+    for it in range(1, max_iters + 1):
+        u, w = compute_u(h, v, cfg), compute_w(h, v, cfg)
+        s = assemble_s(h, u, w, cfg)
+        mu = solve_mu(h, u, w, cfg, s=s)
+        v_new = reconstruct_v(h, u, w, mu, cfg, s=s)
+        trace.append(wsr(h, v_new, cfg)[0])
+        if trace[-1] > max(trace[:-1]):
+            best_v = v_new[0]
+        converged = np.linalg.norm(v_new - v, axis=(1, 2))[0] < eps
+        v = v_new
+        if converged:
+            break
+    return best_v, np.array(trace), it, converged
+
+
+@pytest.mark.parametrize("snr_db", [0, 20])
+def test_wmmse_solve_matches_reference_loop_to_the_bit(snr_db):
+    # The solver reuses each iterate's couplings for its rate and the next
+    # (u, w), and drops the rows of starts that stop: neither may change a
+    # bit of what the step-by-step loop gives, for one start or the whole
+    # portfolio (the winner is the first start reaching the best WSR).
+    rng = np.random.default_rng(20 + snr_db)
+    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0 ** (snr_db / 10))
+    stop_passes = set()
+    for seed in range(3):
+        h = rand_h(rng, 3, 3)
+        starts = _portfolio(h, cfg, seed, restarts=3)
+        runs = [_reference_run(h, cfg, v0) for v0 in starts]
+        stop_passes |= {run[2] for run in runs}
+        win = int(np.argmax([run[1].max() for run in runs]))
+        for got, want in ((wmmse_solve(h, cfg, seed=seed), runs[win]),
+                          (wmmse_solve(h, cfg, v0=starts[2]), runs[2])):
+            np.testing.assert_array_equal(got.v, want[0])
+            np.testing.assert_array_equal(got.wsr_trace, want[1])
+            assert (got.iterations, got.converged) == (want[2], want[3])
+    if snr_db == 0:
+        assert len(stop_passes) > 3  # starts stop at different passes
+    else:
+        assert 300 in stop_passes  # and some run to max_iters
+
+
+def test_wmmse_solve_evaluates_couplings_once_per_iterate(monkeypatch):
+    # One objective.gains call for the starts, then one per loop pass on the
+    # new iterates of the starts still running: their rate and the next
+    # (u, w) come from it.
+    rng = np.random.default_rng(18)
+    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=1.0)
+    gains_rows, pass_rows = [], []
+    real_gains, real_solve_mu = objective.gains, wmmse.solve_mu
+
+    def gains(h, v):
+        gains_rows.append(len(v))
+        return real_gains(h, v)
+
+    def solve_mu(h, u, w, cfg, **kwargs):
+        pass_rows.append(len(u))
+        return real_solve_mu(h, u, w, cfg, **kwargs)
+
+    monkeypatch.setattr(objective, "gains", gains)
+    monkeypatch.setattr(wmmse, "solve_mu", solve_mu)
+    wmmse_solve(rand_h(rng, 3, 3), cfg)
+    assert gains_rows == [5] + pass_rows
+    assert pass_rows[-1] < 5  # starts stopped on the way
+
+
 def test_wmmse_batched_starts_follow_solo_runs():
     # The portfolio advances all starts as one batch; each must follow the
     # iterates of the same start run alone, and the first start with the
@@ -357,11 +443,7 @@ def test_wmmse_batched_starts_follow_solo_runs():
     cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
     h = rand_h(rng, 3, 3)
     seed, restarts = 4, 3
-    start_rng = np.random.default_rng(seed)
-    starts = [mrt_beamformer(h, cfg), zf_beamformer(h, cfg)]
-    for _ in range(restarts):
-        raw = start_rng.standard_normal((3, 3)) + 1j * start_rng.standard_normal((3, 3))
-        starts.append(normalize_to_power(raw, cfg.p))
+    starts = _portfolio(h, cfg, seed, restarts)
     solo = [wmmse_solve(h, cfg, v0=v0) for v0 in starts]
     win = int(np.argmax([run.wsr_trace.max() for run in solo]))
     res = wmmse_solve(h, cfg, seed=seed, restarts=restarts)
