@@ -75,7 +75,7 @@ def hpd_solve(a, mu, b):
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"A + {mu} I is not positive definite") from exc
     pivots = chol.diagonal(axis1=-2, axis2=-1).real ** 2
-    trace = np.einsum("...ii->...", s).real
+    trace = s.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
     threshold = PIVOT_RTOL * np.maximum(trace, TINY)
     # one pass over the pivots (a NaN fails it); per-matrix minima cost more
     if not (pivots > threshold[..., None]).all():

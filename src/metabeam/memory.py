@@ -10,7 +10,7 @@ experience and hard past samples keep contributing gradient signal.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def score_entries(entries, params, cfg, variant="corrected"):
         return []
     batch = np.stack([e.sample for e in entries])
     losses = pipeline.per_sample_losses(params, batch, cfg, variant=variant)
-    return [replace(e, last_loss=float(l)) for e, l in zip(entries, losses)]
+    return [MemoryEntry(e.sample, float(l), e.inserted_at) for e, l in zip(entries, losses)]
 
 
 def rank_hardest(entries, count):

@@ -84,21 +84,23 @@ def assemble_s(h, u, w, cfg):
     return hermitian_rank1_sum(coeffs, h)
 
 
-def reconstruct_v(h, u, w, mu, cfg, s=None):
+def reconstruct_v(h, u, w, mu, cfg, s=None, scales=None):
     """Closed-form beamformer v_k = alpha_k w_k u_k (S + mu I)^{-1} h_k.
 
     u (complex) and w (real) are (K,) with a scalar mu, or rows (S, K) with
     mu (S,). h is one (K, N) channel shared by every row, or a channel batch
-    (B, K, N) with one (u, w, mu) row per channel. s, when given, is S
-    already assembled from the same (u, w).
+    (B, K, N) with one (u, w, mu) row per channel. s and scales, when
+    given, are S and column_scales already computed from the same (u, w).
     """
     if s is None:
         s = assemble_s(h, u, w, cfg)
+    if scales is None:
+        scales = column_scales(u, w, cfg)
     x = hpd_solve(s, mu, np.swapaxes(h, -1, -2))  # (S + mu I)^{-1} h_k
-    return x * column_scales(u, w, cfg)[..., None, :]
+    return x * scales[..., None, :]
 
 
-def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
+def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None, scales=None):
     """Smallest mu >= 0 putting the reconstructed power at the budget.
 
     u (complex) and w (real) are (S, K) rows, one triple each, and h is the
@@ -117,9 +119,10 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None):
     trace(S) that keeps the downstream Cholesky solve positive definite and
     perturbs that limit by a negligible relative amount.
 
-    s, when given, is S already assembled from the same rows, (S, N, N).
+    s and scales, when given, are S (S, N, N) and column_scales (S, K)
+    already computed from the same rows.
     """
-    scales2 = np.abs(column_scales(u, w, cfg)) ** 2
+    scales2 = np.abs(column_scales(u, w, cfg) if scales is None else scales) ** 2
     if (scales2 == 0.0).all(axis=-1).any():
         raise DegenerateInputError("all reconstruction scales are zero")
     if s is None:
@@ -194,8 +197,9 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
     beamformers) and keeps the best run. With an explicit v0 only that single
     start is used. Each run alternates (u, w) and (mu, V) updates and stops
     when the Frobenius change of V drops below eps or max_iters is reached.
-    All starts advance together as one batch; a start that stops is frozen
-    while the others go on, so each follows the iterates it would alone.
+    All starts advance together as one batch; a start that stops is dropped
+    from the running batch, its results kept, while the others go on, so
+    each follows the iterates it would alone.
     One coupling evaluation per iterate (objective.gains on the running
     starts) gives its rate and then the next (u, w), bit for bit what
     compute_u, compute_w and objective.wsr give.
@@ -214,35 +218,41 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
             )
             starts.append(normalize_to_power(raw, cfg.p))
     v = np.stack(starts)
-    n_starts = len(v)
     g, a2, sinr = _couplings(h, v, cfg)  # of the running starts' iterates
-    traces = np.empty((max_iters + 1, n_starts))
-    traces[0] = objective.wsr_from_sinr(sinr, cfg)
-    best_wsr, best_v = traces[0].copy(), v.copy()
-    iterations = np.zeros(n_starts, dtype=int)
-    converged = np.zeros(n_starts, dtype=bool)
+    # Per-start results as of iteration 0; a start's row is written once more
+    # when it stops or at the cap, from the compact state of the running
+    # starts (row r is start run[r]), cut like the couplings as starts stop.
+    traces = np.empty((len(v), max_iters + 1))
+    traces[:, 0] = objective.wsr_from_sinr(sinr, cfg)
+    best_wsr, best_v = traces[:, 0].copy(), v.copy()
+    iterations, converged = np.zeros(len(v), dtype=int), np.zeros(len(v), dtype=bool)
+    run, run_traces, run_best_wsr, run_best_v = (
+        np.arange(len(v)), traces.copy(), best_wsr.copy(), v.copy())
     for it in range(1, max_iters + 1):
-        run = np.flatnonzero(~converged)
-        if run.size == 0:
-            break
         u, w = _receivers_and_weights(g, a2, sinr, cfg)
         s = assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
-        mu = solve_mu(h, u, w, cfg, s=s)
-        v_new = reconstruct_v(h, u, w, mu, cfg, s=s)
+        scales = column_scales(u, w, cfg)  # and so are the column scales
+        mu = solve_mu(h, u, w, cfg, s=s, scales=scales)
+        v_new = reconstruct_v(h, u, w, mu, cfg, s=s, scales=scales)
         g, a2, sinr = _couplings(h, v_new, cfg)
-        wsr = objective.wsr_from_sinr(sinr, cfg)
-        traces[it, run] = wsr
-        gain = wsr > best_wsr[run]
-        best_wsr[run[gain]] = wsr[gain]
-        best_v[run[gain]] = v_new[gain]
-        stop = np.linalg.norm(v_new - v[run], axis=(1, 2)) < eps
-        converged[run] = stop
-        v[run] = v_new
-        iterations[run] = it
-        if stop.any():  # keep the couplings of the starts still running
-            g, a2, sinr = g[~stop], a2[~stop], sinr[~stop]
+        wsr = run_traces[:, it] = objective.wsr_from_sinr(sinr, cfg)
+        gain = wsr > run_best_wsr
+        np.copyto(run_best_wsr, wsr, where=gain)
+        np.copyto(run_best_v, v_new, where=gain[:, None, None])
+        d = v_new - v  # its Frobenius norm, as np.linalg.norm takes it
+        stop = np.sqrt(np.add.reduce((d.conj() * d).real, axis=(1, 2))) < eps
+        v = v_new
+        if stop.any() or it == max_iters:
+            done = stop | (it == max_iters)
+            rows = run[done]
+            traces[rows], iterations[rows], converged[rows] = run_traces[done], it, stop[done]
+            best_wsr[rows], best_v[rows] = run_best_wsr[done], run_best_v[done]
+            run, v, run_traces, run_best_wsr, run_best_v, g, a2, sinr = (
+                x[~done] for x in (run, v, run_traces, run_best_wsr, run_best_v, g, a2, sinr))
+            if not run.size:
+                break
     win = int(np.argmax(best_wsr))
-    trace = traces[: iterations[win] + 1, win].copy()
+    trace = traces[win, : iterations[win] + 1].copy()
     return WmmseResult(best_v[win], int(iterations[win]), trace,
                        converged=bool(converged[win]))
 

@@ -369,7 +369,7 @@ def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
     v = v0[None]
     trace = [wsr(h, v, cfg)[0]]
     best_v = v[0]
-    converged = False
+    it, converged = 0, False
     for it in range(1, max_iters + 1):
         u, w = compute_u(h, v, cfg), compute_w(h, v, cfg)
         s = assemble_s(h, u, w, cfg)
@@ -385,30 +385,62 @@ def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
     return best_v, np.array(trace), it, converged
 
 
+def _assert_solve_matches_reference(h, cfg, seed, restarts=3, eps=1e-8, max_iters=300):
+    """wmmse_solve on the portfolio, and on its last start alone, equals the
+    reference loop field by field (the winner is the first start reaching
+    the best WSR). Returns the reference runs and the winner's index."""
+    starts = _portfolio(h, cfg, seed, restarts)
+    runs = [_reference_run(h, cfg, v0, eps, max_iters) for v0 in starts]
+    win = int(np.argmax([run[1].max() for run in runs]))
+    kwargs = {"eps": eps, "max_iters": max_iters}
+    for got, want in ((wmmse_solve(h, cfg, seed=seed, restarts=restarts, **kwargs), runs[win]),
+                      (wmmse_solve(h, cfg, v0=starts[-1], **kwargs), runs[-1])):
+        np.testing.assert_array_equal(got.v, want[0])
+        np.testing.assert_array_equal(got.wsr_trace, want[1])
+        assert (got.iterations, got.converged) == (want[2], want[3])
+    return runs, win
+
+
 @pytest.mark.parametrize("snr_db", [0, 20])
 def test_wmmse_solve_matches_reference_loop_to_the_bit(snr_db):
     # The solver reuses each iterate's couplings for its rate and the next
-    # (u, w), and drops the rows of starts that stop: neither may change a
-    # bit of what the step-by-step loop gives, for one start or the whole
-    # portfolio (the winner is the first start reaching the best WSR).
+    # (u, w), and keeps only the starts still running in its batch: neither
+    # may change a bit of what the step-by-step loop gives.
     rng = np.random.default_rng(20 + snr_db)
     cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0 ** (snr_db / 10))
     stop_passes = set()
     for seed in range(3):
-        h = rand_h(rng, 3, 3)
-        starts = _portfolio(h, cfg, seed, restarts=3)
-        runs = [_reference_run(h, cfg, v0) for v0 in starts]
+        runs, _ = _assert_solve_matches_reference(rand_h(rng, 3, 3), cfg, seed)
         stop_passes |= {run[2] for run in runs}
-        win = int(np.argmax([run[1].max() for run in runs]))
-        for got, want in ((wmmse_solve(h, cfg, seed=seed), runs[win]),
-                          (wmmse_solve(h, cfg, v0=starts[2]), runs[2])):
-            np.testing.assert_array_equal(got.v, want[0])
-            np.testing.assert_array_equal(got.wsr_trace, want[1])
-            assert (got.iterations, got.converged) == (want[2], want[3])
     if snr_db == 0:
         assert len(stop_passes) > 3  # starts stop at different passes
     else:
         assert 300 in stop_passes  # and some run to max_iters
+
+
+@pytest.mark.parametrize("snr_db, kwargs, stops", [
+    (0, {"max_iters": 0}, {(0, False)}),
+    (20, {"max_iters": 1}, {(1, False)}),
+    (10, {"eps": np.inf}, {(1, True)}),  # every start stops on pass 1
+    (10, {"eps": 0.0, "max_iters": 12}, {(12, False)}),  # all from the cap
+    (0, {"restarts": 0}, None),  # matched filter and zero forcing only
+])
+def test_wmmse_solve_matches_reference_loop_at_the_edges(snr_db, kwargs, stops):
+    rng = np.random.default_rng(30 + snr_db)
+    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0 ** (snr_db / 10))
+    for seed in range(2):
+        runs, _ = _assert_solve_matches_reference(rand_h(rng, 3, 3), cfg, seed, **kwargs)
+        assert stops is None or {(run[2], run[3]) for run in runs} == stops
+
+
+def test_wmmse_solve_keeps_the_best_of_a_winner_that_stops_first():
+    # On this 0 dB channel the winning start (the second random one) stops
+    # 20 passes before any other: the starts that run on after it must not
+    # overwrite its best iterate.
+    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=1.0)
+    runs, win = _assert_solve_matches_reference(rand_h(np.random.default_rng(3), 3, 3),
+                                                cfg, seed=0)
+    assert runs[win][2] < min(run[2] for i, run in enumerate(runs) if i != win)
 
 
 def test_wmmse_solve_evaluates_couplings_once_per_iterate(monkeypatch):
