@@ -50,8 +50,9 @@ class Tape:
 
     def leaf(self, value):
         """Differentiable input (a parameter)."""
-        node = self.record(value, op="leaf")
+        node = Node(self._ref, len(self.nodes), np.asarray(value, dtype=np.float64), "leaf")
         node.requires_grad = True
+        self.nodes.append(node)
         return node
 
     def const(self, value):
@@ -125,6 +126,10 @@ def mlp(x, weights, biases):
     backward runs, layer by layer from the output, the float operations of
     the matmul/add/ReLU chain it stands for: g <- g * mask below the output
     layer, db = g summed over the batch axis, dW = h^T g, g <- g W^T.
+
+    The bias add and the ReLU mask write into the fresh matmul result, and
+    the backward masks only its own g W^T products, never the adjoint it is
+    given.
     """
     inputs, masks = [], []
     h = x.value
@@ -134,17 +139,18 @@ def mlp(x, weights, biases):
             raise ValueError(f"mlp takes (B, i) x (i, o) or (T, B, i) x (T, i, o) "
                              f"layers, got {h.shape} x {w.value.shape}")
         inputs.append(h)
-        h = h @ w.value + b.value
+        h = h @ w.value
+        h += b.value
         if i != last:
             mask = h > 0.0
             masks.append(mask)
-            h = h * mask
+            h *= mask
 
     def backward(g):
         grads = [None] * (2 * len(weights))
         for i in range(last, -1, -1):
-            if i != last:
-                g = g * masks[i]
+            if i != last:  # g is this node's own g W^T product
+                g *= masks[i]
             grads[2 * i + 1] = g.sum(axis=-2).reshape(biases[i].value.shape)
             grads[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g
             if i or x.requires_grad:

@@ -19,12 +19,14 @@ from . import nn, pipeline
 from .errors import NumericalError
 
 # Samples adapted on one tape pass of a memoryless stream: 4 slots of 40 at
-# the reference shape. One such pass took 5.0 ms (1.24 ms per slot, against
-# 2.2 ms for one slot alone) with a traced peak of 2.9 MiB. A 50-slot stream
-# took 294 ms at 160 against 607 ms one slot per pass; 400 took 234 ms but
-# raised the traced peak from 4.9 to 11.8 MiB (about 1.2 MiB per slot in a
-# group), and 160 keeps the stream's peak resident memory within a few
-# percent of the one-slot loop (2-vCPU x86_64, numpy 2.4.6, one BLAS thread).
+# the reference shape. One such pass took 3.8 ms (0.95 ms per slot, against
+# 1.3-1.6 ms for one slot alone) with a traced peak of 1.6 MiB. A 50-slot
+# stream took 222 ms (207-256 ms) at 160 against 429 ms (419-447 ms) one
+# slot per pass; 400 took 202 ms (197-208 ms) but raised the stream's traced
+# peak from 2.4 to 5.7 MiB (about 0.55 MiB per slot in a group), and 160
+# keeps the stream's peak resident memory within a few percent of the
+# one-slot loop (medians and ranges of three runs; 2-vCPU x86_64, numpy
+# 2.4.6, one BLAS thread).
 SLOT_GROUP_SAMPLES = 160
 
 

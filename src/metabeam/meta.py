@@ -20,6 +20,15 @@ Every per-task number is computed by the same floating-point operations as a
 one-task-at-a-time loop, so the result is bit-identical to it; the group
 size only trades tape passes (each with a fixed Python cost) against the
 memory of one tape.
+
+No loop writes into an array its caller passed in (parameters, stacks,
+batches, streams). The steps overwrite only arrays the loop itself made:
+each SGD step writes the stepped parameters into the gradient arrays of the
+pass that produced them (nn.sgd_step), so a group's starting stacks can be
+read-only views of the meta parameters (nn.stack_params); Adam advances the
+loop's own AdamState in place and returns a fresh packed vector
+(nn.adam_step), whose views (nn.view_params) serve unsupervised_train's
+next pass. A caller's AdamState passed to outer_update is advanced in place.
 """
 
 import time
@@ -31,10 +40,12 @@ from . import autodiff as ad
 from . import channels, nn, pipeline
 
 # Samples on one tape pass of the meta step: 10 tasks of 40 at the reference
-# shape. One such pass took 11.3 ms with a traced peak of 7.0 MiB; a
-# reference-shape epoch took 76 ms at 400, 84 ms at 200 and 78 ms at 800,
-# with traced peaks of 10.9, 5.9 and 21.0 MiB (2-vCPU x86_64, numpy 2.4.6,
-# one BLAS thread).
+# shape. One such pass took 7.5 ms (6.8-8.3 ms) with a traced peak of
+# 4.0 MiB; a reference-shape epoch took 61 ms at 400 (60-65 ms), 69 ms at
+# 200 (67-72 ms) and 57 ms at 800 (51-62 ms), with traced peaks of 7.9, 4.4
+# and 15.1 MiB, so 800 doubles the memory for a gain inside the spread
+# (medians and ranges of three runs; 2-vCPU x86_64, numpy 2.4.6, one BLAS
+# thread).
 TASK_GROUP_SAMPLES = 400
 
 
@@ -102,8 +113,10 @@ def adapt_stack(params, stack, batch, cfg, meta_cfg, steps, reduction="sum"):
     (B, K, N), or per-leaf stacks of T tasks (see nn.stack_params) with batch
     (T, B, K, N): task t then steps on batch[t] alone, by the same
     floating-point operations as a one-task stack. The inputs are never
-    mutated. Returns the adapted arrays and the loss of the first step, at
-    the input arrays ((T,) per task for a stack; None when steps is 0).
+    written: each step writes its result into the gradients of its own pass.
+    Returns the adapted arrays (the input arrays themselves when steps is 0)
+    and the loss of the first step, at the input arrays ((T,) per task for a
+    stack; None when steps is 0).
     """
     first = None
     for step in range(steps):
@@ -225,7 +238,7 @@ def unsupervised_train(dataset, cfg, meta_cfg, seed=0, init=None, log=None):
         losses = []
         for lo in range(0, size - bs + 1, bs):
             batch = dataset[order[lo : lo + bs]]
-            current = nn.unpack(vec, params)
+            current = nn.view_params(vec, params)  # adam_step never writes vec
             loss, grads = _loss_and_grad(current, batch, cfg, meta_cfg, "mean")
             g = np.concatenate([g.ravel() for g in grads])
             vec, adam_state = adam_step_packed(vec, g, adam_state, meta_cfg.outer_lr)

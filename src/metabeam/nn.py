@@ -3,9 +3,17 @@
 The predictor holds three small ReLU MLPs (u-net, w-net, mu-net) sharing one
 input encoding. Parameters live in plain numpy arrays. Adam flattens them
 into a single vector (pack/unpack), and a checkpoint's payload is that
-vector; plain SGD steps each leaf's array, or a stack of per-task copies of
-it (stack_params), and from_arrays rebuilds the parameters from such
+vector; plain SGD steps each leaf's array, or a stack of per-task parameters
+(stack_params), and from_arrays rebuilds the parameters from such
 per-leaf arrays.
+
+Which arrays a step may overwrite: sgd_step writes its result into the
+gradient it is given (one the caller owns and no longer needs), never into
+the parameters; adam_step advances its AdamState in place (m, v and t) and
+returns a fresh parameter vector, never writing into the vector or the
+gradient. Since no step writes into parameters, stack_params and
+view_params hand out views that share their source's memory; unpack and
+from_arrays copy.
 """
 
 import itertools
@@ -86,27 +94,45 @@ def pack(params):
     return np.concatenate([a.ravel() for a in params.arrays()])
 
 
+def view_params(vec, template):
+    """PredictorParams with template's shapes whose arrays are reshaped views
+    of the flat vector: no copy, so a write into vec shows through them."""
+    return _assemble(_leaf_views(vec, template), template)
+
+
 def unpack(vec, template):
-    """Rebuild a PredictorParams with template's shapes from a flat vector."""
-    vec = np.asarray(vec, dtype=np.float64)
-    ends = list(itertools.accumulate(a.size for a in template.arrays()))
-    if ends[-1] != vec.size:
-        raise ValueError(f"vector has {vec.size} entries, template needs {ends[-1]}")
-    return from_arrays((vec[lo:hi] for lo, hi in zip([0] + ends, ends)), template)
+    """Rebuild a PredictorParams with template's shapes from a flat vector;
+    every array is a copy, so the result keeps vec neither alive nor shared."""
+    return _assemble([a.copy() for a in _leaf_views(vec, template)], template)
 
 
 def from_arrays(arrays, template):
     """PredictorParams shaped like template from per-leaf arrays in
     template.arrays() order, each of its leaf's size (e.g. one task's slice of
     a stack). Copies every array, so the result keeps no input alive."""
-    arrays = iter(arrays)
-    nets = []
+    return _assemble(
+        [a.reshape(t.shape).copy() for a, t in zip(arrays, template.arrays())], template
+    )
+
+
+def _leaf_views(vec, template):
+    """Views of consecutive pieces of vec, shaped like template.arrays()."""
+    vec = np.asarray(vec, dtype=np.float64)
+    leaves = list(template.arrays())
+    ends = list(itertools.accumulate(a.size for a in leaves))
+    if ends[-1] != vec.size:
+        raise ValueError(f"vector has {vec.size} entries, template needs {ends[-1]}")
+    return [vec[lo:hi].reshape(a.shape) for lo, hi, a in zip([0] + ends, ends, leaves)]
+
+
+def _assemble(leaves, template):
+    """PredictorParams with template's layer counts from a list of per-leaf
+    arrays in template.arrays() order, taken as they are."""
+    nets, lo = [], 0
     for net in template.nets():
-        weights, biases = [], []
-        for w, b in zip(net.weights, net.biases):
-            weights.append(next(arrays).reshape(w.shape).copy())
-            biases.append(next(arrays).reshape(b.shape).copy())
-        nets.append(MlpParams(weights=weights, biases=biases))
+        hi = lo + 2 * len(net.weights)
+        nets.append(MlpParams(weights=leaves[lo:hi:2], biases=leaves[lo + 1 : hi : 2]))
+        lo = hi
     return PredictorParams(*nets)
 
 
@@ -114,7 +140,7 @@ def leaves_for(tape, params, stack=None):
     """Create one tape leaf per parameter array; returns (tree, flat list).
 
     With stack, per-leaf arrays in params.arrays() order holding T tasks'
-    copies (see stack_params), the leaves are those arrays: weights
+    parameters (see stack_params), the leaves are those arrays: weights
     (T, i, o) and biases (T, 1, o).
     """
     arrays = params.arrays() if stack is None else iter(stack)
@@ -131,8 +157,14 @@ def leaves_for(tape, params, stack=None):
 
 
 def stack_params(params, t):
-    """T copies of params as per-leaf stacks: weights (T, i, o), biases (T, 1, o)."""
-    return [np.repeat(a.reshape(1, -1, a.shape[-1]), t, axis=0) for a in params.arrays()]
+    """params for T tasks as per-leaf stacks: weights (T, i, o), biases
+    (T, 1, o). Each stack is a read-only broadcast view of its leaf, not a
+    copy: no step writes into a stack (sgd_step writes into the gradient)."""
+    stacks = []
+    for a in params.arrays():
+        one = a.reshape(1, -1, a.shape[-1])
+        stacks.append(np.broadcast_to(one, (t, *one.shape[1:])))
+    return stacks
 
 
 def mlp_forward_np(net, x):
@@ -147,8 +179,11 @@ def mlp_forward_np(net, x):
 
 
 def sgd_step(vec, g, lr):
-    """Plain gradient step on a flat parameter vector or one leaf stack."""
-    return vec - lr * g
+    """Plain gradient step vec - lr * g on a flat parameter vector or one leaf
+    stack. The result is written into g, which the caller must own and not
+    need again, and returned; vec is never written."""
+    np.multiply(g, lr, out=g)
+    return np.subtract(vec, g, out=g)
 
 
 @dataclass
@@ -163,14 +198,30 @@ class AdamState:
 
 
 def adam_step(vec, g, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected Adam update; returns (new_vec, new_state)."""
-    t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_vec = vec - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_vec, AdamState(m=m, v=v, t=t)
+    """Bias-corrected Adam update; returns (new_vec, state).
+
+    The textbook float operations in their order:
+        m <- beta1 m + (1 - beta1) g,  v <- beta2 v + (1 - beta2) g g,
+        new_vec = vec - lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps).
+    state is advanced in place (m, v and t) through one scratch vector;
+    new_vec is a fresh array, and vec and g are never written.
+    """
+    state.t += 1
+    m, v, t = state.m, state.v, state.t
+    scratch = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += scratch
+    np.multiply(g, 1.0 - beta2, out=scratch)
+    scratch *= g
+    v *= beta2
+    v += scratch
+    np.divide(v, 1.0 - beta2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    new_vec = np.divide(m, 1.0 - beta1**t)
+    new_vec *= lr
+    new_vec /= scratch
+    return np.subtract(vec, new_vec, out=new_vec), state
 
 
 def save_checkpoint(path, params):

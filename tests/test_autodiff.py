@@ -7,7 +7,8 @@ each assertion:
   gradient equal that chain's, built node by node in the test, to the bit.
 - sum(x * 3 x): d/dx = 6 x, the sum of the adjoints of both uses of x.
 - Adam from a zero state at t=1 has m_hat = g and v_hat = g^2, so the first
-  step is exactly theta - lr * g / (|g| + eps).
+  step is exactly theta - lr * g / (|g| + eps); from any state, each step
+  equals the out-of-place textbook formula to the bit.
 - For Hermitian base S, the csolve_hpd adjoint matches entrywise central
   differences on s_re, s_im, and mu even though single-entry perturbations
   are not Hermitian (the real parts of the two sensitivity expressions
@@ -275,9 +276,46 @@ def test_csolve_hpd_rejects_indefinite():
 
 
 def test_sgd_step_formula():
+    # sgd_step writes its result into g, so the expectation comes first.
     vec = np.array([1.0, -2.0, 3.0])
     g = np.array([0.5, 0.5, -1.0])
-    np.testing.assert_allclose(sgd_step(vec, g, 0.1), vec - 0.1 * g, rtol=1e-15)
+    expected = vec - 0.1 * g
+    vec_before = vec.copy()
+    out = sgd_step(vec, g, 0.1)
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(vec, vec_before)
+    assert out is g
+
+
+def test_adam_step_matches_textbook_float_order():
+    # Three steps from a nonzero state against the out-of-place formula,
+    # to the bit; the returned vector never shares memory with vec or g.
+    rng = np.random.default_rng(4)
+    dim, lr, beta1, beta2, eps = 50, 0.01, 0.9, 0.999, 1e-8
+    vec = rng.standard_normal(dim)
+    state = AdamState(m=0.1 * rng.standard_normal(dim),
+                      v=0.01 * rng.random(dim), t=4)
+    m, v, t = state.m.copy(), state.v.copy(), state.t
+    want = vec.copy()
+    for _ in range(3):
+        g = rng.standard_normal(dim)
+        g_before, vec_before = g.copy(), vec.copy()
+        t = t + 1
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_vec, state = adam_step(vec, g, state, lr)
+        assert not np.shares_memory(new_vec, vec)
+        assert not np.shares_memory(new_vec, g)
+        np.testing.assert_array_equal(vec, vec_before)
+        np.testing.assert_array_equal(g, g_before)
+        np.testing.assert_array_equal(new_vec, want)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        assert state.t == t
+        vec = new_vec
 
 
 def test_adam_first_step_closed_form():
