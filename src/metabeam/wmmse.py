@@ -100,17 +100,23 @@ def reconstruct_v(h, u, w, mu, cfg, s=None, scales=None):
     return x * scales[..., None, :]
 
 
-def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None, scales=None):
+def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None, scales=None, mu0=None):
     """Smallest mu >= 0 putting the reconstructed power at the budget.
 
     u (complex) and w (real) are (S, K) rows, one triple each, and h is the
     (K, N) channel they share; returns one mu per row, (S,). The
     reconstructed power is strictly decreasing in mu: returns 0 when the
-    power at mu = 0 is already within budget, otherwise a mu with power in
-    [P (1 - rtol), P]. Raises DegenerateInputError when all reconstruction
-    scales of a row vanish (the power can then never reach P), and
-    SingularMatrixError when the budget is unreachable or the search has not
-    converged after max_iters steps.
+    power at mu = 0 is already within budget (a slack row), otherwise a mu
+    with power in [P (1 - rtol), P]. Raises DegenerateInputError when all
+    reconstruction scales of a row vanish (the power can then never reach
+    P), and SingularMatrixError when the budget is unreachable or the search
+    has not converged after max_iters Newton steps.
+
+    mu0, when given, is one starting mu >= 0 per row, such as the row's
+    answer on the previous WMMSE iterate. Slack rows still return 0 (or the
+    floor below) whatever their mu0; every other row starts its search at
+    mu0, and a row whose power at mu0 is already in the band returns mu0
+    after no step at all. Without mu0 the search starts at mu = 0.
 
     With fewer users than antennas S can be rank deficient while the budget
     is slack (the unconstrained optimum). The mu -> 0+ limit of the
@@ -142,24 +148,30 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None, scales=None):
     eigs_live = np.where(live, eigs, 1.0)
 
     # Newton on power(mu)^(-1/2), which is concave and increasing in mu
-    # (More & Sorensen 1983): started at mu = 0 left of the root it climbs
-    # without overshooting. Aiming at P (1 - rtol/2) makes the first iterate
-    # with power <= P land inside the band [P (1 - rtol), P]. A pass is bare
-    # ufunc calls; rows already in the band keep their mu, and the in-place
-    # update of the others shows through the column view mu_col.
+    # (More & Sorensen 1983): from a start left of the root (mu = 0, or a
+    # mu0 with power above P) it climbs without overshooting, and from a
+    # start right of it (a mu0 with power below the band) one step lands
+    # left of the root, clamped at 0, and the climb goes on from there.
+    # Aiming at P (1 - rtol/2) makes the first climbing iterate with power
+    # <= P land inside the band [P (1 - rtol), P]. A pass is bare ufunc
+    # calls; rows in the band keep their mu, and the in-place update of the
+    # others shows through the column view mu_col. Slack rows sit at mu = 0
+    # with power <= P, and the search leaves them there.
     p = cfg.p
     target = p * (1.0 - 0.5 * rtol)
-    mu = np.zeros(len(u))
+    slack = np.add.reduce(c / eigs_live**2, axis=-1) <= p
+    mu = np.where(slack, 0.0, 0.0 if mu0 is None else mu0)
+    low = np.where(slack, -np.inf, p * (1.0 - rtol))
     mu_col = mu[:, None]
-    todo = np.ones(len(u), dtype=bool)
     for _ in range(max_iters + 1):
         d = eigs_live + mu_col
         pw = np.add.reduce(c / d**2, axis=-1)
-        todo &= pw > p
+        todo = (pw > p) | (pw < low)
         if not np.logical_or.reduce(todo):
             break
         step = pw * (np.sqrt(pw / target) - 1.0) / np.add.reduce(c / d**3, axis=-1)
         np.add(mu, step, out=mu, where=todo)
+        np.maximum(mu, 0.0, out=mu)
     else:
         raise SingularMatrixError(f"mu search not converged in {max_iters} steps")
     if not (mu <= 1e18).all():
@@ -202,7 +214,10 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
     each follows the iterates it would alone.
     One coupling evaluation per iterate (objective.gains on the running
     starts) gives its rate and then the next (u, w), bit for bit what
-    compute_u, compute_w and objective.wsr give.
+    compute_u, compute_w and objective.wsr give. Each start's mu search
+    begins at its mu of the previous iterate (solve_mu's mu0; pass 1
+    starts at mu = 0), so a start whose power is still in the band there
+    takes no Newton step.
     Always returns the best iterate seen; the returned trace belongs to the
     winning start (the first one reaching the best WSR).
     """
@@ -228,11 +243,12 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
     iterations, converged = np.zeros(len(v), dtype=int), np.zeros(len(v), dtype=bool)
     run, run_traces, run_best_wsr, run_best_v = (
         np.arange(len(v)), traces.copy(), best_wsr.copy(), v.copy())
+    mu = None  # each running start's mu; pass 1 searches from mu = 0
     for it in range(1, max_iters + 1):
         u, w = _receivers_and_weights(g, a2, sinr, cfg)
         s = assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
         scales = column_scales(u, w, cfg)  # and so are the column scales
-        mu = solve_mu(h, u, w, cfg, s=s, scales=scales)
+        mu = solve_mu(h, u, w, cfg, s=s, scales=scales, mu0=mu)
         v_new = reconstruct_v(h, u, w, mu, cfg, s=s, scales=scales)
         g, a2, sinr = _couplings(h, v_new, cfg)
         wsr = run_traces[:, it] = objective.wsr_from_sinr(sinr, cfg)
@@ -247,8 +263,9 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
             rows = run[done]
             traces[rows], iterations[rows], converged[rows] = run_traces[done], it, stop[done]
             best_wsr[rows], best_v[rows] = run_best_wsr[done], run_best_v[done]
-            run, v, run_traces, run_best_wsr, run_best_v, g, a2, sinr = (
-                x[~done] for x in (run, v, run_traces, run_best_wsr, run_best_v, g, a2, sinr))
+            run, v, run_traces, run_best_wsr, run_best_v, g, a2, sinr, mu = (
+                x[~done] for x in
+                (run, v, run_traces, run_best_wsr, run_best_v, g, a2, sinr, mu))
             if not run.size:
                 break
     win = int(np.argmax(best_wsr))

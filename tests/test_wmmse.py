@@ -152,20 +152,29 @@ def _assert_budget_row(h, u, w, mu, cfg, rtol=1e-9):
     assert in_band or (floor and p_used <= cfg.p * (1.0 + 1e-10))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    rows=st.integers(1, 5),
-    n=st.integers(1, 4),
-    k=st.integers(1, 4),
-    snr_db=st.sampled_from([0.0, 10.0, 20.0, 40.0]),
-)
-def test_solve_mu_batched_rows_match_1d_calls(seed, rows, n, k, snr_db):
+def _mu_rows(seed, rows, n, k, snr_db):
+    """A random channel and `rows` random (u, w) rows for solve_mu."""
     rng = np.random.default_rng(seed)
     cfg = SystemConfig(n=n, k=k, sigma2=1.0, p=10.0 ** (snr_db / 10.0))
     h = rand_h(rng, k, n)
     u = (rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))) / 10.0
     w = rng.uniform(1.0, 5.0, size=(rows, k))
+    return cfg, h, u, w
+
+
+_MU_ROWS = {
+    "seed": st.integers(0, 2**31 - 1),
+    "rows": st.integers(1, 5),
+    "n": st.integers(1, 4),
+    "k": st.integers(1, 4),
+    "snr_db": st.sampled_from([0.0, 10.0, 20.0, 40.0]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_MU_ROWS)
+def test_solve_mu_batched_rows_match_1d_calls(seed, rows, n, k, snr_db):
+    cfg, h, u, w = _mu_rows(seed, rows, n, k, snr_db)
     mu = solve_mu(h, u, w, cfg)
     assert mu.shape == (rows,)
     for row in range(rows):
@@ -173,6 +182,37 @@ def test_solve_mu_batched_rows_match_1d_calls(seed, rows, n, k, snr_db):
         assert single.shape == (1,)
         assert mu[row] == pytest.approx(single[0], rel=1e-12, abs=0.0)
         _assert_budget_row(h, u[row], w[row], mu[row], cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_MU_ROWS, picks=st.lists(st.integers(0, 5), min_size=5, max_size=5))
+def test_solve_mu_warm_start_contract(seed, rows, n, k, snr_db, picks):
+    # From any of these starts each row still lands in the power band (or
+    # at 0 / the rank floor), rows stay independent of each other, and a
+    # slack row returns what the cold search returns, whatever its start.
+    cfg, h, u, w = _mu_rows(seed, rows, n, k, snr_db)
+    cold = solve_mu(h, u, w, cfg)
+    floor = 100.0 * PIVOT_RTOL * np.trace(assemble_s(h, u, w, cfg), axis1=1, axis2=2).real
+    starts = np.stack([np.zeros(rows), cold, 0.5 * cold, 2.0 * cold, 1e6 * cold, floor])
+    mu0 = starts[picks[:rows], np.arange(rows)]
+    mu = solve_mu(h, u, w, cfg, mu0=mu0)
+    assert mu.shape == (rows,)
+    for row in range(rows):
+        single = solve_mu(h, u[row : row + 1], w[row : row + 1], cfg, mu0=mu0[row : row + 1])
+        np.testing.assert_array_equal(mu[row], single[0])
+        _assert_budget_row(h, u[row], w[row], mu[row], cfg)
+        if cold[row] in (0.0, floor[row]):  # slack at mu = 0
+            assert mu[row] == cold[row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_MU_ROWS)
+def test_solve_mu_warm_start_at_its_answer_takes_no_step(seed, rows, n, k, snr_db):
+    # A row started at its own answer is already in the band (or slack), so
+    # the search returns that answer without a single Newton step.
+    cfg, h, u, w = _mu_rows(seed, rows, n, k, snr_db)
+    mu = solve_mu(h, u, w, cfg)
+    np.testing.assert_array_equal(solve_mu(h, u, w, cfg, mu0=mu, max_iters=0), mu)
 
 
 def test_solve_mu_rank_deficient_batch():
@@ -198,10 +238,21 @@ def test_solve_mu_unreachable_or_unconverged_raises():
     h = np.array([[1.0 + 0j]])
     with pytest.raises(SingularMatrixError):
         solve_mu(h, np.array([[1e-10 + 0j]]), np.array([[1e30]]), cfg)
-    # The unity oracle above needs one Newton step; zero steps cannot reach it.
+    # No start gets there either: below the root, at it or far beyond it.
+    for mu0 in (0.0, 1e10, 1e20, 1e30):
+        with pytest.raises(SingularMatrixError):
+            solve_mu(h, np.array([[1e-10 + 0j]]), np.array([[1e30]]), cfg,
+                     mu0=np.array([mu0]))
+    # The unity oracle above needs one Newton step from mu = 0 or from
+    # beyond its root mu = 1; zero steps cannot reach it, but mu0 = 1 is
+    # already the answer.
     cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=4.0 / 9.0)
-    with pytest.raises(SingularMatrixError):
-        solve_mu(h, np.array([[1.0 + 0j]]), np.array([[2.0]]), cfg, max_iters=0)
+    u, w = np.array([[1.0 + 0j]]), np.array([[2.0]])
+    for mu0 in (None, np.array([0.0]), np.array([3.0])):
+        with pytest.raises(SingularMatrixError):
+            solve_mu(h, u, w, cfg, max_iters=0, mu0=mu0)
+    np.testing.assert_array_equal(solve_mu(h, u, w, cfg, max_iters=0, mu0=np.array([1.0])),
+                                  [1.0])
 
 
 def test_solve_mu_degenerate_zero_components():
@@ -363,17 +414,18 @@ def _portfolio(h, cfg, seed, restarts):
 
 def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
     """The textbook WMMSE iterate for one start, each step recomputed from
-    the last V: (u, w), S, mu, the closed-form V and its rate. Stops on
-    ||V_new - V||_F < eps; returns (best V, WSR trace, iterations,
-    converged), the best V being the first iterate with the largest WSR."""
+    the last V: (u, w), S, mu (searched from the previous iterate's mu), the
+    closed-form V and its rate. Stops on ||V_new - V||_F < eps; returns
+    (best V, WSR trace, iterations, converged), the best V being the first
+    iterate with the largest WSR."""
     v = v0[None]
     trace = [wsr(h, v, cfg)[0]]
     best_v = v[0]
-    it, converged = 0, False
+    it, converged, mu = 0, False, None
     for it in range(1, max_iters + 1):
         u, w = compute_u(h, v, cfg), compute_w(h, v, cfg)
         s = assemble_s(h, u, w, cfg)
-        mu = solve_mu(h, u, w, cfg, s=s)
+        mu = solve_mu(h, u, w, cfg, s=s, mu0=mu)
         v_new = reconstruct_v(h, u, w, mu, cfg, s=s)
         trace.append(wsr(h, v_new, cfg)[0])
         if trace[-1] > max(trace[:-1]):
@@ -435,10 +487,10 @@ def test_wmmse_solve_matches_reference_loop_at_the_edges(snr_db, kwargs, stops):
 
 def test_wmmse_solve_keeps_the_best_of_a_winner_that_stops_first():
     # On this 0 dB channel the winning start (the second random one) stops
-    # 20 passes before any other: the starts that run on after it must not
+    # 6 passes before any other: the starts that run on after it must not
     # overwrite its best iterate.
     cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=1.0)
-    runs, win = _assert_solve_matches_reference(rand_h(np.random.default_rng(3), 3, 3),
+    runs, win = _assert_solve_matches_reference(rand_h(np.random.default_rng(4), 3, 3),
                                                 cfg, seed=0)
     assert runs[win][2] < min(run[2] for i, run in enumerate(runs) if i != win)
 
@@ -446,25 +498,36 @@ def test_wmmse_solve_keeps_the_best_of_a_winner_that_stops_first():
 def test_wmmse_solve_evaluates_couplings_once_per_iterate(monkeypatch):
     # One objective.gains call for the starts, then one per loop pass on the
     # new iterates of the starts still running: their rate and the next
-    # (u, w) come from it.
+    # (u, w) come from it. Pass 1 searches mu cold; every later pass starts
+    # each running start's search at its mu of the pass before, cut with
+    # the rows of the starts that stopped.
     rng = np.random.default_rng(18)
     cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=1.0)
-    gains_rows, pass_rows = [], []
+    h = rand_h(rng, 3, 3)
+    # pass i runs the starts that stop on pass i or later
+    stops = np.array([_reference_run(h, cfg, v0)[2] for v0 in _portfolio(h, cfg, 0, 3)])
+    gains_rows, searches = [], []
     real_gains, real_solve_mu = objective.gains, wmmse.solve_mu
 
     def gains(h, v):
         gains_rows.append(len(v))
         return real_gains(h, v)
 
-    def solve_mu(h, u, w, cfg, **kwargs):
-        pass_rows.append(len(u))
-        return real_solve_mu(h, u, w, cfg, **kwargs)
+    def solve_mu(h, u, w, cfg, mu0=None, **kwargs):
+        mu = real_solve_mu(h, u, w, cfg, mu0=mu0, **kwargs)
+        searches.append((mu0, mu))
+        return mu
 
     monkeypatch.setattr(objective, "gains", gains)
     monkeypatch.setattr(wmmse, "solve_mu", solve_mu)
-    wmmse_solve(rand_h(rng, 3, 3), cfg)
+    wmmse_solve(h, cfg)
+    pass_rows = [len(mu) for _, mu in searches]
     assert gains_rows == [5] + pass_rows
     assert pass_rows[-1] < 5  # starts stopped on the way
+    assert searches[0][0] is None and len(searches) == stops.max()
+    for it in range(2, len(searches) + 1):
+        kept = stops[stops >= it - 1] >= it
+        np.testing.assert_array_equal(searches[it - 1][0], searches[it - 2][1][kept])
 
 
 def test_wmmse_batched_starts_follow_solo_runs():
