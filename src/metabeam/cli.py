@@ -7,6 +7,7 @@ configuration error, 2 numerical failure.
 """
 
 import argparse
+import filecmp
 import functools
 import os
 import sys
@@ -63,10 +64,14 @@ def _cmd_eval(args):
         raise ValueError(f"--method {args.method} reads no checkpoint")
     os.makedirs(out_dir, exist_ok=True)
     if args.checkpoint:
-        # place the provided checkpoint where run_eval expects it
+        # place the provided checkpoint where run_eval expects it, unless a
+        # different one (whose training log sits beside it) is already there
         target = runner.checkpoint_path(out_dir, runner.CHECKPOINT_OF[args.method])
-        if os.path.abspath(args.checkpoint) != os.path.abspath(target):
-            nn.save_checkpoint(target, nn.load_checkpoint(args.checkpoint))
+        if not os.path.exists(target):
+            nn.save_checkpoint(target, runner.load_params(args.checkpoint, cfg))
+        elif not filecmp.cmp(args.checkpoint, target, shallow=False):
+            raise ValueError(f"--checkpoint {args.checkpoint} differs from {target}, "
+                             "which eval would replace; choose another --out")
     rows = runner.run_eval(cfg, args.method, out_dir, verbose=args.verbose)
     csv_path = os.path.join(out_dir, f"eval_{args.method}.csv")
     json_path = (

@@ -171,14 +171,16 @@ def _one_of(*choices):
     return lambda v: v in choices or f"must be {'|'.join(choices)}, got {v!r}"
 
 
-def _nonempty(values):
-    return bool(values) or "must name at least one value"
+def _distinct(values):  # a repeated SNR or method writes two rows under one key
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    return (f"repeats {_render(repeated[0])}" if repeated
+            else bool(values) or "must name at least one value")
 
 
 def _known_methods(names):
     unknown = [m for m in names if m not in METHODS]
     return (f"unknown method {unknown[0]!r}; known: {', '.join(METHODS)}" if unknown
-            else _nonempty(names))
+            else _distinct(names))
 
 
 # One row per key, in echo order: (section, key, attribute path, parser,
@@ -190,7 +192,7 @@ KEYS = (
     ("system", "n", "n", int, None),
     ("system", "k", "k", int, None),
     ("system", "sigma2", "sigma2", float, None),
-    ("system", "snr_db", "snr_db", _parse_float_list, _nonempty),
+    ("system", "snr_db", "snr_db", _parse_float_list, _distinct),
     ("system", "alpha", "alpha", _parse_float_list, None),
     ("train", "mix", "train_mix", parse_mix,
      lambda mix: _reason(channels.check_mixture, mix)),

@@ -1,4 +1,4 @@
-"""Loss-ranked replay memory for streaming test-time adaptation.
+"""Loss-ranked replay memory and the streaming test-time loop.
 
 The memory holds up to `capacity` past channel samples. At each stream slot a
 quota of the freshest incoming samples is admitted unconditionally and the
@@ -7,6 +7,8 @@ per-sample loss under the current parameters (re-scored every slot). Each
 slot's adaptation restarts from the meta-initialization and trains on memory
 plus the fresh batch, so the memory is the sole carrier of accumulated
 experience and hard past samples keep contributing gradient signal.
+mml_test_loop runs every streaming method, with or without a memory; at
+capacity 0 (maml, maml_no_pretrain) it adapts each run of slots on one tape.
 """
 
 import math
@@ -127,80 +129,54 @@ def update_memory(mem, fresh, t, params, cfg, variant="corrected", rank_pool="re
 
 
 def mml_test_loop(params, stream, cfg, meta_cfg, capacity, rank_pool="retained", on_slot=None):
-    """Streaming adaptation with replay memory.
+    """Streaming adaptation, with a replay memory when capacity > 0.
 
-    `params` is the pre-trained initialization; every slot re-adapts from it
-    rather than from the previous slot's weights, so the memory set is the
-    only state carried along the stream. For each slot batch D_t: record the
-    sum rate of the currently adapted parameters on D_t, re-adapt from the
-    initialization on memory union D_t (meta_cfg.adapt_steps gradient
-    steps, summed loss, same mechanics as training-time inner adaptation),
-    then update the memory under the new parameters, ranked by
-    meta_cfg.loss_variant, the loss the slot adapted with. With capacity = 0
-    the memory stays empty and nothing is carried from one slot to the
-    next, so the slots adapt on D_t alone, together on one tape (see
-    _memoryless_loop), with the same results as plain per-slot test-time
-    adaptation. Every capacity adapts the same steps, so the memory is all
-    that separates capacity M from capacity 0. on_slot, if given, observes
-    (t, per_sample_wsr) once per slot, in slot order.
+    `params` is the pre-trained initialization. Slot t's batch D_t is scored
+    with the current parameters (slot 0: the initialization), on_slot
+    observes (t, per_sample_wsr), and slot t's parameters are then adapted
+    from the initialization by meta_cfg.adapt_steps summed-loss steps: on
+    memory union D_t, after which the memory is updated under them (ranked
+    by meta_cfg.loss_variant, the loss the slot adapted with); or, at
+    capacity 0, on D_t alone, a run of equal-sized slots on one tape
+    (_adapt_run), bit-identical to one adaptation per slot. The memory is
+    the only state carried along the stream, and all that separates
+    capacity M from capacity 0.
 
     Returns (final_params, wsr_per_slot, final_memory).
     """
-    if capacity == 0:
-        return _memoryless_loop(params, stream, cfg, meta_cfg, on_slot)
     init = params
+    batches = [np.asarray(batch) for batch in stream]
     mem = MemorySet.empty(capacity)
+    ahead = []  # capacity 0: adapted parameters of the next slots of a run
     wsr_series = []
-    for t, batch in enumerate(stream):
-        batch = np.asarray(batch)
+    for t, batch in enumerate(batches):
         slot_wsr = pipeline.evaluate_wsr(params, batch, cfg)
         if on_slot is not None:
             on_slot(t, slot_wsr)
         wsr_series.append(float(np.mean(slot_wsr)))
+        if capacity == 0:
+            ahead = ahead or _adapt_run(init, batches[t:], cfg, meta_cfg)
+            params = ahead.pop(0)
+            continue
         stored = mem.as_batch()
-        train_batch = (
-            batch if stored is None else np.concatenate([stored, batch], axis=0)
-        )
+        train_batch = batch if stored is None else np.concatenate([stored, batch])
         params = meta_mod.adapt_on_test(init, train_batch, cfg, meta_cfg)
-        mem = update_memory(
-            mem, batch, t, params, cfg, variant=meta_cfg.loss_variant,
-            rank_pool=rank_pool,
-        )
+        mem = update_memory(mem, batch, t, params, cfg, variant=meta_cfg.loss_variant,
+                            rank_pool=rank_pool)
     return params, np.array(wsr_series), mem
 
 
-def _memoryless_loop(init, stream, cfg, meta_cfg, on_slot):
-    """The capacity-0 stream: slots adapt from init in task-batched passes.
-
-    Runs of consecutive equal-sized slots, at most SLOT_GROUP_SAMPLES
-    samples (and at least one slot) each, adapt together through
-    meta.adapt_stack; then each slot of the run is scored with the
-    parameters adapted on the slot before it (slot 0 with init).
-    """
-    batches = [np.asarray(batch) for batch in stream]
-    params = init
-    wsr_series = []
-    lo = 0
-    while lo < len(batches):
-        shape = batches[lo].shape
-        per_group = SLOT_GROUP_SAMPLES // max(shape[0], 1)
-        hi = lo + 1
-        while hi < len(batches) and hi - lo < per_group and batches[hi].shape == shape:
-            hi += 1
-        stack, _ = meta_mod.adapt_stack(
-            init,
-            nn.stack_params(init, hi - lo),
-            np.stack(batches[lo:hi]),
-            cfg,
-            meta_cfg,
-            meta_cfg.adapt_steps,
-        )
-        for t in range(lo, hi):
-            slot_wsr = pipeline.evaluate_wsr(params, batches[t], cfg)
-            if on_slot is not None:
-                on_slot(t, slot_wsr)
-            wsr_series.append(float(np.mean(slot_wsr)))
-            params = nn.from_arrays([a[t - lo] for a in stack], init)
-        del stack  # not held through the next group's passes
-        lo = hi
-    return params, np.array(wsr_series), MemorySet.empty(0)
+def _adapt_run(init, batches, cfg, meta_cfg):
+    """Adapted parameters, one copy per slot, of the run of equal-sized slots
+    that batches starts with: at most SLOT_GROUP_SAMPLES samples (and at
+    least one slot), adapted from init as one meta.adapt_stack stack."""
+    shape = batches[0].shape
+    per_run = SLOT_GROUP_SAMPLES // max(shape[0], 1)
+    n = 1
+    while n < min(per_run, len(batches)) and batches[n].shape == shape:
+        n += 1
+    stack, _ = meta_mod.adapt_stack(
+        init, nn.stack_params(init, n), np.stack(batches[:n]), cfg, meta_cfg,
+        meta_cfg.adapt_steps,
+    )
+    return [nn.from_arrays([a[i] for a in stack], init) for i in range(n)]

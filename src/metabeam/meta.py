@@ -13,9 +13,10 @@ tape pass. A group's tasks share one tape with a leading task axis: each task
 keeps its own parameter copy (one slice of per-leaf stacks, weights
 (T, i, o) and biases (T, 1, o)), its own SGD steps and its own gradient, and
 the query gradients enter the meta gradient in task order. adapt_stack holds
-the one SGD loop: the support steps of the meta step, the memoryless
-test-time stream (memory.mml_test_loop at capacity 0) and test-time
-adaptation (adapt_on_test, on the parameters' own arrays) all run through it.
+the one SGD loop: the support steps of the meta step and both test-time
+steps of memory.mml_test_loop (a run of memoryless slots as one stack, and
+adapt_on_test on a slot with its memory, on the parameters' own arrays) all
+run through it.
 Every per-task number is computed by the same floating-point operations as a
 one-task-at-a-time loop, so the result is bit-identical to it; the group
 size only trades tape passes (each with a fixed Python cost) against the
@@ -104,13 +105,13 @@ def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack=None):
     return loss.value, ad.grad(tape, total, flat)
 
 
-def adapt_stack(params, stack, batch, cfg, meta_cfg, steps, reduction="sum"):
+def adapt_stack(params, stack, batch, cfg, meta_cfg, steps):
     """Plain gradient descent from per-leaf parameter arrays.
 
-    Each step is theta <- theta - a * grad of the loss reduced over the batch
-    ("sum", the unnormalized inner objective, or "mean"). stack holds either
-    one copy of the parameters (arrays shaped like params.arrays()) with batch
-    (B, K, N), or per-leaf stacks of T tasks (see nn.stack_params) with batch
+    Each step is theta <- theta - a * grad of the loss summed over the batch
+    (the unnormalized inner objective). stack holds either one copy of the
+    parameters (arrays shaped like params.arrays()) with batch (B, K, N), or
+    per-leaf stacks of T tasks (see nn.stack_params) with batch
     (T, B, K, N): task t then steps on batch[t] alone, by the same
     floating-point operations as a one-task stack. The inputs are never
     written: each step writes its result into the gradients of its own pass.
@@ -120,7 +121,7 @@ def adapt_stack(params, stack, batch, cfg, meta_cfg, steps, reduction="sum"):
     """
     first = None
     for step in range(steps):
-        loss, grads = _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack)
+        loss, grads = _loss_and_grad(params, batch, cfg, meta_cfg, "sum", stack)
         if step == 0:
             first = loss
         stack = [nn.sgd_step(a, g, meta_cfg.inner_lr) for a, g in zip(stack, grads)]
@@ -128,14 +129,13 @@ def adapt_stack(params, stack, batch, cfg, meta_cfg, steps, reduction="sum"):
     return stack, first
 
 
-def adapt_on_test(params, batch, cfg, meta_cfg, steps=None, reduction="sum"):
-    """Test-time adaptation: adapt_stack on params' own arrays and a (B, K, N)
-    batch. steps defaults to meta_cfg.adapt_steps (the deployment-time knob).
-    Returns new parameters; the inputs are never mutated.
+def adapt_on_test(params, batch, cfg, meta_cfg):
+    """Test-time adaptation: meta_cfg.adapt_steps steps of adapt_stack on
+    params' own arrays and a (B, K, N) batch. Returns new parameters; the
+    inputs are never mutated.
     """
-    steps = meta_cfg.adapt_steps if steps is None else steps
     arrays, _ = adapt_stack(
-        params, list(params.arrays()), batch, cfg, meta_cfg, steps, reduction
+        params, list(params.arrays()), batch, cfg, meta_cfg, meta_cfg.adapt_steps
     )
     return nn.from_arrays(arrays, params)
 

@@ -79,14 +79,17 @@ def init_mlp(rng, sizes, out_bias=0.0):
     return MlpParams(weights=weights, biases=biases)
 
 
+def predictor_sizes(n, k, width=DEFAULT_WIDTH):
+    """Layer sizes of the (u, w, mu) nets for an (N, K) system: input
+    feature_dim, two hidden layers of width, outputs 2K, K and 1."""
+    return [[feature_dim(n, k), width, width, out] for out in (2 * k, k, 1)]
+
+
 def init_predictor(rng, n, k, width=DEFAULT_WIDTH):
-    """Fresh predictor for an (N, K) system: outputs 2K (u), K (w), 1 (mu)."""
-    d = feature_dim(n, k)
-    return PredictorParams(
-        u_net=init_mlp(rng, [d, width, width, 2 * k], out_bias=U_OUTPUT_BIAS),
-        w_net=init_mlp(rng, [d, width, width, k]),
-        mu_net=init_mlp(rng, [d, width, width, 1]),
-    )
+    """Fresh predictor for an (N, K) system, shaped by predictor_sizes."""
+    u, w, mu = predictor_sizes(n, k, width)
+    return PredictorParams(init_mlp(rng, u, out_bias=U_OUTPUT_BIAS),
+                           init_mlp(rng, w), init_mlp(rng, mu))
 
 
 def pack(params):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channels, memory, meta, nn, objective, pipeline, wmmse
 from .config import METHODS, render_config, system_for
-from .errors import NumericalError
+from .errors import DataFormatError, NumericalError
 from .linalg import normalize_to_power
 from .seeding import rng_for
 
@@ -51,6 +51,16 @@ def initial_params(cfg):
 
 def checkpoint_path(out_dir, method):
     return os.path.join(out_dir, f"{method}.ckpt")
+
+
+def load_params(path, cfg):
+    """The checkpoint at path; DataFormatError if its layer sizes are not cfg's."""
+    params = nn.load_checkpoint(path)
+    sizes = [net.sizes for net in params.nets()]
+    want = nn.predictor_sizes(cfg.n, cfg.k, cfg.meta.width)
+    if sizes != want:
+        raise DataFormatError(f"{path} has layer sizes {sizes}; the config needs {want}")
+    return params
 
 
 def run_training(cfg, method, out_dir, verbose=False):
@@ -130,18 +140,18 @@ def _stream_for(cfg, snr_idx, seed):
     ]
 
 
-def _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed, capacity):
+def _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed):
     """Streaming rows for one cell: one row per slot plus a final aggregate.
 
     Every streaming method runs the same loop and adapts meta.adapt_steps
-    steps per slot; maml and maml_no_pretrain run it at capacity 0, so the
-    mml M=0 ablation produces maml's rows verbatim. The final row pools the
+    steps per slot; only mml has a memory ([memory] capacity), so the mml
+    M=0 ablation produces maml's rows verbatim. The final row pools the
     per-sample rates of every slot.
     """
     stream = _stream_for(cfg, snr_idx, seed)
     slot_stats = []
     memory.mml_test_loop(
-        params, stream, sys_cfg, cfg.meta, capacity,
+        params, stream, sys_cfg, cfg.meta, cfg.capacity if method == "mml" else 0,
         rank_pool=cfg.rank_pool,
         on_slot=lambda t, w: slot_stats.append((t, w.copy())),
     )
@@ -151,21 +161,18 @@ def _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed, capacity):
     return rows
 
 
-def run_eval(cfg, method, out_dir, capacity=None, verbose=False):
+def run_eval(cfg, method, out_dir, verbose=False):
     """Evaluate one method over the SNR grid and seed range; returns rows.
 
     wmmse and unsupervised produce one final row per cell from a shared test
     set. The adaptive methods (maml, maml_no_pretrain, mml) run the streaming
     protocol on a shared slot stream and emit per-slot rows plus a final row.
-    Learned methods read their checkpoint from out_dir; mml reuses the maml
-    checkpoint. capacity overrides the configured memory size for mml.
+    Learned methods read their checkpoint from out_dir, and mml reuses the
+    maml checkpoint; a checkpoint whose layer sizes differ from the config's
+    raises DataFormatError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown eval method {method!r}")
-    if method != "mml":
-        capacity = 0  # only mml streams with a memory
-    elif capacity is None:
-        capacity = cfg.capacity
     rows = []
     params = None
     if method in CHECKPOINT_OF:
@@ -174,7 +181,7 @@ def run_eval(cfg, method, out_dir, capacity=None, verbose=False):
             raise FileNotFoundError(
                 f"{method} needs a checkpoint at {path}; run training first"
             )
-        params = nn.load_checkpoint(path)
+        params = load_params(path, cfg)
     for snr_idx, snr_db in enumerate(cfg.snr_db):
         sys_cfg = system_for(cfg, snr_db)
         for seed in range(cfg.test_seeds):
@@ -193,7 +200,7 @@ def run_eval(cfg, method, out_dir, capacity=None, verbose=False):
                         width=cfg.meta.width,
                     )
                 rows.extend(_eval_stream(method, params, cfg, sys_cfg, snr_db,
-                                         snr_idx, seed, capacity))
+                                         snr_idx, seed))
             if verbose:
                 print(f"[eval] {method} snr={snr_db:g} seed={seed}: "
                       f"wsr={rows[-1].wsr_mean:.4f}{note}")

@@ -285,10 +285,7 @@ def test_criterion_09_memory_invariants(trained):
         train_batch = (
             batch if stored is None else np.concatenate([stored, batch], axis=0)
         )
-        params = meta.adapt_on_test(
-            pm, train_batch, sys_cfg, cfg.meta, steps=cfg.meta.adapt_steps,
-            reduction="sum",
-        )
+        params = meta.adapt_on_test(pm, train_batch, sys_cfg, cfg.meta)
         mem = memory.update_memory(mem, batch, t, params, sys_cfg)
         sizes.append(len(mem.entries))
     bound_ok = max(sizes) <= cap and len(mem_final.entries) <= cap
@@ -319,7 +316,7 @@ def test_criterion_09_memory_invariants(trained):
     cfg_small = dataclasses.replace(cfg, snr_db=[10.0], test_seeds=2, slots=8,
                                     slot_size=8)
     maml_rows = runner.run_eval(cfg_small, "maml", out)
-    mml_rows = runner.run_eval(cfg_small, "mml", out, capacity=0)
+    mml_rows = runner.run_eval(dataclasses.replace(cfg_small, capacity=0), "mml", out)
     zero_ok = [dataclasses.replace(r, method="maml") for r in mml_rows] == maml_rows
 
     _report(

@@ -168,6 +168,56 @@ def test_eval_accepts_external_checkpoint(cfg_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_checkpoint_refuses_to_replace_a_different_one(cfg_path, tmp_path, capsys):
+    # --out already holds another maml.ckpt (and the log of its training):
+    # eval refuses, naming both files, and leaves the file as it was. The
+    # same bytes are no conflict, so eval then runs as usual.
+    out = tmp_path / "out"
+    out.mkdir()
+    maml = runner.checkpoint_path(str(out), "maml")
+    other = str(tmp_path / "other.ckpt")
+    nn.save_checkpoint(maml, nn.init_predictor(np.random.default_rng(0), 2, 2, width=8))
+    nn.save_checkpoint(other, nn.init_predictor(np.random.default_rng(1), 2, 2, width=8))
+    before = open(maml, "rb").read()
+    argv = ["--config", cfg_path, "--out", str(out), "eval", "--method", "mml",
+            "--checkpoint"]
+    assert cli.main(argv + [other]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert other in err and maml in err
+    assert open(maml, "rb").read() == before
+    assert sorted(os.listdir(out)) == ["maml.ckpt"]
+    same = str(tmp_path / "same.ckpt")
+    Path(same).write_bytes(before)
+    assert cli.main(argv + [same]) == cli.EXIT_OK
+    assert open(maml, "rb").read() == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "n, width, sizes",
+    [
+        (3, 8, "[[24, 8, 8, 4], [24, 8, 8, 2], [24, 8, 8, 1]]"),
+        (2, 4, "[[16, 4, 4, 4], [16, 4, 4, 2], [16, 4, 4, 1]]"),
+    ],
+    ids=["antennas", "width"],
+)
+def test_eval_rejects_a_checkpoint_of_other_layer_sizes(cfg_path, tmp_path, n, width,
+                                                        sizes, capsys):
+    # The config has N = K = 2 and width 8: a checkpoint of another N, or
+    # of another width, is refused with both sets of layer sizes before any
+    # row is computed.
+    ckpt = str(tmp_path / "other.ckpt")
+    nn.save_checkpoint(ckpt, nn.init_predictor(np.random.default_rng(0), n, 2, width))
+    out = tmp_path / "out"
+    code = cli.main(["--config", cfg_path, "--out", str(out), "eval",
+                     "--method", "maml", "--checkpoint", ckpt])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert sizes in err
+    assert "[[16, 8, 8, 4], [16, 8, 8, 2], [16, 8, 8, 1]]" in err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("method", ["wmmse", "maml_no_pretrain"])
 def test_eval_checkpoint_rejected_for_methods_that_read_none(cfg_path, tmp_path,
                                                              method, capsys):

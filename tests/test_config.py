@@ -231,6 +231,22 @@ def test_training_values_rejected_at_parse(text, key):
     assert str(err.value).startswith(f"line {last_line}:")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[system]\nsnr_db = 10, 10\n", "line 2: system.snr_db: repeats 10"),
+        ("[system]\nn = 3\nsnr_db = 0, 5, 20, 5.0\n", "line 3: system.snr_db: repeats 5"),
+        ("[eval]\nmethods = wmmse, mml, wmmse\n", "line 2: eval.methods: repeats wmmse"),
+    ],
+)
+def test_duplicate_snrs_and_methods_rejected(text, message):
+    # Each grid index draws its own test channels, so a repeated SNR or
+    # method would write two rows with one key and different rates.
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value) == message
+
+
 def test_zero_rates_and_steps_stay_legal():
     cfg = parse_config_text(
         "[meta]\ninner_lr = 0\nouter_lr = 0\nepochs = 0\ninner_steps = 0\nadapt_steps = 0\n"
@@ -298,7 +314,8 @@ def _configs(draw):
     return ExperimentConfig(
         seed=ints(0, 2**32), n=ints(1, 8), k=k,
         sigma2=draw(_floats(1e-3, 1e3)),
-        snr_db=draw(st.lists(_floats(-100.0, 100.0), min_size=1, max_size=5)),
+        snr_db=draw(st.lists(_floats(-100.0, 100.0), min_size=1, max_size=5,
+                             unique=True)),
         alpha=draw(st.none() | st.lists(_floats(0.0, 10.0), min_size=k, max_size=k)),
         train_mix=[(draw(_SPECS), frac), (draw(_SPECS), 1.0 - frac)],
         train_size=train_size, train_snr_db=draw(_floats(-100.0, 100.0)),

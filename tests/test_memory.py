@@ -206,7 +206,7 @@ def plain_adaptation(params, stream, cfg, meta_cfg):
     rates = []
     for batch in stream:
         rates.append(pipeline.evaluate_wsr(current, batch, cfg))
-        current = meta.adapt_on_test(params, batch, cfg, meta_cfg, reduction="sum")
+        current = meta.adapt_on_test(params, batch, cfg, meta_cfg)
     return rates, current
 
 
@@ -309,5 +309,5 @@ def test_mml_loop_restarts_from_initialization():
     rng, cfg, meta_cfg, params = small_setup()
     stream = [rand_batch(rng, 4, 2, 2) for _ in range(3)]
     final, _, _ = memory.mml_test_loop(params, stream, cfg, meta_cfg, 0)
-    direct = meta.adapt_on_test(params, stream[-1], cfg, meta_cfg, reduction="sum")
+    direct = meta.adapt_on_test(params, stream[-1], cfg, meta_cfg)
     np.testing.assert_array_equal(nn.pack(final), nn.pack(direct))

@@ -1,7 +1,7 @@
 """Training loops: test-time adaptation, the meta step, and both trainers.
 
 Oracles:
-- adapt_on_test with steps=1 must equal theta - a * g with g the
+- adapt_on_test with adapt_steps=1 must equal theta - a * g with g the
   independently recomputed summed-loss gradient (plain SGD, no momentum, no
   normalization).
 - outer_update over a single task with inner_lr = 0 degenerates to one Adam
@@ -49,22 +49,23 @@ def summed_loss_grad(params, batch, cfg, meta_cfg):
 
 def test_inner_adapt_zero_rate_is_identity():
     cfg, meta_cfg, params, batch = small_setup()
-    frozen = dataclasses.replace(meta_cfg, inner_lr=0.0)
-    out = meta.adapt_on_test(params, batch, cfg, frozen, steps=3)
+    frozen = dataclasses.replace(meta_cfg, inner_lr=0.0, adapt_steps=3)
+    out = meta.adapt_on_test(params, batch, cfg, frozen)
     np.testing.assert_array_equal(nn.pack(out), nn.pack(params))
 
 
 def test_inner_adapt_single_step_formula():
     cfg, meta_cfg, params, batch = small_setup()
     _, g = summed_loss_grad(params, batch, cfg, meta_cfg)
-    out = meta.adapt_on_test(params, batch, cfg, meta_cfg, steps=1)
+    one_step = dataclasses.replace(meta_cfg, adapt_steps=1)
+    out = meta.adapt_on_test(params, batch, cfg, one_step)
     np.testing.assert_allclose(nn.pack(out), nn.pack(params) - meta_cfg.inner_lr * g, rtol=1e-14)
 
 
 def test_inner_adapt_does_not_mutate_input():
     cfg, meta_cfg, params, batch = small_setup()
     before = nn.pack(params).copy()
-    meta.adapt_on_test(params, batch, cfg, meta_cfg, steps=2)
+    meta.adapt_on_test(params, batch, cfg, dataclasses.replace(meta_cfg, adapt_steps=2))
     np.testing.assert_array_equal(nn.pack(params), before)
 
 
@@ -75,7 +76,8 @@ def test_inner_adapt_descends_on_support():
     for trial in range(40):
         cfg, meta_cfg, params, batch = small_setup(seed=trial)
         before = float(np.mean(pipeline.per_sample_losses(params, batch, cfg)))
-        adapted = meta.adapt_on_test(params, batch, cfg, meta_cfg, steps=1)
+        one_step = dataclasses.replace(meta_cfg, adapt_steps=1)
+        adapted = meta.adapt_on_test(params, batch, cfg, one_step)
         after = float(np.mean(pipeline.per_sample_losses(adapted, batch, cfg)))
         wins += after < before
     assert wins >= 38, f"descent in only {wins}/40 trials"
@@ -116,7 +118,8 @@ def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
         s_loss, _ = meta._loss_and_grad(params, task.support, cfg, meta_cfg, "sum")
         support_losses.append(s_loss / len(task.support))
         adapted = meta.adapt_on_test(
-            params, task.support, cfg, meta_cfg, steps=meta_cfg.inner_steps
+            params, task.support, cfg,
+            dataclasses.replace(meta_cfg, adapt_steps=meta_cfg.inner_steps),
         )
         q_loss, grads = meta._loss_and_grad(adapted, task.query, cfg, meta_cfg, "sum")
         total_g += np.concatenate([g.ravel() for g in grads])

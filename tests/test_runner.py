@@ -8,7 +8,7 @@ import pytest
 
 from metabeam import channels, memory, meta, nn, objective, pipeline, runner
 from metabeam.config import ExperimentConfig, system_for
-from metabeam.errors import NumericalError
+from metabeam.errors import DataFormatError, NumericalError
 from metabeam.meta import MetaConfig
 from metabeam.runner import ResultRow
 from metabeam.seeding import rng_for
@@ -63,6 +63,16 @@ def test_run_eval_requires_checkpoint(tmp_path):
     cfg = tiny_cfg()
     with pytest.raises(FileNotFoundError):
         runner.run_eval(cfg, "maml", str(tmp_path))
+
+
+def test_run_eval_rejects_a_checkpoint_of_another_width(tmp_path):
+    # A width-8 checkpoint under a width-16 config would otherwise run as
+    # if it had the configured width.
+    cfg = tiny_cfg()
+    runner.run_training(cfg, "maml", str(tmp_path))
+    wide = dataclasses.replace(cfg, meta=dataclasses.replace(cfg.meta, width=16))
+    with pytest.raises(DataFormatError, match=r"\[16, 8, 8, 4\].*\[16, 16, 16, 4\]"):
+        runner.run_eval(wide, "mml", str(tmp_path))
 
 
 def test_wmmse_rows_match_k1_closed_form(tmp_path):
@@ -121,20 +131,28 @@ def test_mml_zero_capacity_reproduces_maml_rows(tmp_path):
     out = str(tmp_path)
     runner.run_training(cfg, "maml", out)
     maml_rows = runner.run_eval(cfg, "maml", out)
-    mml_rows = runner.run_eval(cfg, "mml", out, capacity=0)
+    mml_rows = runner.run_eval(dataclasses.replace(cfg, capacity=0), "mml", out)
     assert len(maml_rows) == len(mml_rows)
     for a, b in zip(maml_rows, mml_rows):
         assert b.method == "mml"
         assert dataclasses.replace(b, method="maml") == a  # bit-identical stats
 
 
-def test_mml_uses_configured_capacity_by_default(tmp_path):
+def test_mml_uses_configured_capacity_by_default(tmp_path, monkeypatch):
+    # Only mml reads [memory] capacity; every other stream runs at 0.
     cfg = tiny_cfg()
     out = str(tmp_path)
     runner.run_training(cfg, "maml", out)
-    default_rows = runner.run_eval(cfg, "mml", out)
-    explicit_rows = runner.run_eval(cfg, "mml", out, capacity=cfg.capacity)
-    assert default_rows == explicit_rows
+    loop, seen = memory.mml_test_loop, []
+
+    def spy(params, stream, cfg, meta_cfg, capacity, **kwargs):
+        seen.append(capacity)
+        return loop(params, stream, cfg, meta_cfg, capacity, **kwargs)
+
+    monkeypatch.setattr(memory, "mml_test_loop", spy)
+    for method in ("mml", "maml", "maml_no_pretrain"):
+        runner.run_eval(cfg, method, out)
+    assert seen == [cfg.capacity] * cfg.test_seeds + [0] * (2 * cfg.test_seeds)
 
 
 def test_maml_no_pretrain_needs_no_checkpoint(tmp_path):
