@@ -20,7 +20,7 @@ from .meta import MetaConfig, TrainLog
 from .memory import MemoryEntry, MemorySet
 from .nn import MlpParams, PredictorParams
 from .objective import SystemConfig
-from .wmmse import OracleResult, WmmseResult
+from .wmmse import WmmseResult
 
 __all__ = [
     "CapabilityError",
@@ -34,7 +34,6 @@ __all__ = [
     "MetabeamError",
     "MlpParams",
     "NumericalError",
-    "OracleResult",
     "PredictorParams",
     "SingularMatrixError",
     "SystemConfig",

@@ -100,10 +100,10 @@ def _cmd_oracle(args):
         h = channels.sample_channels(rng, cfg.test_channel, 1, cfg.n, cfg.k)[0]
         oracle = wmmse.grid_oracle(h, sys_cfg, grid_steps=args.grid_steps)
         solved = wmmse.wmmse_solve(h, sys_cfg, seed=i, restarts=cfg.wmmse_restarts)
-        ratio = solved.wsr_trace[-1] / oracle.wsr
+        ratio = solved.wsr_trace[-1] / oracle
         ratios.append(ratio)
         if args.verbose:
-            print(f"instance {i}: oracle {oracle.wsr:.4f}  wmmse "
+            print(f"instance {i}: oracle {oracle:.4f}  wmmse "
                   f"{solved.wsr_trace[-1]:.4f}  ratio {ratio:.4f}")
     print(f"wmmse/oracle over {args.instances} instances: "
           f"min {min(ratios):.4f}  mean {float(np.mean(ratios)):.4f}")
@@ -139,6 +139,13 @@ def _cmd_gradcheck(args):
     print(f"gradcheck over {args.draws} draws: worst rel err {worst:.3e} "
           f"({skipped} kink probes skipped) -> {'ok' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_NUMERIC
+
+
+def _count(text):
+    """argparse type of a count flag: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _global_flags(**default):
@@ -178,12 +185,12 @@ def build_parser():
     p_fig.add_argument("--figure", choices=tuple(runner.FIGURE_CHANNELS), required=True)
 
     p_oracle = add("oracle", help="compare the solver to the grid oracle")
-    p_oracle.add_argument("--instances", type=int, default=20)
-    p_oracle.add_argument("--grid-steps", type=int, default=41)
+    p_oracle.add_argument("--instances", type=_count, default=20)
+    p_oracle.add_argument("--grid-steps", type=_count, default=41)
     p_oracle.add_argument("--snr-db", type=float, default=10.0)
 
     p_gc = add("gradcheck", help="finite-difference check of the pipeline")
-    p_gc.add_argument("--draws", type=int, default=20)
+    p_gc.add_argument("--draws", type=_count, default=20)
     p_gc.add_argument("--snr-db", type=float, default=10.0)
     return parser
 

@@ -106,8 +106,6 @@ def update_memory(mem, fresh, t, params, cfg, variant="corrected", rank_pool="re
     under the current params; admitted fresh entries carry inserted_at = t.
     """
     capacity = mem.capacity
-    if capacity == 0:
-        return MemorySet.empty(0)
     fresh = np.asarray(fresh)
     quota = fresh_quota(capacity, fresh.shape[0])
     admitted = [

@@ -12,11 +12,11 @@ The meta step runs tasks in groups of at most TASK_GROUP_SAMPLES samples per
 tape pass. A group's tasks share one tape with a leading task axis: each task
 keeps its own parameter copy (one slice of per-leaf stacks, weights
 (T, i, o) and biases (T, 1, o)), its own SGD steps and its own gradient, and
-the query gradients enter the meta gradient in task order. adapt_stack holds
-the one SGD loop: the support steps of the meta step and both test-time
-steps of memory.mml_test_loop (a run of memoryless slots as one stack, and
-adapt_on_test on a slot with its memory, on the parameters' own arrays) all
-run through it.
+its packed query gradient is added into the one flat meta gradient in task
+order. adapt_stack holds the one SGD loop: the support steps of the meta
+step and both test-time steps of memory.mml_test_loop (a run of memoryless
+slots as one stack, and adapt_on_test on a slot with its memory, on the
+parameters' own arrays) all run through it.
 Every per-task number is computed by the same floating-point operations as a
 one-task-at-a-time loop, so the result is bit-identical to it; the group
 size only trades tape passes (each with a fixed Python cost) against the
@@ -144,8 +144,9 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
     """One first-order meta step over a list of tasks.
 
     For each task: adapt on the support set, then take the gradient of the
-    summed query loss at the adapted parameters. The accumulated (summed)
-    per-task gradients drive one Adam step on the meta parameters. The
+    summed query loss at the adapted parameters. Packed, these gradients are
+    summed in task order into one flat vector that drives one Adam step (from
+    a fresh AdamState when adam_state is None) on the meta parameters. The
     support loss is the one of the first support step, at the meta
     parameters. Tasks run in groups of TASK_GROUP_SAMPLES samples per tape
     pass; all tasks must share their support and query sizes.
@@ -153,7 +154,7 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
     Returns (new_params, new_adam_state, mean_support_loss, mean_query_loss).
     """
     vec = nn.pack(params)
-    totals = [np.zeros_like(a) for a in params.arrays()]  # per leaf
+    total_g = np.zeros_like(vec)
     support_losses, query_losses = [], []
     per_task = max(len(tasks[0].support), len(tasks[0].query)) if tasks else 1
     group = max(1, TASK_GROUP_SAMPLES // per_task)
@@ -169,12 +170,11 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
             s_loss, _ = _loss_and_grad(params, support, cfg, meta_cfg, "sum", stack)
         support_losses.extend(s_loss / support.shape[1])
         q_loss, grads = _loss_and_grad(params, query, cfg, meta_cfg, "sum", stack)
-        for total, g in zip(totals, grads):
-            for row in g:
-                total += row.reshape(total.shape)
+        for t in range(len(chunk)):  # task order, one packed vector per task
+            total_g += np.concatenate([g[t].ravel() for g in grads])
         query_losses.extend(q_loss / query.shape[1])
-    total_g = np.concatenate([total.ravel() for total in totals])
-    new_vec, adam_state = adam_step_packed(vec, total_g, adam_state, meta_cfg.outer_lr)
+    adam_state = adam_state or nn.AdamState.init(vec.size)
+    new_vec, adam_state = nn.adam_step(vec, total_g, adam_state, meta_cfg.outer_lr)
     return (
         nn.unpack(new_vec, params),
         adam_state,
@@ -183,23 +183,16 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
     )
 
 
-def adam_step_packed(vec, g, state, lr):
-    if state is None:
-        state = nn.AdamState.init(vec.size)
-    return nn.adam_step(vec, g, state, lr)
-
-
-def meta_train(dataset, cfg, meta_cfg, seed=0, init=None, log=None):
+def meta_train(dataset, cfg, meta_cfg, seed, init):
     """First-order meta-training over tasks drawn from a fixed dataset.
 
-    Every epoch draws n_tasks tasks (support/query index draws without
-    replacement within a task), runs one outer_update per epoch over the full
-    task list, and records epoch means in a TrainLog. Deterministic for a
-    fixed (dataset, seed, init).
+    From the caller's initial parameters init, every epoch draws n_tasks
+    tasks (support/query index draws without replacement within a task),
+    runs one outer_update per epoch over the full task list, and records
+    epoch means in a TrainLog. Deterministic for fixed (dataset, seed, init).
     """
     rng = np.random.default_rng(seed)
-    params = init or nn.init_predictor(rng, cfg.n, cfg.k, width=meta_cfg.width)
-    log = log if log is not None else TrainLog()
+    params, log = init, TrainLog()
     adam_state = None
     start = time.perf_counter()
     for epoch in range(1, meta_cfg.epochs + 1):
@@ -219,17 +212,16 @@ def meta_train(dataset, cfg, meta_cfg, seed=0, init=None, log=None):
     return params, log
 
 
-def unsupervised_train(dataset, cfg, meta_cfg, seed=0, init=None, log=None):
+def unsupervised_train(dataset, cfg, meta_cfg, seed, init):
     """Plain Adam minimization of the batch loss, no task structure.
 
-    Shuffles the dataset each epoch and takes one Adam step per minibatch of
-    meta_cfg.batch_size samples. Records the epoch-mean minibatch loss.
+    From the caller's initial parameters init, shuffles the dataset each
+    epoch and takes one Adam step per minibatch of meta_cfg.batch_size
+    samples. Records the epoch-mean minibatch loss.
     """
     rng = np.random.default_rng(seed)
-    params = init or nn.init_predictor(rng, cfg.n, cfg.k, width=meta_cfg.width)
-    log = log if log is not None else TrainLog()
-    vec = nn.pack(params)
-    adam_state = None
+    log, vec = TrainLog(), nn.pack(init)
+    adam_state = nn.AdamState.init(vec.size)
     start = time.perf_counter()
     size = dataset.shape[0]
     bs = min(meta_cfg.batch_size, size)
@@ -238,13 +230,13 @@ def unsupervised_train(dataset, cfg, meta_cfg, seed=0, init=None, log=None):
         losses = []
         for lo in range(0, size - bs + 1, bs):
             batch = dataset[order[lo : lo + bs]]
-            current = nn.view_params(vec, params)  # adam_step never writes vec
+            current = nn.view_params(vec, init)  # adam_step never writes vec
             loss, grads = _loss_and_grad(current, batch, cfg, meta_cfg, "mean")
             g = np.concatenate([g.ravel() for g in grads])
-            vec, adam_state = adam_step_packed(vec, g, adam_state, meta_cfg.outer_lr)
+            vec, adam_state = nn.adam_step(vec, g, adam_state, meta_cfg.outer_lr)
             losses.append(float(loss))
         log.epochs.append(epoch)
         log.support_loss.append(float(np.mean(losses)))
         log.query_loss.append(float(np.mean(losses)))
         log.wall_time.append(time.perf_counter() - start)
-    return nn.unpack(vec, params), log
+    return nn.unpack(vec, init), log

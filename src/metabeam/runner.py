@@ -254,7 +254,8 @@ def run_figure(cfg, figure, out_dir, verbose=False):
     """One comparison figure: fixed test family, all configured methods.
 
     fig5: Rician, fig6: Rayleigh, fig7: Nakagami m=1, fig8: Nakagami m=10.
-    Trains any missing checkpoints first, then sweeps the SNR grid and writes
+    Trains every checkpoint its methods read under the figure's config,
+    replacing any in out_dir, then sweeps the SNR grid and writes
     <figure>.csv (plus .json when configured).
     """
     if figure not in FIGURE_CHANNELS:
@@ -262,8 +263,7 @@ def run_figure(cfg, figure, out_dir, verbose=False):
     fig_cfg = replace(cfg, test_channel=FIGURE_CHANNELS[figure])
     os.makedirs(out_dir, exist_ok=True)
     for trained in sorted({CHECKPOINT_OF[m] for m in fig_cfg.methods if m in CHECKPOINT_OF}):
-        if not os.path.exists(checkpoint_path(out_dir, trained)):
-            run_training(fig_cfg, trained, out_dir, verbose=verbose)
+        run_training(fig_cfg, trained, out_dir, verbose=verbose)
     rows = []
     for method in fig_cfg.methods:
         rows.extend(run_eval(fig_cfg, method, out_dir, verbose=verbose))

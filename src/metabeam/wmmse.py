@@ -37,14 +37,6 @@ class WmmseResult:
     converged: bool  # the winning start stopped on eps, not at max_iters
 
 
-@dataclass
-class OracleResult:
-    wsr: float
-    lam: np.ndarray  # (K,) dual simplex point
-    p: np.ndarray  # (K,) power split
-    v: np.ndarray  # (N, K) best beamformer found
-
-
 def _couplings(h, v, cfg):
     """One coupling evaluation of the iterate V: its gains g = h_k^H v_j,
     a2 = |g|^2 and the SINR of every user. It gives V's rate
@@ -284,33 +276,16 @@ def _directions(h, lam, cfg):
     return x / norms[None, :]
 
 
-def structure_beamformer(h, lam, p, cfg):
-    """Beamformer from the dual/power parametrization.
-
-    v_k = sqrt(p_k) * (I + sum_j lam_j / sigma2 * h_j h_j^H)^{-1} h_k,
-    with each direction normalized to unit length before the power split is
-    applied. lam = 0 gives matched-filter (MRT) directions.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(lam < 0) or np.any(p < 0):
-        raise ValueError("lam and p must be nonnegative")
-    return _directions(h, lam, cfg) * np.sqrt(p)[None, :]
-
-
 def _simplex_grid(k, total, steps):
     """All K-vectors on the simplex {x >= 0, sum x = total} with steps-1 parts."""
     parts = steps - 1
     if k == 1:
         return np.array([[float(total)]])
-    grids = []
     if k == 2:
-        for i in range(parts + 1):
-            grids.append((i, parts - i))
+        grids = [(i, parts - i) for i in range(parts + 1)]
     else:
-        for i in range(parts + 1):
-            for j in range(parts + 1 - i):
-                grids.append((i, j, parts - i - j))
+        grids = [(i, j, parts - i - j)
+                 for i in range(parts + 1) for j in range(parts + 1 - i)]
     return np.array(grids, dtype=np.float64) * (total / parts)
 
 
@@ -318,25 +293,19 @@ def grid_oracle(h, cfg, grid_steps=41):
     """Exhaustive search over the dual and power simplexes (K <= 3 only).
 
     Grids both lam and p over {x >= 0, sum x = P} with grid_steps points per
-    axis, evaluates the structured beamformer at every pair, and returns the
-    best weighted sum rate found. Costs O(steps^(2(K-1))), so it is a small-K
-    reference, not a solver.
+    axis, evaluates the structured beamformer (_directions scaled by
+    sqrt(p)) at every pair, and returns the best weighted sum rate found as
+    a float. Costs O(steps^(2(K-1))), so it is a small-K reference.
     """
     if cfg.k > 3:
         raise CapabilityError(f"grid oracle supports K <= 3, got K={cfg.k}")
     if grid_steps < 5:
         raise ValueError("grid_steps must be at least 5")
     h = np.asarray(h, dtype=np.complex128)
-    lam_grid = _simplex_grid(cfg.k, cfg.p, grid_steps)
-    p_grid = _simplex_grid(cfg.k, cfg.p, grid_steps)
-    best = (-np.inf, None, None)
-    for lam in lam_grid:
+    grid = _simplex_grid(cfg.k, cfg.p, grid_steps)  # lam and p share it
+    best = -np.inf
+    for lam in grid:
         # the structured beamformer of every power split at once
-        v = _directions(h, lam, cfg) * np.sqrt(p_grid)[:, None, :]
-        wsrs = objective.wsr(h, v, cfg)
-        i = int(np.argmax(wsrs))
-        if wsrs[i] > best[0]:
-            best = (float(wsrs[i]), lam.copy(), p_grid[i].copy())
-    wsr_best, lam_best, p_best = best
-    v_best = structure_beamformer(h, lam_best, p_best, cfg)
-    return OracleResult(wsr=wsr_best, lam=lam_best, p=p_best, v=v_best)
+        v = _directions(h, lam, cfg) * np.sqrt(grid)[:, None, :]
+        best = max(best, float(np.max(objective.wsr(h, v, cfg))))
+    return best

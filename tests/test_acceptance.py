@@ -92,7 +92,7 @@ def test_criterion_02_wmmse_vs_grid_oracle():
         h = channels.sample_rayleigh(rng, 1, 2, 2)[0]
         oracle = wmmse.grid_oracle(h, sys_cfg, grid_steps=41)
         res = wmmse.wmmse_solve(h, sys_cfg, seed=i, restarts=5)
-        ratios.append(res.wsr_trace[-1] / oracle.wsr)
+        ratios.append(res.wsr_trace[-1] / oracle)
     elapsed = time.time() - t0
     _report(
         2, min(ratios) >= 0.99 and elapsed < 300.0,

@@ -64,6 +64,20 @@ def test_out_of_range_snr_flag_is_usage_error(capsys):
     assert "p in (0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--instances", "0"], "--instances"),
+    (["oracle", "--grid-steps", "-1"], "--grid-steps"),
+    (["gradcheck", "--draws", "0"], "--draws"),
+    (["gradcheck", "--draws", "two"], "--draws"),
+])
+def test_count_flags_below_one_are_usage_errors(argv, flag, capsys):
+    # rejected at parse time: nothing is run, checked or reported as ok
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: must be an integer of at least 1" in err
+
+
 def test_missing_config_file_is_usage_error(capsys):
     assert cli.main(["--config", "/nonexistent/x.cfg", "gen-data"]) == cli.EXIT_USAGE
     capsys.readouterr()
@@ -340,7 +354,7 @@ def test_non_finite_results_and_parameters_are_not_written(cfg_path, tmp_path,
     assert code == cli.EXIT_NUMERIC
     assert not os.path.exists(os.path.join(out, "eval_maml_no_pretrain.csv"))
 
-    def nan_training(dataset, cfg, meta_cfg, seed=0, init=None, log=None):
+    def nan_training(dataset, cfg, meta_cfg, seed, init):
         init.u_net.weights[0][0, 0] = np.nan
         return init, meta.TrainLog()
 

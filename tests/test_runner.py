@@ -278,3 +278,17 @@ def test_run_figure_deterministic_bytes(tmp_path):
     p1 = runner.run_figure(cfg, "fig6", str(tmp_path / "a"))
     p2 = runner.run_figure(cfg, "fig6", str(tmp_path / "b"))
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_run_figure_retrains_checkpoints_under_its_config(tmp_path):
+    # A checkpoint trained under another config in the same directory is
+    # replaced: the figure's checkpoint, log and rows equal a fresh run's.
+    cfg = tiny_cfg(methods=["maml", "mml"], test_seeds=1)
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    short = dataclasses.replace(cfg, meta=dataclasses.replace(cfg.meta, epochs=1))
+    runner.run_training(short, "maml", str(reused))
+    for out in (reused, fresh):
+        runner.run_figure(cfg, "fig7", str(out))
+    assert len((reused / "maml_train.csv").read_text().splitlines()) == 1 + cfg.meta.epochs
+    for name in ("maml.ckpt", "fig7.csv"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()

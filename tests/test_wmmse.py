@@ -10,6 +10,8 @@ Scalar oracles, derived by hand before writing the assertions:
   mu=0, power 0.01 <= P, so no positive multiplier is needed.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,8 @@ from metabeam.linalg import (
 )
 from metabeam.objective import SystemConfig, all_sinr, wsr
 from metabeam.wmmse import (
+    _directions,
+    _simplex_grid,
     assemble_s,
     compute_u,
     compute_w,
@@ -31,7 +35,6 @@ from metabeam.wmmse import (
     mrt_beamformer,
     reconstruct_v,
     solve_mu,
-    structure_beamformer,
     wmmse_solve,
     zf_beamformer,
 )
@@ -329,17 +332,16 @@ def test_wmmse_explicit_start_is_deterministic():
     np.testing.assert_array_equal(a.wsr_trace, b.wsr_trace)
 
 
-def test_structure_beamformer_lambda_zero_is_mrt():
+def test_directions_lambda_zero_are_unit_matched_filters():
+    # lam = 0 gives the matched-filter (MRT) directions, each of unit norm
     rng = np.random.default_rng(10)
     cfg = SystemConfig(n=3, k=2, sigma2=1.0, p=10.0)
     h = rand_h(rng, 2, 3)
-    p_split = np.array([4.0, 6.0])
-    v = structure_beamformer(h, np.zeros(2), p_split, cfg)
-    assert total_power(v) == pytest.approx(10.0, rel=1e-12)
+    d = _directions(h, np.zeros(2), cfg)
     for k in range(2):
-        c = np.vdot(h[k], v[:, k]) / (np.linalg.norm(h[k]) * np.linalg.norm(v[:, k]))
+        assert np.linalg.norm(d[:, k]) == pytest.approx(1.0, rel=1e-12)
+        c = np.vdot(h[k], d[:, k]) / np.linalg.norm(h[k])
         assert abs(c) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(v[:, k]) ** 2 == pytest.approx(p_split[k], rel=1e-12)
 
 
 def test_grid_oracle_k1_closed_form():
@@ -348,15 +350,41 @@ def test_grid_oracle_k1_closed_form():
     h = rand_h(rng, 1, 2)
     res = grid_oracle(h, cfg, grid_steps=11)
     bound = np.log2(1.0 + cfg.p * np.linalg.norm(h) ** 2 / cfg.sigma2)
-    assert res.wsr == pytest.approx(bound, abs=1e-9)
+    assert res == pytest.approx(bound, abs=1e-9)
 
 
 def test_grid_oracle_refinement_monotone():
     rng = np.random.default_rng(12)
     cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
     h = rand_h(rng, 2, 2)
-    values = [grid_oracle(h, cfg, grid_steps=s).wsr for s in (6, 11, 21, 41)]
+    values = [grid_oracle(h, cfg, grid_steps=s) for s in (6, 11, 21, 41)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_simplex_grid_k3_holds_each_point_once():
+    parts = 10
+    grid = _simplex_grid(3, 10.0, parts + 1)
+    assert grid.shape == (math.comb(parts + 2, 2), 3)
+    assert len({tuple(row) for row in np.rint(grid).astype(int)}) == len(grid)
+    assert np.all(grid >= 0.0)
+    np.testing.assert_allclose(grid.sum(axis=1), 10.0, rtol=1e-12)
+
+
+def test_grid_oracle_k3_equals_a_plain_search():
+    # Every (lam, p) pair of the K = 3 grid, one wsr call each: the oracle's
+    # batched search must find the same best rate.
+    rng = np.random.default_rng(14)
+    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    h = rand_h(rng, 3, 3)
+    grid = _simplex_grid(3, cfg.p, 11)
+    best = -np.inf
+    for lam in grid:
+        a = np.eye(3) + hermitian_rank1_sum(lam / cfg.sigma2, h)
+        for p in grid:
+            x = np.linalg.solve(a, h.T)
+            v = x / np.linalg.norm(x, axis=0) * np.sqrt(p)
+            best = max(best, float(wsr(h, v, cfg)))
+    assert grid_oracle(h, cfg, grid_steps=11) == pytest.approx(best, rel=1e-12)
 
 
 def test_grid_oracle_capability_limits():
@@ -376,7 +404,7 @@ def test_wmmse_not_below_oracle_small():
     for _ in range(5):
         h = rand_h(rng, 2, 2)
         ours = wmmse_solve(h, cfg).wsr_trace[-1]
-        ref = grid_oracle(h, cfg, grid_steps=41).wsr
+        ref = grid_oracle(h, cfg, grid_steps=41)
         assert ours >= 0.99 * ref
 
 
