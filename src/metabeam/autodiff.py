@@ -6,20 +6,17 @@ adjoint to one adjoint per parent. The gradient pass walks the nodes once in
 reverse insertion order and never adds nodes, so the tape length is the same
 before and after grad().
 
-Nodes refer to their tape weakly, so a tape and its nodes hold no reference
-cycle and are freed by reference counting as soon as the caller drops them;
-recording on a node whose tape is gone raises.
+Nodes do not refer to their tape: every function that records takes the
+tape as its first argument. A tape and its nodes therefore hold no reference
+cycle and are freed by reference counting as soon as the caller drops them.
 
 The tape has no elementwise primitives, only coarse nodes whose backward is
-written in closed form: mlp runs a whole ReLU network as one node,
-csolve_hpd solves batched complex Hermitian positive definite systems
-(complex values travel as stacked real and imaginary parts), and reduce_sum
-sums a per-task loss. Callers record their own closed-form nodes through
-Tape.record, as pipeline.reconstruct_and_loss does for the predictor head
-and the rate loss.
+written in closed form: mlp runs a whole ReLU network on a plain input array
+as one node, and csolve_hpd solves batched complex Hermitian positive
+definite systems (complex values travel as stacked real and imaginary
+parts). Callers record their own closed-form nodes through Tape.record, as
+pipeline.reconstruct_and_loss does for the predictor head and the rate loss.
 """
-
-import weakref
 
 import numpy as np
 
@@ -29,57 +26,37 @@ from .linalg import hpd_solve
 class Tape:
     """Append-only record of one forward computation."""
 
-    __slots__ = ("nodes", "_ref", "__weakref__")
+    __slots__ = ("nodes", "__weakref__")
 
     def __init__(self):
         self.nodes = []
-        self._ref = weakref.ref(self)
 
     def __len__(self):
         return len(self.nodes)
 
     def record(self, value, parents=(), backward=None, op=""):
         """Append a node; backward(g) returns one adjoint per parent, in
-        order, each None or shaped like that parent's value."""
-        node = Node(self._ref, len(self.nodes), np.asarray(value, dtype=np.float64), op)
-        node.parents = parents
-        node.backward = backward
-        node.requires_grad = any(p.requires_grad for p in parents)
+        order, each shaped like that parent's value."""
+        node = Node(len(self.nodes), np.asarray(value, dtype=np.float64), op, parents, backward)
         self.nodes.append(node)
         return node
 
     def leaf(self, value):
         """Differentiable input (a parameter)."""
-        node = Node(self._ref, len(self.nodes), np.asarray(value, dtype=np.float64), "leaf")
-        node.requires_grad = True
-        self.nodes.append(node)
-        return node
-
-    def const(self, value):
-        """Non-differentiable input; gradients are never propagated into it."""
-        return self.record(value, op="const")
+        return self.record(value, op="leaf")
 
 
 class Node:
     """One tape entry: forward value plus its local backward rule."""
 
-    __slots__ = ("_tape", "index", "value", "op", "parents", "backward", "requires_grad")
+    __slots__ = ("index", "value", "op", "parents", "backward")
 
-    def __init__(self, tape_ref, index, value, op):
-        self._tape = tape_ref
+    def __init__(self, index, value, op, parents, backward):
         self.index = index
         self.value = value
         self.op = op
-        self.parents = ()
-        self.backward = None
-        self.requires_grad = False
-
-    @property
-    def tape(self):
-        tape = self._tape()
-        if tape is None:
-            raise RuntimeError(f"the tape of this {self.op!r} node has been freed")
-        return tape
+        self.parents = parents
+        self.backward = backward
 
     @property
     def shape(self):
@@ -87,14 +64,12 @@ class Node:
 
 
 def grad(tape, loss, wrt):
-    """Gradients of a scalar loss node with respect to the listed nodes.
+    """Gradients of the sum of loss's entries with respect to the listed nodes.
 
     Visits the tape exactly once in reverse insertion order, accumulating
     vector-Jacobian products; records nothing, so len(tape) is unchanged.
     A node's adjoint is dropped once passed to its parents, unless requested.
     """
-    if loss.value.ndim != 0 and loss.value.size != 1:
-        raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
     adjoint = [None] * len(tape.nodes)
     adjoint[loss.index] = np.ones_like(loss.value)
     keep = {node.index for node in wrt}
@@ -105,8 +80,6 @@ def grad(tape, loss, wrt):
         if node.index not in keep:
             adjoint[node.index] = None
         for parent, contrib in zip(node.parents, node.backward(g)):
-            if contrib is None or not parent.requires_grad:
-                continue
             if adjoint[parent.index] is None:
                 adjoint[parent.index] = contrib
             else:
@@ -118,10 +91,10 @@ def grad(tape, loss, wrt):
     return out
 
 
-def mlp(x, weights, biases):
+def mlp(tape, x, weights, biases):
     """ReLU MLP as one node: affine, ReLU, ..., affine (linear output).
 
-    x is (B, i) with weights (i, o) and biases (o,), or task-stacked
+    x is a (B, i) array, not a node, with weights (i, o) and biases (o,), or
     (T, B, i) with one weight (T, i, o) and bias (T, 1, o) per task. The
     backward runs, layer by layer from the output, the float operations of
     the matmul/add/ReLU chain it stands for: g <- g * mask below the output
@@ -132,7 +105,7 @@ def mlp(x, weights, biases):
     given.
     """
     inputs, masks = [], []
-    h = x.value
+    h = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         if w.value.ndim != h.ndim or h.ndim not in (2, 3):
@@ -153,21 +126,15 @@ def mlp(x, weights, biases):
                 g *= masks[i]
             grads[2 * i + 1] = g.sum(axis=-2).reshape(biases[i].value.shape)
             grads[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g
-            if i or x.requires_grad:
+            if i:
                 g = g @ np.swapaxes(weights[i].value, -1, -2)
-        return (g if x.requires_grad else None, *grads)
+        return grads
 
-    parents = (x,) + tuple(p for pair in zip(weights, biases) for p in pair)
-    return x.tape.record(h, parents, backward, "mlp")
-
-
-def reduce_sum(a):
-    av = a.value
-    return a.tape.record(av.sum(), (a,), lambda g: (np.broadcast_to(g, av.shape).copy(),),
-                         "sum")
+    parents = tuple(p for pair in zip(weights, biases) for p in pair)
+    return tape.record(h, parents, backward, "mlp")
 
 
-def csolve_hpd(s_re, s_im, mu, rhs):
+def csolve_hpd(tape, s_re, s_im, mu, rhs):
     """Batched complex Hermitian positive definite solve on the tape.
 
     Solves (S + mu I) X = rhs with S = s_re + i s_im given by two (B, N, N)
@@ -191,7 +158,7 @@ def csolve_hpd(s_re, s_im, mu, rhs):
         return sbar.real, sbar.imag, np.real(np.trace(sbar, axis1=1, axis2=2))
 
     value = np.stack([x.real, x.imag], axis=1)
-    return s_re.tape.record(value, (s_re, s_im, mu), backward, "csolve_hpd")
+    return tape.record(value, (s_re, s_im, mu), backward, "csolve_hpd")
 
 
 def finite_diff_check(

@@ -28,7 +28,7 @@ each SGD step writes the stepped parameters into the gradient arrays of the
 pass that produced them (nn.sgd_step), so a group's starting stacks can be
 read-only views of the meta parameters (nn.stack_params); Adam advances the
 loop's own AdamState in place and returns a fresh packed vector
-(nn.adam_step), whose views (nn.view_params) serve unsupervised_train's
+(nn.adam_step), whose views (nn.leaf_views) serve unsupervised_train's
 next pass. A caller's AdamState passed to outer_update is advanced in place.
 """
 
@@ -84,15 +84,16 @@ class TrainLog:
     wall_time: list = field(default_factory=list)
 
 
-def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack=None):
+def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, arrays):
     """One tape pass: loss and per-leaf gradients on a channel batch.
 
-    The leaves are params' own arrays, or the per-leaf arrays of stack (see
-    adapt_stack); each gradient is shaped like its leaf. With per-leaf
-    stacks of T tasks, batch is (T, B, K, N) and the loss is per task, (T,).
+    The leaves are the per-leaf arrays in params.arrays() order (see
+    nn.leaves_for); each gradient is shaped like its leaf. With per-leaf
+    stacks of T tasks, batch is (T, B, K, N) and the loss is per task, (T,);
+    each task's gradient is that of its own loss.
     """
     tape = ad.Tape()
-    leaves, flat = nn.leaves_for(tape, params, stack)
+    leaves, flat = nn.leaves_for(tape, params, arrays)
     loss, _ = pipeline.reconstruct_and_loss(
         tape,
         leaves,
@@ -101,8 +102,7 @@ def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, stack=None):
         variant=meta_cfg.loss_variant,
         reduction=reduction,
     )
-    total = ad.reduce_sum(loss) if loss.value.ndim else loss
-    return loss.value, ad.grad(tape, total, flat)
+    return loss.value, ad.grad(tape, loss, flat)
 
 
 def adapt_stack(params, stack, batch, cfg, meta_cfg, steps):
@@ -230,8 +230,8 @@ def unsupervised_train(dataset, cfg, meta_cfg, seed, init):
         losses = []
         for lo in range(0, size - bs + 1, bs):
             batch = dataset[order[lo : lo + bs]]
-            current = nn.view_params(vec, init)  # adam_step never writes vec
-            loss, grads = _loss_and_grad(current, batch, cfg, meta_cfg, "mean")
+            views = nn.leaf_views(vec, init)  # adam_step never writes vec
+            loss, grads = _loss_and_grad(init, batch, cfg, meta_cfg, "mean", views)
             g = np.concatenate([g.ravel() for g in grads])
             vec, adam_state = nn.adam_step(vec, g, adam_state, meta_cfg.outer_lr)
             losses.append(float(loss))

@@ -12,7 +12,7 @@ gradient it is given (one the caller owns and no longer needs), never into
 the parameters; adam_step advances its AdamState in place (m, v and t) and
 returns a fresh parameter vector, never writing into the vector or the
 gradient. Since no step writes into parameters, stack_params and
-view_params hand out views that share their source's memory; unpack and
+leaf_views hand out views that share their source's memory; unpack and
 from_arrays copy.
 """
 
@@ -97,16 +97,10 @@ def pack(params):
     return np.concatenate([a.ravel() for a in params.arrays()])
 
 
-def view_params(vec, template):
-    """PredictorParams with template's shapes whose arrays are reshaped views
-    of the flat vector: no copy, so a write into vec shows through them."""
-    return _assemble(_leaf_views(vec, template), template)
-
-
 def unpack(vec, template):
     """Rebuild a PredictorParams with template's shapes from a flat vector;
     every array is a copy, so the result keeps vec neither alive nor shared."""
-    return _assemble([a.copy() for a in _leaf_views(vec, template)], template)
+    return from_arrays(leaf_views(vec, template), template)
 
 
 def from_arrays(arrays, template):
@@ -118,8 +112,9 @@ def from_arrays(arrays, template):
     )
 
 
-def _leaf_views(vec, template):
-    """Views of consecutive pieces of vec, shaped like template.arrays()."""
+def leaf_views(vec, template):
+    """Views of consecutive pieces of the flat vector vec, shaped like
+    template.arrays(): no copy, so a write into vec shows through them."""
     vec = np.asarray(vec, dtype=np.float64)
     leaves = list(template.arrays())
     ends = list(itertools.accumulate(a.size for a in leaves))
@@ -139,24 +134,13 @@ def _assemble(leaves, template):
     return PredictorParams(*nets)
 
 
-def leaves_for(tape, params, stack=None):
-    """Create one tape leaf per parameter array; returns (tree, flat list).
-
-    With stack, per-leaf arrays in params.arrays() order holding T tasks'
-    parameters (see stack_params), the leaves are those arrays: weights
-    (T, i, o) and biases (T, 1, o).
-    """
-    arrays = params.arrays() if stack is None else iter(stack)
-    nets, flat = [], []
-    for net in params.nets():
-        weights, biases = [], []
-        for _ in net.weights:
-            wn, bn = tape.leaf(next(arrays)), tape.leaf(next(arrays))
-            weights.append(wn)
-            biases.append(bn)
-            flat.extend((wn, bn))
-        nets.append(MlpParams(weights=weights, biases=biases))
-    return PredictorParams(*nets), flat
+def leaves_for(tape, params, arrays):
+    """One tape leaf per array of arrays, per-leaf arrays in params.arrays()
+    order: params' own, views of a packed vector (leaf_views), or T tasks'
+    stacks (stack_params; weights (T, i, o), biases (T, 1, o)). Returns the
+    leaves as a PredictorParams shaped like params, and as a flat list."""
+    flat = [tape.leaf(a) for a in arrays]
+    return _assemble(flat, params), flat
 
 
 def stack_params(params, t):

@@ -78,13 +78,13 @@ def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
         raise ValueError(f"unknown reduction {reduction!r}")
     h_batch = h_batch.reshape(-1, k, n)
     features = encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
-    x = tape.const(features.reshape(*tasks, per_task, -1))
-    raw = (ad.mlp(x, net.weights, net.biases) for net in leaves.nets())
-    loss, v_hat = _head_and_loss(*raw, h_batch, cfg, variant, factor, tasks)
+    x = features.reshape(*tasks, per_task, -1)
+    raw = (ad.mlp(tape, x, net.weights, net.biases) for net in leaves.nets())
+    loss, v_hat = _head_and_loss(tape, *raw, h_batch, cfg, variant, factor, tasks)
     return loss, v_hat.reshape(*tasks, per_task, n, k)
 
 
-def _head_and_loss(u_raw, w_raw, mu_raw, h_batch, cfg, variant, factor, tasks):
+def _head_and_loss(tape, u_raw, w_raw, mu_raw, h_batch, cfg, variant, factor, tasks):
     """Everything after the nets, from their raw output nodes to the loss:
     Re S and Im S on the raw u and w outputs, mu on the raw mu output, the
     solve and the rate loss. Returns (loss_node, v) as _rate_loss does.
@@ -96,7 +96,7 @@ def _head_and_loss(u_raw, w_raw, mu_raw, h_batch, cfg, variant, factor, tasks):
     batched matmul [a; b] G serves either. Then ubar = 2 alpha w cbar u and
     wbar = alpha |u|^2 cbar.
     """
-    tape, k, alpha = u_raw.tape, cfg.k, cfg.alpha_vec
+    k, alpha = cfg.k, cfg.alpha_vec
     u, w, mu = _heads(*(r.value.reshape(len(h_batch), -1) for r in (u_raw, w_raw, mu_raw)),
                       cfg)
     s = wmmse.assemble_s(h_batch, u, w, cfg)
@@ -118,8 +118,8 @@ def _head_and_loss(u_raw, w_raw, mu_raw, h_batch, cfg, variant, factor, tasks):
     mu = tape.record(mu, (mu_raw,), lambda g: (g.reshape(sig_mu.shape) * sig_mu,), "mu")
     # x_k = (S + mu I)^{-1} h_k for all users at once
     rhs = np.transpose(h_batch, (0, 2, 1)).copy()
-    x = ad.csolve_hpd(s_re, s_im, mu, rhs)
-    return _rate_loss(x, u_raw, w_raw, u, w, h_batch, rhs, cfg, variant, factor, tasks)
+    x = ad.csolve_hpd(tape, s_re, s_im, mu, rhs)
+    return _rate_loss(tape, x, u_raw, w_raw, u, w, h_batch, rhs, cfg, variant, factor, tasks)
 
 
 def _heads(u_raw, w_raw, mu_raw, cfg):
@@ -150,7 +150,7 @@ def _raw_adjoints(u_raw, w_raw, u_bar, w_bar):
             w_bar.reshape(w_raw.shape) * _sigmoid(w_raw.value))
 
 
-def _rate_loss(x, u_raw, w_raw, u, w, h_batch, h_t, cfg, variant, factor, tasks):
+def _rate_loss(tape, x, u_raw, w_raw, u, w, h_batch, h_t, cfg, variant, factor, tasks):
     """One tape node from the solved columns and the raw u and w net outputs
     to the reduced loss; u and w are the values _heads maps those to.
 
@@ -209,7 +209,7 @@ def _rate_loss(x, u_raw, w_raw, u, w, h_batch, h_t, cfg, variant, factor, tasks)
                            alpha * (u.real * s_bar.real + u.imag * s_bar.imag)),
         )
 
-    return x.tape.record(total * factor, (x, u_raw, w_raw), backward, "rate_loss"), v
+    return tape.record(total * factor, (x, u_raw, w_raw), backward, "rate_loss"), v
 
 
 # Forward-only twin used by evaluation and memory scoring (no tape, no grads).

@@ -59,7 +59,7 @@ def _grad_err(rng, n, k, draws):
         def f(vec, params=params, h=h):
             p = nn.unpack(vec, params)
             tape = ad.Tape()
-            leaves, flat = nn.leaves_for(tape, p)
+            leaves, flat = nn.leaves_for(tape, p, p.arrays())
             loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, sys_cfg)
             gs = ad.grad(tape, loss, flat)
             return float(loss.value), np.concatenate([g.ravel() for g in gs])

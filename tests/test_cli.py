@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metabeam import channels, cli, meta, nn, pipeline, runner
+from metabeam import channels, cli, meta, nn, pipeline, runner, wmmse
 from metabeam.config import METHODS, ExperimentConfig, parse_config, render_config
 from metabeam.errors import NumericalError, SingularMatrixError
 from metabeam.meta import MetaConfig
@@ -285,6 +285,20 @@ def test_oracle_subcommand_passes(cfg_path, capsys):
                      "--grid-steps", "21"])
     assert code == cli.EXIT_OK
     assert "wmmse/oracle" in capsys.readouterr().out
+
+
+def test_oracle_scores_the_returned_best_iterate(cfg_path, monkeypatch, capsys):
+    # wmmse_solve returns its best iterate, whose WSR is the trace's maximum
+    # (2.0 here), not its last entry (1.5): the ratio to an oracle of 2.0 is 1.
+    trace = np.array([1.0, 2.0, 1.5])
+    monkeypatch.setattr(wmmse, "grid_oracle", lambda *a, **kw: 2.0)
+    monkeypatch.setattr(wmmse, "wmmse_solve", lambda *a, **kw: wmmse.WmmseResult(
+        v=None, iterations=2, wsr_trace=trace, converged=True))
+    code = cli.main(["--config", cfg_path, "oracle", "--instances", "2", "--verbose"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert "wmmse 2.0000  ratio 1.0000" in out
+    assert "min 1.0000  mean 1.0000" in out
 
 
 def test_oracle_rejects_large_k(tmp_path, capsys):

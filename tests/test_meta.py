@@ -39,7 +39,7 @@ def small_setup(seed=0, b=8):
 
 def summed_loss_grad(params, batch, cfg, meta_cfg):
     tape = ad.Tape()
-    leaves, flat = nn.leaves_for(tape, params)
+    leaves, flat = nn.leaves_for(tape, params, params.arrays())
     loss, _ = pipeline.reconstruct_and_loss(
         tape, leaves, batch, cfg, variant=meta_cfg.loss_variant, reduction="sum"
     )
@@ -115,13 +115,15 @@ def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
     total_g = np.zeros_like(vec)
     support_losses, query_losses = [], []
     for task in tasks:
-        s_loss, _ = meta._loss_and_grad(params, task.support, cfg, meta_cfg, "sum")
+        s_loss, _ = meta._loss_and_grad(params, task.support, cfg, meta_cfg, "sum",
+                                        params.arrays())
         support_losses.append(s_loss / len(task.support))
         adapted = meta.adapt_on_test(
             params, task.support, cfg,
             dataclasses.replace(meta_cfg, adapt_steps=meta_cfg.inner_steps),
         )
-        q_loss, grads = meta._loss_and_grad(adapted, task.query, cfg, meta_cfg, "sum")
+        q_loss, grads = meta._loss_and_grad(adapted, task.query, cfg, meta_cfg, "sum",
+                                            adapted.arrays())
         total_g += np.concatenate([g.ravel() for g in grads])
         query_losses.append(q_loss / len(task.query))
     state = adam_state or nn.AdamState.init(vec.size)
@@ -184,7 +186,7 @@ def test_loss_and_grad_frees_its_tape_without_gc(monkeypatch):
     stack = nn.stack_params(params, 2)
     gc.disable()
     try:
-        meta._loss_and_grad(params, batch, cfg, meta_cfg, "sum")
+        meta._loss_and_grad(params, batch, cfg, meta_cfg, "sum", params.arrays())
         meta._loss_and_grad(params, batch.reshape(2, 4, 2, 2), cfg, meta_cfg, "sum", stack)
         assert len(tapes) == 2
         assert all(ref() is None for ref in tapes)

@@ -72,6 +72,22 @@ def test_unpack_copies_do_not_alias():
     assert back.u_net.weights[0].ravel()[0] != vec[0]
 
 
+def test_leaf_views_share_the_vector():
+    # Views of consecutive pieces of vec, shaped like template.arrays(): a
+    # write into vec shows through them, and a wrong length raises.
+    rng = np.random.default_rng(5)
+    params = nn.init_predictor(rng, n=2, k=2, width=8)
+    vec = nn.pack(params)
+    views = nn.leaf_views(vec, params)
+    for v, a in zip(views, params.arrays(), strict=True):
+        np.testing.assert_array_equal(v, a)  # same shape and entries
+        assert np.shares_memory(v, vec)
+    vec[-1] += 1.0
+    assert views[-1].ravel()[-1] == vec[-1]
+    with pytest.raises(ValueError):
+        nn.leaf_views(vec[:-1], params)
+
+
 def test_from_arrays_takes_one_task_of_a_stack_as_a_copy():
     rng = np.random.default_rng(5)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
@@ -89,8 +105,9 @@ def test_mlp_forward_tape_matches_np_twin():
     x = rng.standard_normal((7, nn.feature_dim(3, 3)))
     for net in params.nets():
         tape = ad.Tape()
-        tree, _ = nn.leaves_for(tape, nn.PredictorParams(net, net, net))
-        out = ad.mlp(tape.const(x), tree.u_net.weights, tree.u_net.biases)
+        three = nn.PredictorParams(net, net, net)
+        tree, _ = nn.leaves_for(tape, three, three.arrays())
+        out = ad.mlp(tape, x, tree.u_net.weights, tree.u_net.biases)
         np.testing.assert_allclose(out.value, nn.mlp_forward_np(net, x), atol=1e-12)
 
 
@@ -110,9 +127,9 @@ def test_leaves_for_registers_every_array():
     rng = np.random.default_rng(7)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
     tape = ad.Tape()
-    tree, flat = nn.leaves_for(tape, params)
+    tree, flat = nn.leaves_for(tape, params, params.arrays())
     assert len(flat) == sum(2 * len(net.weights) for net in params.nets())
-    assert all(leaf.requires_grad for leaf in flat)
+    assert all(leaf.op == "leaf" for leaf in flat)
     np.testing.assert_array_equal(tree.w_net.weights[0].value, params.w_net.weights[0])
 
 

@@ -89,29 +89,27 @@ def test_mml_test_loop_keeps_stream_and_init():
 
 
 def test_grad_returns_mlp_output_adjoint_unmodified():
-    # y1 feeds a second MLP, so y1's adjoint is that MLP's own g W^T product;
-    # the backward of y1's node must not mask it in place.
+    # y1 feeds a test-local node y2 = y1 * c, so y1's adjoint is that node's
+    # fresh g * c; the backward of y1's node must not mask it in place.
     rng = np.random.default_rng(5)
     sizes = [3, 6, 6, 4]
     net1 = nn.init_mlp(rng, sizes)
-    net2 = nn.init_mlp(rng, [4, 5, 2])
+    c = rng.standard_normal((7, 4))
     x0 = rng.standard_normal((7, 3))
 
+    def times_c(tape, a):
+        return tape.record(a.value * c, (a,), lambda g: (g * c,), "times")
+
     tape = ad.Tape()
-    x = tape.leaf(x0)
     w1 = [tape.leaf(w) for w in net1.weights]
     b1 = [tape.leaf(b) for b in net1.biases]
-    y1 = ad.mlp(x, w1, b1)
-    y2 = ad.mlp(y1, [tape.const(w) for w in net2.weights],
-                [tape.const(b) for b in net2.biases])
-    loss = ad.reduce_sum(y2)
-    g_y1, g_y2, *_ = ad.grad(tape, loss, [y1, y2, x, *w1])
+    y1 = ad.mlp(tape, x0, w1, b1)
+    y2 = times_c(tape, y1)
+    g_y1, g_y2, *_ = ad.grad(tape, y2, [y1, y2, *w1])
 
     other = ad.Tape()
     y1_leaf = other.leaf(y1.value.copy())
-    y2_again = ad.mlp(y1_leaf, [other.const(w) for w in net2.weights],
-                      [other.const(b) for b in net2.biases])
-    (want,) = ad.grad(other, ad.reduce_sum(y2_again), [y1_leaf])
+    (want,) = ad.grad(other, times_c(other, y1_leaf), [y1_leaf])
     np.testing.assert_array_equal(g_y1, want)
     np.testing.assert_array_equal(g_y2, np.ones_like(y2.value))
     assert np.any(want < 0.0) and np.any(want > 0.0)  # not a trivially masked adjoint

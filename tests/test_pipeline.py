@@ -69,7 +69,7 @@ def test_predict_components_tape_matches_np():
     rng = np.random.default_rng(3)
     cfg, params, h = setup(rng)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params)
+    leaves, _ = nn.leaves_for(tape, params, params.arrays())
     pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
     nodes = {node.op: node for node in tape.nodes}
     feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
@@ -100,7 +100,7 @@ def test_loss_equals_objective_on_reconstruction():
     cfg, params, h = setup(rng)
     for variant in ("corrected", "verbatim"):
         tape = ad.Tape()
-        leaves, _ = nn.leaves_for(tape, params)
+        leaves, _ = nn.leaves_for(tape, params, params.arrays())
         loss, v_hat = pipeline.reconstruct_and_loss(
             tape, leaves, h, cfg, variant=variant
         )
@@ -112,7 +112,7 @@ def test_loss_sum_reduction_is_batch_sum():
     rng = np.random.default_rng(5)
     cfg, params, h = setup(rng, b=4)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params)
+    leaves, _ = nn.leaves_for(tape, params, params.arrays())
     loss, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg, reduction="sum")
     per_sample = objective.sum_rate_loss(h, v_hat, cfg)
     assert float(loss.value) == pytest.approx(per_sample.sum(), abs=1e-12)
@@ -126,7 +126,7 @@ def test_loss_variants_differ_for_multiuser():
     vals = {}
     for variant in ("corrected", "verbatim"):
         tape = ad.Tape()
-        leaves, _ = nn.leaves_for(tape, params)
+        leaves, _ = nn.leaves_for(tape, params, params.arrays())
         loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, cfg, variant=variant)
         vals[variant] = float(loss.value)
     assert vals["corrected"] != vals["verbatim"]
@@ -139,7 +139,7 @@ def test_forward_twin_matches_tape_reconstruction():
     rng = np.random.default_rng(7)
     cfg, params, h = setup(rng, b=12)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params)
+    leaves, _ = nn.leaves_for(tape, params, params.arrays())
     _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
     np.testing.assert_array_equal(v_hat, pipeline.predict_beamformers(params, h, cfg))
 
@@ -164,7 +164,7 @@ def test_twin_and_tape_share_the_singularity_policy():
     with pytest.raises(SingularMatrixError):
         pipeline.predict_beamformers(params, h, cfg)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params)
+    leaves, _ = nn.leaves_for(tape, params, params.arrays())
     with pytest.raises(SingularMatrixError):
         pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
 
@@ -198,7 +198,7 @@ def test_zero_u_prediction_raises():
     with pytest.raises(DegenerateInputError):
         pipeline.predict_beamformers(params, h, cfg)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params)
+    leaves, _ = nn.leaves_for(tape, params, params.arrays())
     with pytest.raises(DegenerateInputError):
         pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
 
@@ -207,7 +207,7 @@ def test_empty_batch_rejected():
     rng = np.random.default_rng(11)
     cfg, params, _ = setup(rng)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params)
+    leaves, _ = nn.leaves_for(tape, params, params.arrays())
     with pytest.raises(ValueError):
         pipeline.reconstruct_and_loss(tape, leaves, np.zeros((0, 3, 3), complex), cfg)
 
@@ -222,7 +222,7 @@ def test_full_pipeline_gradient_smoke():
     def f(vec):
         p = nn.unpack(vec, params)
         tape = ad.Tape()
-        leaves, flat = nn.leaves_for(tape, p)
+        leaves, flat = nn.leaves_for(tape, p, p.arrays())
         loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
         grads = ad.grad(tape, loss, flat)
         return float(loss.value), np.concatenate([g.ravel() for g in grads])
@@ -245,15 +245,13 @@ def fd_check_nodes(loss_fn, shapes, x0, tasks, h):
         parts = np.split(vec, np.cumsum(sizes)[:-1])
         tape = ad.Tape()
         leaves = [tape.leaf(p.reshape(sh)) for p, sh in zip(parts, shapes)]
-        loss = loss_fn(*leaves)
+        loss = loss_fn(tape, *leaves)
         if tasks:
             assert loss.shape == tasks
-            loss = ad.reduce_sum(
-                tape.record(loss.value * task_weights, (loss,),
-                            lambda g: (g * task_weights,))
-            )
+            loss = tape.record(loss.value * task_weights, (loss,),
+                               lambda g: (g * task_weights,))
         grads = ad.grad(tape, loss, leaves)
-        return float(loss.value), np.concatenate([g.ravel() for g in grads])
+        return float(loss.value.sum()), np.concatenate([g.ravel() for g in grads])
 
     # The nodes are smooth (no kinks), so no probe may be skipped.
     err, ok, skipped = ad.finite_diff_check(f, x0, h=h, rel_tol=1e-5, kink_tol=1.0)
@@ -282,11 +280,11 @@ def test_rate_loss_node_matches_fd(variant, reduction, tasks):
     b, k, n = h.shape
     rhs = np.transpose(h, (0, 2, 1)).copy()
 
-    def loss_fn(x, u_raw, w_raw):
+    def loss_fn(tape, x, u_raw, w_raw):
         u, w, _ = pipeline._heads(u_raw.value.reshape(b, -1), w_raw.value.reshape(b, -1),
                                   np.zeros((b, 1)), cfg)
-        loss, _ = pipeline._rate_loss(x, u_raw, w_raw, u, w, h, rhs, cfg, variant, factor,
-                                      tasks)
+        loss, _ = pipeline._rate_loss(tape, x, u_raw, w_raw, u, w, h, rhs, cfg, variant,
+                                      factor, tasks)
         return loss
 
     shapes = [(b, 2, n, k), u_shape, w_shape]
@@ -304,9 +302,9 @@ def test_head_nodes_match_fd(variant, reduction, tasks):
     # every coordinate.
     rng, cfg, h, factor, shapes = head_case(variant, reduction, tasks)
 
-    def loss_fn(u_raw, w_raw, mu_raw):
-        loss, _ = pipeline._head_and_loss(u_raw, w_raw, mu_raw, h, cfg, variant, factor,
-                                          tasks)
+    def loss_fn(tape, u_raw, w_raw, mu_raw):
+        loss, _ = pipeline._head_and_loss(tape, u_raw, w_raw, mu_raw, h, cfg, variant,
+                                          factor, tasks)
         return loss
 
     x0 = rng.standard_normal(sum(int(np.prod(sh)) for sh in shapes))
@@ -316,15 +314,15 @@ def test_head_nodes_match_fd(variant, reduction, tasks):
 
 
 def test_reference_shape_pass_records_at_most_40_nodes():
-    # N = K = 3, width-64 nets, B = 40: exactly 27 nodes, namely 18 parameter
-    # leaves, the features, one node per net, Re S, Im S, mu, the solve and
-    # one rate-loss node after it.
+    # N = K = 3, width-64 nets, B = 40: exactly 26 nodes, namely 18 parameter
+    # leaves, one node per net (each reads the feature matrix as an array),
+    # Re S, Im S, mu, the solve and one rate-loss node after it.
     rng = np.random.default_rng(14)
     cfg, params, h = setup(rng, b=40, width=64)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params)
+    leaves, _ = nn.leaves_for(tape, params, params.arrays())
     pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
     assert [node.op for node in tape.nodes] == (
-        ["leaf"] * 18 + ["const"] + ["mlp"] * 3
+        ["leaf"] * 18 + ["mlp"] * 3
         + ["s_re", "s_im", "mu", "csolve_hpd", "rate_loss"]
     )
