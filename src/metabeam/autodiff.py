@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over numpy arrays.
 
 A Tape records every operation as an append-only node holding the forward
 value, parent references, and one backward closure that maps the node's
@@ -13,14 +13,15 @@ cycle and are freed by reference counting as soon as the caller drops them.
 The tape has no elementwise primitives, only coarse nodes whose backward is
 written in closed form: mlp runs a whole ReLU network on a plain input array
 as one node, and csolve_hpd solves batched complex Hermitian positive
-definite systems (complex values travel as stacked real and imaginary
-parts). Callers record their own closed-form nodes through Tape.record, as
-pipeline.reconstruct_and_loss does for the predictor head and the rate loss.
+definite systems (its value is the complex solution X, its adjoint the
+complex dL/dRe X + i dL/dIm X). Callers record their own closed-form nodes
+through Tape.record, as pipeline.reconstruct_and_loss does for the
+predictor head and the rate loss.
 """
 
 import numpy as np
 
-from .linalg import hpd_solve
+from .linalg import _identity, hpd_solve
 
 
 class Tape:
@@ -35,9 +36,9 @@ class Tape:
         return len(self.nodes)
 
     def record(self, value, parents=(), backward=None, op=""):
-        """Append a node; backward(g) returns one adjoint per parent, in
-        order, each shaped like that parent's value."""
-        node = Node(len(self.nodes), np.asarray(value, dtype=np.float64), op, parents, backward)
+        """Append a node holding value as given; backward(g) returns one
+        adjoint per parent, in order, each shaped like that parent's value."""
+        node = Node(len(self.nodes), value, op, parents, backward)
         self.nodes.append(node)
         return node
 
@@ -124,10 +125,10 @@ def mlp(tape, x, weights, biases):
         for i in range(last, -1, -1):
             if i != last:  # g is this node's own g W^T product
                 g *= masks[i]
-            grads[2 * i + 1] = g.sum(axis=-2).reshape(biases[i].value.shape)
-            grads[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g
+            grads[2 * i + 1] = np.add.reduce(g, axis=-2).reshape(biases[i].value.shape)
+            grads[2 * i] = inputs[i].swapaxes(-1, -2) @ g
             if i:
-                g = g @ np.swapaxes(weights[i].value, -1, -2)
+                g = g @ weights[i].value.swapaxes(-1, -2)
         return grads
 
     parents = tuple(p for pair in zip(weights, biases) for p in pair)
@@ -139,26 +140,25 @@ def csolve_hpd(tape, s_re, s_im, mu, rhs):
 
     Solves (S + mu I) X = rhs with S = s_re + i s_im given by two (B, N, N)
     real nodes, mu a (B,) node of nonnegative shifts, and rhs a constant
-    complex (B, N, K) array. Returns one node of shape (B, 2, N, K) stacking
-    Re X and Im X. The forward is linalg.hpd_solve, which certifies every
-    matrix and raises SingularMatrixError under its pivot rule.
+    complex (B, N, K) array. Returns one node whose value is the complex
+    (B, N, K) solution X. The forward is linalg.hpd_solve, which certifies
+    every matrix and raises SingularMatrixError under its pivot rule.
 
-    Adjoint, with G = Gre + i Gim the packed output gradient: the rhs adjoint
-    is Q = (S + mu I)^{-1} G (Hermitian, so no transpose), the matrix adjoint
-    is Sbar = -Q X^H, giving d/d s_re = Re(Sbar), d/d s_im = Im(Sbar) and
-    d/d mu = Re tr(Sbar) per batch element.
+    Adjoint, with G = dL/dRe X + i dL/dIm X the node's complex adjoint: the
+    rhs adjoint is Q = (S + mu I)^{-1} G (Hermitian, so no transpose), the
+    matrix adjoint is Sbar = -Q X^H, giving d/d s_re = Re(Sbar),
+    d/d s_im = Im(Sbar) and d/d mu = Re tr(Sbar) per batch element.
     """
     n = s_re.value.shape[-1]
-    s = s_re.value + 1j * s_im.value + mu.value[:, None, None] * np.eye(n)
+    s = s_re.value + 1j * s_im.value + mu.value[:, None, None] * _identity(n)
     x = hpd_solve(s, 0.0, rhs)
 
     def backward(g):
-        q = np.linalg.solve(s, g[:, 0] + 1j * g[:, 1])  # s is certified
+        q = np.linalg.solve(s, g)  # s is certified
         sbar = -q @ np.conj(np.swapaxes(x, 1, 2))
         return sbar.real, sbar.imag, np.real(np.trace(sbar, axis1=1, axis2=2))
 
-    value = np.stack([x.real, x.imag], axis=1)
-    return tape.record(value, (s_re, s_im, mu), backward, "csolve_hpd")
+    return tape.record(x, (s_re, s_im, mu), backward, "csolve_hpd")
 
 
 def finite_diff_check(

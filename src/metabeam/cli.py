@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from . import channels, meta, nn, runner, wmmse
+from . import channels, meta, nn, pipeline, runner, wmmse
 from .config import METHODS, ExperimentConfig, parse_config, system_for
 from .errors import (
     ConfigError,
@@ -24,7 +24,7 @@ from .errors import (
     MetabeamError,
     SingularMatrixError,
 )
-from .seeding import rng_for
+from .seeding import rng_for, subseed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,9 +116,11 @@ def _cmd_gradcheck(args):
     rng = rng_for(cfg.seed, "gradcheck")
 
     def make_f(h_batch, params):
+        features = pipeline.features(h_batch, sys_cfg)
+
         def f(vec):  # the configured loss, by training's own tape pass
-            loss, grads = meta._loss_and_grad(
-                params, h_batch, sys_cfg, cfg.meta, "mean", nn.leaf_views(vec, params))
+            loss, grads = meta._loss_and_grad(params, h_batch, features, sys_cfg, cfg.meta,
+                                              "mean", nn.leaf_views(vec, params))
             return float(loss), np.concatenate([g.ravel() for g in grads])
 
         return f
@@ -148,12 +150,21 @@ def _count(text):
     return int(text)
 
 
+def _seed(text):
+    """argparse type of --seed: a root seed that seeding.subseed takes."""
+    try:
+        subseed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
 def _global_flags(**default):
     """The flags every subcommand takes, before or after its name."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", help="experiment config file (key = value)",
                        **default)
-    flags.add_argument("--seed", type=int, help="override the run seed", **default)
+    flags.add_argument("--seed", type=_seed, help="override the run seed", **default)
     flags.add_argument("--out", help="output file or directory", **default)
     flags.add_argument("--verbose", action="store_true", **default)
     return flags

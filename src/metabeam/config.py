@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from . import channels, objective
+from . import channels, objective, seeding
 from .channels import ChannelModelSpec
 from .errors import ConfigError
 from .meta import MetaConfig
@@ -188,7 +188,7 @@ def _known_methods(names):
 # [system] keys and train.snr_db have no range check of their own: _validate
 # builds the SystemConfig of every SNR they define, which checks them.
 KEYS = (
-    ("run", "seed", "seed", int, None),
+    ("run", "seed", "seed", int, lambda seed: _reason(seeding.subseed, seed)),
     ("system", "n", "n", int, None),
     ("system", "k", "k", int, None),
     ("system", "sigma2", "sigma2", float, None),

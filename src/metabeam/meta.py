@@ -17,6 +17,7 @@ order. adapt_stack holds the one SGD loop: the support steps of the meta
 step and both test-time steps of memory.mml_test_loop (a run of memoryless
 slots as one stack, and adapt_on_test on a slot with its memory, on the
 parameters' own arrays) all run through it.
+Each loop featurizes a batch once (pipeline.features) for all passes on it.
 Every per-task number is computed by the same floating-point operations as a
 one-task-at-a-time loop, so the result is bit-identical to it; the group
 size only trades tape passes (each with a fixed Python cost) against the
@@ -84,8 +85,8 @@ class TrainLog:
     wall_time: list = field(default_factory=list)
 
 
-def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, arrays):
-    """One tape pass: loss and per-leaf gradients on a channel batch.
+def _loss_and_grad(params, batch, features, cfg, meta_cfg, reduction, arrays):
+    """One tape pass: loss and per-leaf gradients on a batch and its features.
 
     The leaves are the per-leaf arrays in params.arrays() order (see
     nn.leaves_for); each gradient is shaped like its leaf. With per-leaf
@@ -98,6 +99,7 @@ def _loss_and_grad(params, batch, cfg, meta_cfg, reduction, arrays):
         tape,
         leaves,
         batch,
+        features,
         cfg,
         variant=meta_cfg.loss_variant,
         reduction=reduction,
@@ -120,8 +122,9 @@ def adapt_stack(params, stack, batch, cfg, meta_cfg, steps):
     stack; None when steps is 0).
     """
     first = None
+    features = pipeline.features(batch, cfg)
     for step in range(steps):
-        loss, grads = _loss_and_grad(params, batch, cfg, meta_cfg, "sum", stack)
+        loss, grads = _loss_and_grad(params, batch, features, cfg, meta_cfg, "sum", stack)
         if step == 0:
             first = loss
         stack = [nn.sgd_step(a, g, meta_cfg.inner_lr) for a, g in zip(stack, grads)]
@@ -167,9 +170,11 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
             params, stack, support, cfg, meta_cfg, meta_cfg.inner_steps
         )
         if s_loss is None:  # no support step, so the support loss needs a pass
-            s_loss, _ = _loss_and_grad(params, support, cfg, meta_cfg, "sum", stack)
+            s_loss, _ = _loss_and_grad(params, support, pipeline.features(support, cfg),
+                                       cfg, meta_cfg, "sum", stack)
         support_losses.extend(s_loss / support.shape[1])
-        q_loss, grads = _loss_and_grad(params, query, cfg, meta_cfg, "sum", stack)
+        q_loss, grads = _loss_and_grad(params, query, pipeline.features(query, cfg), cfg,
+                                       meta_cfg, "sum", stack)
         for t in range(len(chunk)):  # task order, one packed vector per task
             total_g += np.concatenate([g[t].ravel() for g in grads])
         query_losses.extend(q_loss / query.shape[1])
@@ -225,13 +230,15 @@ def unsupervised_train(dataset, cfg, meta_cfg, seed, init):
     start = time.perf_counter()
     size = dataset.shape[0]
     bs = min(meta_cfg.batch_size, size)
+    features = pipeline.features(dataset, cfg)
     for epoch in range(1, meta_cfg.epochs + 1):
         order = rng.permutation(size)
         losses = []
         for lo in range(0, size - bs + 1, bs):
-            batch = dataset[order[lo : lo + bs]]
+            rows = order[lo : lo + bs]
             views = nn.leaf_views(vec, init)  # adam_step never writes vec
-            loss, grads = _loss_and_grad(init, batch, cfg, meta_cfg, "mean", views)
+            loss, grads = _loss_and_grad(init, dataset[rows], features[rows], cfg, meta_cfg,
+                                         "mean", views)
             g = np.concatenate([g.ravel() for g in grads])
             vec, adam_state = nn.adam_step(vec, g, adam_state, meta_cfg.outer_lr)
             losses.append(float(loss))

@@ -34,20 +34,20 @@ def mu_floor(cfg):
 
 
 def encode_features(h_batch, v_current):
-    """Stack re/im of the channels and the reference beamformer, (B, 4NK)."""
-    b = h_batch.shape[0]
-    return np.concatenate(
-        [
-            h_batch.real.reshape(b, -1),
-            h_batch.imag.reshape(b, -1),
-            v_current.real.reshape(b, -1),
-            v_current.imag.reshape(b, -1),
-        ],
-        axis=1,
-    )
+    """Stack re/im of the channels and the reference beamformer over any
+    leading axes, (..., 4NK)."""
+    parts = (h_batch.real, h_batch.imag, v_current.real, v_current.imag)
+    return np.concatenate([p.reshape(*h_batch.shape[:-2], -1) for p in parts], axis=-1)
 
 
-def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
+def features(h_batch, cfg):
+    """encode_features of channels (..., K, N) and their matched filters;
+    each row has the bits of a call on its sample alone."""
+    h_batch = np.asarray(h_batch, dtype=np.complex128)
+    return encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
+
+
+def reconstruct_and_loss(tape, leaves, h_batch, features, cfg, variant="corrected",
                          reduction="mean"):
     """Loss of the reconstructed beamformers for a channel batch.
 
@@ -56,6 +56,7 @@ def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
     the result onto the power budget, and returns the negated average-rate
     loss reduced over the batch ("mean" or "sum"). The loss value agrees with
     objective.sum_rate_loss evaluated on the reconstructed beamformers.
+    features is features(h_batch, cfg), computed once for all passes on it.
 
     A task-batched h_batch (T, B, K, N) with per-task leaves runs the nets per
     task and everything after them on the T*B samples at once; the loss node
@@ -77,9 +78,7 @@ def reconstruct_and_loss(tape, leaves, h_batch, cfg, variant="corrected",
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
     h_batch = h_batch.reshape(-1, k, n)
-    features = encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
-    x = features.reshape(*tasks, per_task, -1)
-    raw = (ad.mlp(tape, x, net.weights, net.biases) for net in leaves.nets())
+    raw = (ad.mlp(tape, features, net.weights, net.biases) for net in leaves.nets())
     loss, v_hat = _head_and_loss(tape, *raw, h_batch, cfg, variant, factor, tasks)
     return loss, v_hat.reshape(*tasks, per_task, n, k)
 
@@ -103,23 +102,24 @@ def _head_and_loss(tape, u_raw, w_raw, mu_raw, h_batch, cfg, variant, factor, ta
     a, b = h_batch.real, h_batch.imag
     ab = np.concatenate([a, b], axis=1)  # (B, 2K, N)
     dc_du, dc_dw = 2.0 * alpha * w * u, alpha * np.abs(u) ** 2
+    sig_w, sig_mu = _sigmoid(w_raw.value), _sigmoid(mu_raw.value)
 
     def s_node(part, partner, op):
         def backward(g):
             q = np.einsum("bkn,bkn->bk", ab @ g, partner)
             c_bar = q[:, :k] + q[:, k:]
-            return _raw_adjoints(u_raw, w_raw, dc_du * c_bar, dc_dw * c_bar)
+            return _raw_adjoints(u_raw, sig_w, dc_du * c_bar, dc_dw * c_bar)
 
         return tape.record(part, (u_raw, w_raw), backward, op)
 
     s_re = s_node(s.real, ab, "s_re")
     s_im = s_node(s.imag, np.concatenate([-b, a], axis=1), "s_im")
-    sig_mu = _sigmoid(mu_raw.value)
     mu = tape.record(mu, (mu_raw,), lambda g: (g.reshape(sig_mu.shape) * sig_mu,), "mu")
     # x_k = (S + mu I)^{-1} h_k for all users at once
     rhs = np.transpose(h_batch, (0, 2, 1)).copy()
     x = ad.csolve_hpd(tape, s_re, s_im, mu, rhs)
-    return _rate_loss(tape, x, u_raw, w_raw, u, w, h_batch, rhs, cfg, variant, factor, tasks)
+    return _rate_loss(tape, x, u_raw, w_raw, sig_w, u, w, h_batch, rhs, cfg, variant,
+                      factor, tasks)
 
 
 def _heads(u_raw, w_raw, mu_raw, cfg):
@@ -143,16 +143,17 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _raw_adjoints(u_raw, w_raw, u_bar, w_bar):
-    """Adjoints of the raw u and w net outputs (nodes) from those of u
-    (complex, Re + i Im) and of w, through the maps of _heads."""
+def _raw_adjoints(u_raw, sig_w, u_bar, w_bar):
+    """Adjoints of the raw u and w net outputs from those of u (complex,
+    Re + i Im) and of w through the maps of _heads; sig_w = _sigmoid(raw w)."""
     return (np.concatenate([u_bar.real, u_bar.imag], axis=-1).reshape(u_raw.shape),
-            w_bar.reshape(w_raw.shape) * _sigmoid(w_raw.value))
+            w_bar.reshape(sig_w.shape) * sig_w)
 
 
-def _rate_loss(tape, x, u_raw, w_raw, u, w, h_batch, h_t, cfg, variant, factor, tasks):
-    """One tape node from the solved columns and the raw u and w net outputs
-    to the reduced loss; u and w are the values _heads maps those to.
+def _rate_loss(tape, x, u_raw, w_raw, sig_w, u, w, h_batch, h_t, cfg, variant, factor, tasks):
+    """One tape node from the solved columns X (complex) and the raw u and
+    w net outputs to the reduced loss; u, w and sig_w are as _head_and_loss
+    computes them.
 
     Forward: the forward twin's arithmetic (wmmse.column_scales,
     scale_to_power, then objective.gains and objective.signal_denom) and
@@ -168,10 +169,10 @@ def _rate_loss(tape, x, u_raw, w_raw, u, w, h_batch, h_t, cfg, variant, factor, 
       Xbar = Ybar diag(conj s), sbar_k = sum_n conj(X_nk) Ybar_nk,
     then ubar = alpha w sbar and wbar = alpha Re(conj(u) sbar), mapped onto
     the raw outputs by _raw_adjoints.
+    Xbar is complex, dL/dRe X + i dL/dIm X, as csolve_hpd takes it.
     Returns (loss_node, v) with v the (T*B, N, K) normalized beamformers.
     """
-    xv = x.value
-    xc = xv[:, 0] + 1j * xv[:, 1]
+    xc = x.value
     s = wmmse.column_scales(u, w, cfg)
     y = xc * s[:, None, :]  # x diag(s)
     v, pw = scale_to_power(y, cfg.p)
@@ -185,8 +186,8 @@ def _rate_loss(tape, x, u_raw, w_raw, u, w, h_batch, h_t, cfg, variant, factor, 
     alpha = cfg.alpha_vec
 
     def backward(g_loss):
-        dr = np.reshape(g_loss * factor, (-1, 1, 1))
-        dr = np.broadcast_to(dr, (len(dr), b // len(dr), k)).reshape(b, k)
+        dr = np.reshape(g_loss * factor, -1)
+        dr = np.repeat(dr, b // len(dr))[:, None]  # (b, 1): each row's task adjoint
         d_tot = dr / (denom + signal)
         d_int = dr / denom
         if variant == "corrected":
@@ -204,8 +205,8 @@ def _rate_loss(tape, x, u_raw, w_raw, u, w, h_batch, h_t, cfg, variant, factor, 
         x_bar = y_bar * np.conj(s)[:, None, :]
         s_bar = np.sum(np.conj(xc) * y_bar, axis=1)
         return (
-            np.stack([x_bar.real, x_bar.imag], axis=1),
-            *_raw_adjoints(u_raw, w_raw, alpha * w * s_bar,
+            x_bar,
+            *_raw_adjoints(u_raw, sig_w, alpha * w * s_bar,
                            alpha * (u.real * s_bar.real + u.imag * s_bar.imag)),
         )
 
@@ -227,8 +228,8 @@ def predict_beamformers(params, h_batch, cfg):
     (wmmse.reconstruct_v), then onto the power budget.
     """
     h_batch = np.asarray(h_batch, dtype=np.complex128)
-    features = encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
-    v = wmmse.reconstruct_v(h_batch, *predict_components_np(params, features, cfg), cfg)
+    u_w_mu = predict_components_np(params, features(h_batch, cfg), cfg)
+    v = wmmse.reconstruct_v(h_batch, *u_w_mu, cfg)
     return normalize_to_power(v, cfg.p)
 
 

@@ -13,8 +13,10 @@ import numpy as np
 
 
 def subseed(root, *tags):
-    """SeedSequence for a named sub-stream of the root seed."""
-    parts = [int(root) & 0xFFFFFFFF] + [
+    """SeedSequence for a named sub-stream of a root seed in [0, 2**32 - 1]."""
+    if not 0 <= int(root) <= 0xFFFFFFFF:
+        raise ValueError(f"must be in [0, {0xFFFFFFFF}], got {root}")
+    parts = [int(root)] + [
         zlib.crc32(str(t).encode("utf-8")) for t in tags
     ]
     return np.random.SeedSequence(parts)

@@ -60,7 +60,8 @@ def _grad_err(rng, n, k, draws):
             p = nn.unpack(vec, params)
             tape = ad.Tape()
             leaves, flat = nn.leaves_for(tape, p, p.arrays())
-            loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, sys_cfg)
+            loss, _ = pipeline.reconstruct_and_loss(
+                tape, leaves, h, pipeline.features(h, sys_cfg), sys_cfg)
             gs = ad.grad(tape, loss, flat)
             return float(loss.value), np.concatenate([g.ravel() for g in gs])
 

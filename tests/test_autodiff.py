@@ -9,10 +9,11 @@ sum of a loss node's entries. Analytic oracles, stated before each assertion:
 - Adam from a zero state at t=1 has m_hat = g and v_hat = g^2, so the first
   step is exactly theta - lr * g / (|g| + eps); from any state, each step
   equals the out-of-place textbook formula to the bit.
-- For Hermitian base S, the csolve_hpd adjoint matches entrywise central
-  differences on s_re, s_im, and mu even though single-entry perturbations
-  are not Hermitian (the real parts of the two sensitivity expressions
-  coincide when S = S^H).
+- For Hermitian base S, the csolve_hpd adjoint (it takes the complex
+  dL/dRe X + i dL/dIm X) matches entrywise central differences on s_re,
+  s_im, and mu even though single-entry perturbations are not Hermitian
+  (the real parts of the two sensitivity expressions coincide when
+  S = S^H).
 """
 
 import gc
@@ -33,6 +34,13 @@ def rand(rng, *shape):
 def square(tape, a):
     """Test-local node a^2, adjoint 2 a g."""
     return tape.record(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,), "square")
+
+
+def abs_square(tape, a):
+    """Test-local real node |a|^2 of a complex node; its complex adjoint
+    dL/dRe a + i dL/dIm a is 2 a g."""
+    return tape.record(np.abs(a.value) ** 2, (a,), lambda g: (2.0 * a.value * g,),
+                       "abs_square")
 
 
 def times(tape, a, c):
@@ -228,8 +236,8 @@ def test_csolve_hpd_forward_matches_numpy():
     tape = ad.Tape()
     out = ad.csolve_hpd(tape, tape.leaf(s.real), tape.leaf(s.imag), tape.leaf(mu), rhs)
     expected = np.linalg.solve(s + mu[:, None, None] * np.eye(3), rhs)
-    np.testing.assert_allclose(out.value[:, 0], expected.real, atol=1e-12)
-    np.testing.assert_allclose(out.value[:, 1], expected.imag, atol=1e-12)
+    np.testing.assert_allclose(out.value.real, expected.real, atol=1e-12)
+    np.testing.assert_allclose(out.value.imag, expected.imag, atol=1e-12)
 
 
 def test_csolve_hpd_adjoint_matches_fd():
@@ -242,7 +250,7 @@ def test_csolve_hpd_adjoint_matches_fd():
         parts = np.split(vec, np.cumsum(sizes)[:-1])
         tape = ad.Tape()
         leaves = [tape.leaf(p.reshape(sh)) for p, sh in zip(parts, shapes)]
-        loss = square(tape, ad.csolve_hpd(tape, leaves[0], leaves[1], leaves[2], rhs))
+        loss = abs_square(tape, ad.csolve_hpd(tape, leaves[0], leaves[1], leaves[2], rhs))
         grads = ad.grad(tape, loss, leaves)
         return float(loss.value.sum()), np.concatenate([g.ravel() for g in grads])
 

@@ -78,6 +78,21 @@ def test_count_flags_below_one_are_usage_errors(argv, flag, capsys):
     assert f"argument {flag}: must be an integer of at least 1" in err
 
 
+@pytest.mark.parametrize("seed", ["4294967296", "-1"])
+def test_seed_flag_outside_32_bits_is_usage_error(seed, capsys):
+    # rejected at parse time, as [run] seed is: nothing runs under an
+    # aliased seed
+    assert cli.main(["--seed", seed, "gradcheck", "--draws", "1"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --seed: must be in [0, 4294967295], got {seed}" in err
+
+
+def test_largest_seed_flag_runs(capsys):
+    assert cli.main(["--seed", "4294967295", "gradcheck", "--draws", "1"]) == cli.EXIT_OK
+    assert "-> ok" in capsys.readouterr().out
+
+
 def test_missing_config_file_is_usage_error(capsys):
     assert cli.main(["--config", "/nonexistent/x.cfg", "gen-data"]) == cli.EXIT_USAGE
     capsys.readouterr()

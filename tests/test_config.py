@@ -247,6 +247,16 @@ def test_duplicate_snrs_and_methods_rejected(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("seed", ["4294967296", "4294967297", "-1"])
+def test_seed_outside_32_bits_rejected_at_parse(seed):
+    # seeding.subseed takes 32-bit roots: 4294967297 would otherwise run as
+    # seed 1, and -1 as 4294967295, while the echo kept the seed as written.
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[system]\nk = 2\n[run]\nseed = {seed}\n")
+    assert str(err.value) == f"line 4: run.seed: must be in [0, 4294967295], got {seed}"
+    assert parse_config_text("[run]\nseed = 4294967295\n").seed == 2**32 - 1
+
+
 def test_zero_rates_and_steps_stay_legal():
     cfg = parse_config_text(
         "[meta]\ninner_lr = 0\nouter_lr = 0\nepochs = 0\ninner_steps = 0\nadapt_steps = 0\n"
@@ -312,7 +322,7 @@ def _configs(draw):
         loss_variant=draw(st.sampled_from(["corrected", "verbatim"])),
     )
     return ExperimentConfig(
-        seed=ints(0, 2**32), n=ints(1, 8), k=k,
+        seed=ints(0, 2**32 - 1), n=ints(1, 8), k=k,
         sigma2=draw(_floats(1e-3, 1e3)),
         snr_db=draw(st.lists(_floats(-100.0, 100.0), min_size=1, max_size=5,
                              unique=True)),

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from metabeam import autodiff as ad
-from metabeam import channels, meta, nn, pipeline
+from metabeam import channels, meta, nn, pipeline, wmmse
 from metabeam.meta import MetaConfig
 from metabeam.objective import SystemConfig
 
@@ -41,7 +41,8 @@ def summed_loss_grad(params, batch, cfg, meta_cfg):
     tape = ad.Tape()
     leaves, flat = nn.leaves_for(tape, params, params.arrays())
     loss, _ = pipeline.reconstruct_and_loss(
-        tape, leaves, batch, cfg, variant=meta_cfg.loss_variant, reduction="sum"
+        tape, leaves, batch, pipeline.features(batch, cfg), cfg,
+        variant=meta_cfg.loss_variant, reduction="sum"
     )
     grads = ad.grad(tape, loss, flat)
     return float(loss.value), np.concatenate([g.ravel() for g in grads])
@@ -115,15 +116,17 @@ def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
     total_g = np.zeros_like(vec)
     support_losses, query_losses = [], []
     for task in tasks:
-        s_loss, _ = meta._loss_and_grad(params, task.support, cfg, meta_cfg, "sum",
-                                        params.arrays())
+        s_loss, _ = meta._loss_and_grad(params, task.support,
+                                        pipeline.features(task.support, cfg), cfg,
+                                        meta_cfg, "sum", params.arrays())
         support_losses.append(s_loss / len(task.support))
         adapted = meta.adapt_on_test(
             params, task.support, cfg,
             dataclasses.replace(meta_cfg, adapt_steps=meta_cfg.inner_steps),
         )
-        q_loss, grads = meta._loss_and_grad(adapted, task.query, cfg, meta_cfg, "sum",
-                                            adapted.arrays())
+        q_loss, grads = meta._loss_and_grad(adapted, task.query,
+                                            pipeline.features(task.query, cfg), cfg,
+                                            meta_cfg, "sum", adapted.arrays())
         total_g += np.concatenate([g.ravel() for g in grads])
         query_losses.append(q_loss / len(task.query))
     state = adam_state or nn.AdamState.init(vec.size)
@@ -186,8 +189,11 @@ def test_loss_and_grad_frees_its_tape_without_gc(monkeypatch):
     stack = nn.stack_params(params, 2)
     gc.disable()
     try:
-        meta._loss_and_grad(params, batch, cfg, meta_cfg, "sum", params.arrays())
-        meta._loss_and_grad(params, batch.reshape(2, 4, 2, 2), cfg, meta_cfg, "sum", stack)
+        tasks = batch.reshape(2, 4, 2, 2)
+        meta._loss_and_grad(params, batch, pipeline.features(batch, cfg), cfg, meta_cfg,
+                            "sum", params.arrays())
+        meta._loss_and_grad(params, tasks, pipeline.features(tasks, cfg), cfg, meta_cfg,
+                            "sum", stack)
         assert len(tapes) == 2
         assert all(ref() is None for ref in tapes)
     finally:
@@ -234,6 +240,30 @@ def test_unsupervised_train_deterministic_and_improves():
     b, _ = meta.unsupervised_train(dataset, cfg, meta_cfg, seed=10, init=params)
     np.testing.assert_array_equal(nn.pack(a), nn.pack(b))
     assert np.mean(log_a.support_loss[-5:]) < np.mean(log_a.support_loss[:5])
+
+
+def test_each_loop_featurizes_its_batch_once(monkeypatch):
+    # The features depend on the batch alone: adapt_on_test and a T-stacked
+    # adapt_stack compute them once for all their steps, and
+    # unsupervised_train once for its whole dataset, not once per pass.
+    cfg, meta_cfg, params, batch = small_setup()
+    real, calls = wmmse.mrt_beamformer, []
+
+    def spy(h, cfg):
+        calls.append(h.shape)
+        return real(h, cfg)
+
+    monkeypatch.setattr(wmmse, "mrt_beamformer", spy)
+    meta.adapt_on_test(params, batch, cfg, meta_cfg)
+    assert calls == [batch.shape]
+    calls.clear()
+    tasks = batch.reshape(2, 4, 2, 2)
+    meta.adapt_stack(params, nn.stack_params(params, 2), tasks, cfg, meta_cfg, 3)
+    assert calls == [tasks.shape]
+    calls.clear()
+    meta.unsupervised_train(batch, cfg, dataclasses.replace(meta_cfg, batch_size=2),
+                            seed=0, init=params)
+    assert calls == [batch.shape]
 
 
 def test_unsupervised_single_sample_overfit():

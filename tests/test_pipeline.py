@@ -52,6 +52,22 @@ def test_encode_features_layout():
     assert feats.shape[1] == nn.feature_dim(2, 1)
 
 
+def test_features_of_gathered_rows_are_the_gathered_features():
+    # Featurizing works per sample: any gather of a featurized batch has the
+    # bits of featurizing the gathered channels, over any leading axes, even
+    # when one matrix has an entry above 1e150 and sends the whole batch's
+    # power projection down its slow path.
+    rng = np.random.default_rng(15)
+    cfg, _, h = setup(rng, b=8)
+    h[3, 1, 2] = 3e150
+    feats = pipeline.features(h, cfg)
+    assert feats.shape == (8, nn.feature_dim(3, 3))
+    for idx in ([0, 1, 2], [5, 3, 0], [7, 7, 4, 3], [3]):
+        assert feats[idx].tobytes() == pipeline.features(h[idx], cfg).tobytes()
+    tasks = pipeline.features(h.reshape(2, 4, 3, 3), cfg)
+    assert tasks.tobytes() == feats.tobytes() and tasks.shape == (2, 4, feats.shape[1])
+
+
 def test_predicted_ranges():
     rng = np.random.default_rng(2)
     cfg, params, h = setup(rng, b=10)
@@ -70,7 +86,7 @@ def test_predict_components_tape_matches_np():
     cfg, params, h = setup(rng)
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params, params.arrays())
-    pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+    pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
     nodes = {node.op: node for node in tape.nodes}
     feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
     u, w, mu = pipeline.predict_components_np(params, feats, cfg)
@@ -102,7 +118,7 @@ def test_loss_equals_objective_on_reconstruction():
         tape = ad.Tape()
         leaves, _ = nn.leaves_for(tape, params, params.arrays())
         loss, v_hat = pipeline.reconstruct_and_loss(
-            tape, leaves, h, cfg, variant=variant
+            tape, leaves, h, pipeline.features(h, cfg), cfg, variant=variant
         )
         per_sample = objective.sum_rate_loss(h, v_hat, cfg, variant=variant)
         assert float(loss.value) == pytest.approx(per_sample.mean(), abs=1e-12)
@@ -113,11 +129,12 @@ def test_loss_sum_reduction_is_batch_sum():
     cfg, params, h = setup(rng, b=4)
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params, params.arrays())
-    loss, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg, reduction="sum")
+    feats = pipeline.features(h, cfg)
+    loss, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, feats, cfg, reduction="sum")
     per_sample = objective.sum_rate_loss(h, v_hat, cfg)
     assert float(loss.value) == pytest.approx(per_sample.sum(), abs=1e-12)
     with pytest.raises(ValueError):
-        pipeline.reconstruct_and_loss(tape, leaves, h, cfg, reduction="median")
+        pipeline.reconstruct_and_loss(tape, leaves, h, feats, cfg, reduction="median")
 
 
 def test_loss_variants_differ_for_multiuser():
@@ -127,7 +144,8 @@ def test_loss_variants_differ_for_multiuser():
     for variant in ("corrected", "verbatim"):
         tape = ad.Tape()
         leaves, _ = nn.leaves_for(tape, params, params.arrays())
-        loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, cfg, variant=variant)
+        loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg,
+                                                variant=variant)
         vals[variant] = float(loss.value)
     assert vals["corrected"] != vals["verbatim"]
 
@@ -140,7 +158,7 @@ def test_forward_twin_matches_tape_reconstruction():
     cfg, params, h = setup(rng, b=12)
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params, params.arrays())
-    _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+    _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
     np.testing.assert_array_equal(v_hat, pipeline.predict_beamformers(params, h, cfg))
 
     stack = [a * (1.0 + 0.1 * np.arange(3).reshape(3, 1, 1))
@@ -148,7 +166,7 @@ def test_forward_twin_matches_tape_reconstruction():
     h = h.reshape(3, 4, 3, 3)
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params, stack)
-    _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+    _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
     for t in range(3):
         task = nn.from_arrays([a[t] for a in stack], params)
         np.testing.assert_array_equal(v_hat[t], pipeline.predict_beamformers(task, h[t], cfg))
@@ -166,7 +184,7 @@ def test_twin_and_tape_share_the_singularity_policy():
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params, params.arrays())
     with pytest.raises(SingularMatrixError):
-        pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+        pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
 
 
 def test_reconstructed_power_is_on_budget():
@@ -200,7 +218,7 @@ def test_zero_u_prediction_raises():
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params, params.arrays())
     with pytest.raises(DegenerateInputError):
-        pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+        pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
 
 
 def test_empty_batch_rejected():
@@ -209,7 +227,8 @@ def test_empty_batch_rejected():
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params, params.arrays())
     with pytest.raises(ValueError):
-        pipeline.reconstruct_and_loss(tape, leaves, np.zeros((0, 3, 3), complex), cfg)
+        empty = np.zeros((0, 3, 3), complex)
+        pipeline.reconstruct_and_loss(tape, leaves, empty, pipeline.features(empty, cfg), cfg)
 
 
 def test_full_pipeline_gradient_smoke():
@@ -223,7 +242,7 @@ def test_full_pipeline_gradient_smoke():
         p = nn.unpack(vec, params)
         tape = ad.Tape()
         leaves, flat = nn.leaves_for(tape, p, p.arrays())
-        loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+        loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
         grads = ad.grad(tape, loss, flat)
         return float(loss.value), np.concatenate([g.ravel() for g in grads])
 
@@ -258,6 +277,13 @@ def fd_check_nodes(loss_fn, shapes, x0, tasks, h):
     assert ok and skipped == 0, f"max relative error {err:.3e}"
 
 
+def pack_complex(tape, a):
+    """Test-local node X = a[:, 0] + i a[:, 1] of a real (b, 2, n, k) node;
+    the adjoint stacks the real and imaginary parts of X's complex adjoint."""
+    return tape.record(a.value[:, 0] + 1j * a.value[:, 1], (a,),
+                       lambda g: (np.stack([g.real, g.imag], axis=1),), "pack_complex")
+
+
 def head_case(variant, reduction, tasks):
     rng = np.random.default_rng(13)
     per_task, n, k = 4, 3, 3
@@ -275,16 +301,18 @@ def head_case(variant, reduction, tasks):
 def test_rate_loss_node_matches_fd(variant, reduction, tasks):
     # The closed-form adjoint of the node from the solved columns x and the
     # raw u and w net outputs to the reduced loss, against central
-    # differences in every coordinate.
+    # differences in every coordinate; x is complex, packed from a real leaf
+    # of its real and imaginary parts.
     rng, cfg, h, factor, (u_shape, w_shape, _) = head_case(variant, reduction, tasks)
     b, k, n = h.shape
     rhs = np.transpose(h, (0, 2, 1)).copy()
 
-    def loss_fn(tape, x, u_raw, w_raw):
+    def loss_fn(tape, x_parts, u_raw, w_raw):
         u, w, _ = pipeline._heads(u_raw.value.reshape(b, -1), w_raw.value.reshape(b, -1),
                                   np.zeros((b, 1)), cfg)
-        loss, _ = pipeline._rate_loss(tape, x, u_raw, w_raw, u, w, h, rhs, cfg, variant,
-                                      factor, tasks)
+        loss, _ = pipeline._rate_loss(tape, pack_complex(tape, x_parts), u_raw, w_raw,
+                                      pipeline._sigmoid(w_raw.value), u, w, h, rhs, cfg,
+                                      variant, factor, tasks)
         return loss
 
     shapes = [(b, 2, n, k), u_shape, w_shape]
@@ -321,7 +349,7 @@ def test_reference_shape_pass_records_at_most_40_nodes():
     cfg, params, h = setup(rng, b=40, width=64)
     tape = ad.Tape()
     leaves, _ = nn.leaves_for(tape, params, params.arrays())
-    pipeline.reconstruct_and_loss(tape, leaves, h, cfg)
+    pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
     assert [node.op for node in tape.nodes] == (
         ["leaf"] * 18 + ["mlp"] * 3
         + ["s_re", "s_im", "mu", "csolve_hpd", "rate_loss"]
