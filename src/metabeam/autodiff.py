@@ -12,9 +12,10 @@ cycle and are freed by reference counting as soon as the caller drops them.
 
 The tape has no elementwise primitives, only coarse nodes whose backward is
 written in closed form: mlp runs a whole ReLU network on a plain input array
-as one node, and csolve_hpd solves batched complex Hermitian positive
-definite systems (its value is the complex solution X, its adjoint the
-complex dL/dRe X + i dL/dIm X). Callers record their own closed-form nodes
+as one node, through nn.mlp_forward (the forward-only twin's layer loop too),
+and csolve_hpd solves batched complex Hermitian positive definite systems
+(its value is the complex solution X, its adjoint the complex
+dL/dRe X + i dL/dIm X). Callers record their own closed-form nodes
 through Tape.record, as pipeline.reconstruct_and_loss does for the
 predictor head and the rate loss.
 """
@@ -22,6 +23,9 @@ predictor head and the rate loss.
 import numpy as np
 
 from .linalg import _identity, hpd_solve
+from .nn import mlp_forward
+
+FD_FLOOR = 1e-6  # finite_diff_check's denominator floor for relative errors
 
 
 class Tape:
@@ -93,46 +97,31 @@ def grad(tape, loss, wrt):
 
 
 def mlp(tape, x, weights, biases):
-    """ReLU MLP as one node: affine, ReLU, ..., affine (linear output).
+    """ReLU MLP as one node: the value is nn.mlp_forward's output, on the
+    shapes it takes; x is a plain array, not a node.
 
-    x is a (B, i) array, not a node, with weights (i, o) and biases (o,), or
-    (T, B, i) with one weight (T, i, o) and bias (T, 1, o) per task. The
-    backward runs, layer by layer from the output, the float operations of
-    the matmul/add/ReLU chain it stands for: g <- g * mask below the output
-    layer, db = g summed over the batch axis, dW = h^T g, g <- g W^T.
-
-    The bias add and the ReLU mask write into the fresh matmul result, and
-    the backward masks only its own g W^T products, never the adjoint it is
-    given.
+    The backward runs, layer by layer from the output, the float operations
+    of the matmul/add/ReLU chain it stands for: g <- g * (h > 0) below the
+    output layer, with h the layer's ReLU output, db = g summed over the
+    batch axis, dW = h_in^T g, g <- g W^T. It masks only its own g W^T
+    products, never the adjoint it is given.
     """
-    inputs, masks = [], []
-    h = x
+    acts = mlp_forward(x, [w.value for w in weights], [b.value for b in biases])
     last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.value.ndim != h.ndim or h.ndim not in (2, 3):
-            raise ValueError(f"mlp takes (B, i) x (i, o) or (T, B, i) x (T, i, o) "
-                             f"layers, got {h.shape} x {w.value.shape}")
-        inputs.append(h)
-        h = h @ w.value
-        h += b.value
-        if i != last:
-            mask = h > 0.0
-            masks.append(mask)
-            h *= mask
 
     def backward(g):
         grads = [None] * (2 * len(weights))
         for i in range(last, -1, -1):
             if i != last:  # g is this node's own g W^T product
-                g *= masks[i]
+                g *= acts[i + 1] > 0.0
             grads[2 * i + 1] = np.add.reduce(g, axis=-2).reshape(biases[i].value.shape)
-            grads[2 * i] = inputs[i].swapaxes(-1, -2) @ g
+            grads[2 * i] = acts[i].swapaxes(-1, -2) @ g
             if i:
                 g = g @ weights[i].value.swapaxes(-1, -2)
         return grads
 
     parents = tuple(p for pair in zip(weights, biases) for p in pair)
-    return tape.record(h, parents, backward, "mlp")
+    return tape.record(acts[-1], parents, backward, "mlp")
 
 
 def csolve_hpd(tape, s_re, s_im, mu, rhs):
@@ -161,24 +150,15 @@ def csolve_hpd(tape, s_re, s_im, mu, rhs):
     return tape.record(x, (s_re, s_im, mu), backward, "csolve_hpd")
 
 
-def finite_diff_check(
-    f,
-    x0,
-    h=1e-5,
-    rel_tol=1e-4,
-    coords=None,
-    directions=0,
-    rng=None,
-    floor=1e-6,
-    kink_tol=None,
-):
+def finite_diff_check(f, x0, h=1e-5, rel_tol=1e-4, coords=None, directions=0, rng=None,
+                      kink_tol=None):
     """Compare an analytic gradient against central finite differences.
 
     f maps a flat float64 vector to (loss_value, gradient_vector). Checks
     every coordinate when coords is None, a random subset of `coords`
     coordinates otherwise, plus `directions` random-direction directional
     derivatives (each touches every coordinate at once). Relative error is
-    |fd - ad| / max(|fd|, |ad|, floor).
+    |fd - ad| / max(|fd|, |ad|, FD_FLOOR).
 
     Central differences are only valid where f is smooth at scale h; at a
     ReLU kink the forward and backward one-sided differences disagree by the
@@ -207,10 +187,10 @@ def finite_diff_check(
         nonlocal max_err, n_skipped
         fd_central = (fp - fm) / (2.0 * h)
         one_sided_gap = abs((fp - f0) - (f0 - fm)) / h
-        if one_sided_gap > kink_tol * max(abs(fd_central), floor):
+        if one_sided_gap > kink_tol * max(abs(fd_central), FD_FLOOR):
             n_skipped += 1
             return
-        err = abs(fd_central - analytic) / max(abs(fd_central), abs(analytic), floor)
+        err = abs(fd_central - analytic) / max(abs(fd_central), abs(analytic), FD_FLOOR)
         max_err = max(max_err, err)
 
     if coords is None:

@@ -58,7 +58,7 @@ def sample_rayleigh(rng, count, n, k):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def sample_rician(rng, count, n, k, kappa=3.0):
+def sample_rician(rng, count, n, k, kappa):
     """Rician fading: deterministic unit line-of-sight plus scattered part.
 
     h = sqrt(kappa/(kappa+1)) * 1 + sqrt(1/(kappa+1)) * g with g ~ CN(0, I),
@@ -68,7 +68,7 @@ def sample_rician(rng, count, n, k, kappa=3.0):
     return np.sqrt(kappa / (kappa + 1.0)) + np.sqrt(1.0 / (kappa + 1.0)) * g
 
 
-def sample_nakagami(rng, count, n, k, m=1.0):
+def sample_nakagami(rng, count, n, k, m):
     """Nakagami-m amplitude with uniform phase, unit spread (Omega = 1).
 
     The squared envelope is Gamma(m, 1/m), so E r^2 = 1 and Var r^2 = 1/m;

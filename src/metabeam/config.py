@@ -2,9 +2,9 @@
 
 Files are line-based `key = value` pairs grouped under `[section]` headers.
 `#` starts a comment. Every key is one row of KEYS below, which says how to
-parse it, what values it accepts and where the echo writes it; unknown keys
-and unusable values are rejected with the offending line number so typos
-cannot silently fall back to defaults.
+parse it, what values it accepts and where the echo writes it; unknown keys,
+unusable values and a key set twice are rejected with the offending line
+number so typos cannot silently fall back to defaults.
 """
 
 import math
@@ -237,7 +237,7 @@ def parse_config_text(text):
     """Parse config text into an ExperimentConfig; rejects unknown keys."""
     cfg = ExperimentConfig()
     section = None
-    lines = {}  # "section.key" -> line number of its last assignment
+    lines = {}  # "section.key" -> line number of its one assignment
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -254,14 +254,14 @@ def parse_config_text(text):
         row = _ROWS.get((section, key))
         if row is None:
             raise ConfigError(f"line {lineno}: unknown key '{section}.{key}'")
-        path, parse = row
+        name, (path, parse) = f"{section}.{key}", row
+        if name in lines:
+            raise ConfigError(f"line {lineno}: '{name}' is already set on line {lines[name]}")
         try:
             setattr(*_owner(cfg, path), parse(value.strip()))
         except (ConfigError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"line {lineno}: bad value for '{section}.{key}': {exc}"
-            ) from exc
-        lines[f"{section}.{key}"] = lineno
+            raise ConfigError(f"line {lineno}: bad value for '{name}': {exc}") from exc
+        lines[name] = lineno
     _validate(cfg, lines)
     return cfg
 

@@ -119,10 +119,10 @@ def adapt_stack(params, stack, batch, cfg, meta_cfg, steps):
     written: each step writes its result into the gradients of its own pass.
     Returns the adapted arrays (the input arrays themselves when steps is 0)
     and the loss of the first step, at the input arrays ((T,) per task for a
-    stack; None when steps is 0).
+    stack; None when steps is 0). The batch is featurized only if a step runs.
     """
     first = None
-    features = pipeline.features(batch, cfg)
+    features = pipeline.features(batch, cfg) if steps else None
     for step in range(steps):
         loss, grads = _loss_and_grad(params, batch, features, cfg, meta_cfg, "sum", stack)
         if step == 0:

@@ -1,11 +1,12 @@
-"""MLP parameters, optimizers, and checkpoint serialization.
+"""MLP parameters, the layer loop, optimizers, and checkpoint serialization.
 
 The predictor holds three small ReLU MLPs (u-net, w-net, mu-net) sharing one
-input encoding. Parameters live in plain numpy arrays. Adam flattens them
-into a single vector (pack/unpack), and a checkpoint's payload is that
-vector; plain SGD steps each leaf's array, or a stack of per-task parameters
-(stack_params), and from_arrays rebuilds the parameters from such
-per-leaf arrays.
+input encoding, and mlp_forward is their one layer loop, run by the
+forward-only twin (pipeline.predict_beamformers) and the tape (autodiff.mlp).
+Parameters live in plain numpy arrays. Adam flattens them into a single
+vector (pack/unpack), and a checkpoint's payload is that vector; plain SGD
+steps each leaf's array, or a stack of per-task parameters (stack_params),
+and from_arrays rebuilds the parameters from such per-leaf arrays.
 
 Which arrays a step may overwrite: sgd_step writes its result into the
 gradient it is given (one the caller owns and no longer needs), never into
@@ -27,6 +28,7 @@ from .errors import DataFormatError, NumericalError
 CHECKPOINT_MAGIC = b"MMLP1"
 DEFAULT_WIDTH = 64
 U_OUTPUT_BIAS = 0.1  # keeps the initial reconstruction away from the zero beamformer
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -154,15 +156,24 @@ def stack_params(params, t):
     return stacks
 
 
-def mlp_forward_np(net, x):
-    """Forward-only twin of autodiff.mlp on plain arrays."""
-    h = x
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
+def mlp_forward(x, weights, biases):
+    """The ReLU layer loop, affine, ReLU, ..., affine: returns each layer's
+    input, then the output, [x, h1, ..., y]. x is (B, i) with weights (i, o)
+    and biases (o,), or (T, B, i) with per-task weights (T, i, o) and biases
+    (T, 1, o). The add and the ReLU write only into fresh matmul results, and
+    a hidden h > 0.0 is its pre-activation's ReLU mask (NaN fails both).
+    """
+    if x.ndim not in (2, 3) or any(w.ndim != x.ndim for w in weights):
+        raise ValueError(f"mlp takes (B, i) x (i, o) or (T, B, i) x (T, i, o) layers, "
+                         f"got {x.shape} x {[w.shape for w in weights]}")
+    acts, last = [x], len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = acts[-1] @ w
+        h += b
         if i != last:
-            h = np.maximum(h, 0.0)
-    return h
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts
 
 
 def sgd_step(vec, g, lr):
@@ -184,8 +195,9 @@ class AdamState:
         return cls(m=np.zeros(dim), v=np.zeros(dim), t=0)
 
 
-def adam_step(vec, g, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected Adam update; returns (new_vec, state).
+def adam_step(vec, g, state, lr):
+    """Bias-corrected Adam update with (beta1, beta2, eps) = (ADAM_BETA1,
+    ADAM_BETA2, ADAM_EPS); returns (new_vec, state).
 
     The textbook float operations in their order:
         m <- beta1 m + (1 - beta1) g,  v <- beta2 v + (1 - beta2) g g,
@@ -195,17 +207,17 @@ def adam_step(vec, g, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """
     state.t += 1
     m, v, t = state.m, state.v, state.t
-    scratch = np.multiply(g, 1.0 - beta1)
-    m *= beta1
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += scratch
-    np.multiply(g, 1.0 - beta2, out=scratch)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
     scratch *= g
-    v *= beta2
+    v *= ADAM_BETA2
     v += scratch
-    np.divide(v, 1.0 - beta2**t, out=scratch)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += eps
-    new_vec = np.divide(m, 1.0 - beta1**t)
+    scratch += ADAM_EPS
+    new_vec = np.divide(m, 1.0 - ADAM_BETA1**t)
     new_vec *= lr
     new_vec /= scratch
     return np.subtract(vec, new_vec, out=new_vec), state

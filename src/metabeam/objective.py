@@ -20,7 +20,8 @@ class SystemConfig:
 
     n: transmit antennas. k: single-antenna users. sigma2: noise power.
     p: transmit power budget (p = sigma2 * 10^(snr_db/10)).
-    alpha: per-user rate weights, finite and nonnegative; default all ones.
+    alpha: per-user rate weights, finite and nonnegative, at least one
+    positive; default all ones.
     """
 
     n: int
@@ -40,9 +41,10 @@ class SystemConfig:
             alpha = (1.0,) * self.k
         else:
             alpha = tuple(float(a) for a in alpha)
-            if len(alpha) != self.k or not all(0.0 <= a < np.inf for a in alpha):
+            if not (len(alpha) == self.k and all(0.0 <= a < np.inf for a in alpha)
+                    and any(alpha)):
                 raise ValueError(f"alpha must hold {self.k} finite nonnegative weights, "
-                                 f"got {list(alpha)}")
+                                 f"at least one positive, got {list(alpha)}")
         object.__setattr__(self, "alpha", alpha)
 
     @cached_property

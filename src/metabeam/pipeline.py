@@ -7,8 +7,9 @@ average rate. The whole chain runs on the autodiff tape, so gradients flow
 from the rate loss back into the network parameters. After one node per net
 the tape holds closed-form nodes only: Re S and Im S and mu on the raw net
 outputs, the Hermitian solve, and one rate-loss node for everything after
-the solve. Their forward values come from the forward-only twin's own code:
-the output maps (_heads), the S assembly (wmmse.assemble_s), the solve
+the solve. Every forward value on the tape comes from the forward-only
+twin's own code: the nets' layer loop (nn.mlp_forward), the output maps
+(_heads), the S assembly (wmmse.assemble_s), the solve
 (linalg.hpd_solve, through wmmse.reconstruct_v in the twin), the column
 scales (wmmse.column_scales), the power projection (linalg.scale_to_power)
 and the rate terms (objective.gains and objective.signal_denom). So the
@@ -216,20 +217,18 @@ def _rate_loss(tape, x, u_raw, w_raw, sig_w, u, w, h_batch, h_t, cfg, variant, f
 # Forward-only twin used by evaluation and memory scoring (no tape, no grads).
 
 
-def predict_components_np(params, features, cfg):
-    """(u, w, mu) values on plain arrays: the three nets, then _heads."""
-    return _heads(*(nn.mlp_forward_np(net, features) for net in params.nets()), cfg)
-
-
 def predict_beamformers(params, h_batch, cfg):
     """Normalized reconstructed beamformers (B, N, K); mirrors the tape path.
 
-    The predicted triples go through the solver's reconstruction
-    (wmmse.reconstruct_v), then onto the power budget.
+    The three nets run through nn.mlp_forward, the loop of the tape's mlp
+    nodes, and _heads maps their outputs to (u, w, mu); the triples go
+    through the solver's reconstruction (wmmse.reconstruct_v), then onto the
+    power budget.
     """
     h_batch = np.asarray(h_batch, dtype=np.complex128)
-    u_w_mu = predict_components_np(params, features(h_batch, cfg), cfg)
-    v = wmmse.reconstruct_v(h_batch, *u_w_mu, cfg)
+    x = features(h_batch, cfg)
+    raw = (nn.mlp_forward(x, net.weights, net.biases)[-1] for net in params.nets())
+    v = wmmse.reconstruct_v(h_batch, *_heads(*raw, cfg), cfg)
     return normalize_to_power(v, cfg.p)
 
 

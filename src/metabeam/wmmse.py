@@ -28,6 +28,8 @@ from .linalg import (
     normalize_to_power,
 )
 
+MU_RTOL = 1e-9  # solve_mu's relative power band [P (1 - MU_RTOL), P]
+
 
 @dataclass
 class WmmseResult:
@@ -92,14 +94,14 @@ def reconstruct_v(h, u, w, mu, cfg, s=None, scales=None):
     return x * scales[..., None, :]
 
 
-def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None, scales=None, mu0=None):
+def solve_mu(h, u, w, cfg, max_iters=200, s=None, scales=None, mu0=None):
     """Smallest mu >= 0 putting the reconstructed power at the budget.
 
     u (complex) and w (real) are (S, K) rows, one triple each, and h is the
     (K, N) channel they share; returns one mu per row, (S,). The
     reconstructed power is strictly decreasing in mu: returns 0 when the
     power at mu = 0 is already within budget (a slack row), otherwise a mu
-    with power in [P (1 - rtol), P]. Raises DegenerateInputError when all
+    with power in [P (1 - MU_RTOL), P]. Raises DegenerateInputError when all
     reconstruction scales of a row vanish (the power can then never reach
     P), and SingularMatrixError when the budget is unreachable or the search
     has not converged after max_iters Newton steps.
@@ -144,16 +146,16 @@ def solve_mu(h, u, w, cfg, rtol=1e-9, max_iters=200, s=None, scales=None, mu0=No
     # mu0 with power above P) it climbs without overshooting, and from a
     # start right of it (a mu0 with power below the band) one step lands
     # left of the root, clamped at 0, and the climb goes on from there.
-    # Aiming at P (1 - rtol/2) makes the first climbing iterate with power
-    # <= P land inside the band [P (1 - rtol), P]. A pass is bare ufunc
+    # Aiming at P (1 - MU_RTOL/2) makes the first climbing iterate with power
+    # <= P land inside the band [P (1 - MU_RTOL), P]. A pass is bare ufunc
     # calls; rows in the band keep their mu, and the in-place update of the
     # others shows through the column view mu_col. Slack rows sit at mu = 0
     # with power <= P, and the search leaves them there.
     p = cfg.p
-    target = p * (1.0 - 0.5 * rtol)
+    target = p * (1.0 - 0.5 * MU_RTOL)
     slack = np.add.reduce(c / eigs_live**2, axis=-1) <= p
     mu = np.where(slack, 0.0, 0.0 if mu0 is None else mu0)
-    low = np.where(slack, -np.inf, p * (1.0 - rtol))
+    low = np.where(slack, -np.inf, p * (1.0 - MU_RTOL))
     mu_col = mu[:, None]
     for _ in range(max_iters + 1):
         d = eigs_live + mu_col

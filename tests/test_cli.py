@@ -334,7 +334,9 @@ def test_gradcheck_differentiates_the_configured_loss(cfg_path, tmp_path,
     # With loss_variant = verbatim the checked loss is the verbatim one that
     # training differentiates, not the default variant.
     verbatim = tmp_path / "verbatim.cfg"
-    verbatim.write_text(open(cfg_path).read() + "\n[meta]\nloss_variant = verbatim\n")
+    text = open(cfg_path).read()
+    assert "loss_variant = corrected\n" in text  # a key may be set only once
+    verbatim.write_text(text.replace("loss_variant = corrected\n", "loss_variant = verbatim\n"))
     real = pipeline.reconstruct_and_loss
     variants = []
 

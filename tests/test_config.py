@@ -70,6 +70,14 @@ def test_unknown_key_reports_line_and_name():
     assert "unknown key 'system.nn'" in str(err.value)
 
 
+def test_key_set_twice_reports_both_lines():
+    # The second assignment would silently win; name the key and both lines.
+    text = "[meta]\nepochs = 3\n[system]\nn = 2\n[meta]\nepochs = 5\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value) == "line 6: 'meta.epochs' is already set on line 2"
+
+
 def test_key_before_section_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text("seed = 3\n")
@@ -209,6 +217,7 @@ def test_validation_errors():
         ("[system]\nalpha = nan, 1, 1\n", "system.alpha"),
         ("[system]\nalpha = -1, 1, 1\n", "system.alpha"),
         ("[system]\nk = 3\nalpha = 1, 1\n", "system.alpha"),
+        ("[system]\nalpha = 0, 0, 0\n", "system.alpha"),
         ("[train]\nmix = rayleigh=0.7\n", "train.mix"),
         ("[train]\nmix = rayleigh=0.5, rician(kappa=3)=0.6\n", "train.mix"),
         ("[system]\nn = 0\n", "system.n"),
@@ -326,7 +335,8 @@ def _configs(draw):
         sigma2=draw(_floats(1e-3, 1e3)),
         snr_db=draw(st.lists(_floats(-100.0, 100.0), min_size=1, max_size=5,
                              unique=True)),
-        alpha=draw(st.none() | st.lists(_floats(0.0, 10.0), min_size=k, max_size=k)),
+        alpha=draw(st.none() | st.lists(_floats(0.0, 10.0), min_size=k, max_size=k)
+                   .filter(any)),  # at least one positive weight
         train_mix=[(draw(_SPECS), frac), (draw(_SPECS), 1.0 - frac)],
         train_size=train_size, train_snr_db=draw(_floats(-100.0, 100.0)),
         test_channel=draw(_SPECS), test_size=ints(1, 500), test_seeds=ints(1, 10),

@@ -264,6 +264,15 @@ def test_each_loop_featurizes_its_batch_once(monkeypatch):
     meta.unsupervised_train(batch, cfg, dataclasses.replace(meta_cfg, batch_size=2),
                             seed=0, init=params)
     assert calls == [batch.shape]
+    # A loop that takes no step featurizes nothing: adapt_on_test none, and
+    # outer_update only its support-loss and query passes.
+    calls.clear()
+    meta.adapt_on_test(params, batch, cfg, dataclasses.replace(meta_cfg, adapt_steps=0))
+    assert calls == []
+    tasks = [channels.task_from_dataset(np.random.default_rng(t), batch, 2, 2)
+             for t in range(3)]
+    meta.outer_update(params, tasks, cfg, dataclasses.replace(meta_cfg, inner_steps=0), None)
+    assert calls == [(3, 2, 2, 2), (3, 2, 2, 2)]
 
 
 def test_unsupervised_single_sample_overfit():

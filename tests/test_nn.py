@@ -1,4 +1,4 @@
-"""Predictor networks: init layout, packing, forward twins, checkpoints."""
+"""Predictor networks: init layout, packing, the layer loop, checkpoints."""
 
 import numpy as np
 import pytest
@@ -99,28 +99,18 @@ def test_from_arrays_takes_one_task_of_a_stack_as_a_copy():
         assert not np.shares_memory(got, a)
 
 
-def test_mlp_forward_tape_matches_np_twin():
-    rng = np.random.default_rng(6)
-    params = nn.init_predictor(rng, n=3, k=3, width=16)
-    x = rng.standard_normal((7, nn.feature_dim(3, 3)))
-    for net in params.nets():
-        tape = ad.Tape()
-        three = nn.PredictorParams(net, net, net)
-        tree, _ = nn.leaves_for(tape, three, three.arrays())
-        out = ad.mlp(tape, x, tree.u_net.weights, tree.u_net.biases)
-        np.testing.assert_allclose(out.value, nn.mlp_forward_np(net, x), atol=1e-12)
-
-
 def test_mlp_forward_is_relu_network():
     # One hidden layer by hand: y = max(x W1 + b1, 0) W2 + b2.
     w1 = np.array([[1.0, -1.0], [2.0, 0.5]])
     b1 = np.array([0.0, -1.0])
     w2 = np.array([[1.0], [1.0]])
     b2 = np.array([0.25])
-    net = nn.MlpParams(weights=[w1, w2], biases=[b1, b2])
     x = np.array([[1.0, 1.0], [-1.0, 0.0]])
     hidden = np.maximum(x @ w1 + b1, 0.0)
-    np.testing.assert_allclose(nn.mlp_forward_np(net, x), hidden @ w2 + b2, rtol=1e-15)
+    acts = nn.mlp_forward(x, [w1, w2], [b1, b2])
+    assert len(acts) == 3 and acts[0] is x
+    np.testing.assert_array_equal(acts[1], hidden)
+    np.testing.assert_allclose(acts[2], hidden @ w2 + b2, rtol=1e-15)
 
 
 def test_leaves_for_registers_every_array():

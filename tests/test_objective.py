@@ -148,6 +148,8 @@ def test_config_validation():
     for bad in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="finite nonnegative"):
             SystemConfig(n=1, k=2, sigma2=1.0, p=1.0, alpha=(bad, 1.0))
+    with pytest.raises(ValueError, match="at least one positive"):
+        SystemConfig(n=1, k=2, sigma2=1.0, p=1.0, alpha=(0.0, 0.0))
     assert SystemConfig(n=1, k=2, sigma2=1.0, p=1.0, alpha=(0.0, 2.5)).alpha == (0.0, 2.5)
 
 

@@ -72,28 +72,12 @@ def test_predicted_ranges():
     rng = np.random.default_rng(2)
     cfg, params, h = setup(rng, b=10)
     feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
-    u, w, mu = pipeline.predict_components_np(params, feats, cfg)
+    raw = (nn.mlp_forward(feats, net.weights, net.biases)[-1] for net in params.nets())
+    u, w, mu = pipeline._heads(*raw, cfg)
     assert u.shape == (10, 3) and u.dtype == np.complex128
     assert np.all(w >= 1.0)
     assert np.all(mu >= pipeline.mu_floor(cfg))
     assert pipeline.mu_floor(cfg) == pytest.approx(1e-4 * cfg.sigma2)
-
-
-def test_predict_components_tape_matches_np():
-    # The tape's head nodes hold the twin's values to the bit: mu is the
-    # twin's mu, and Re S and Im S split wmmse.assemble_s of the twin's (u, w).
-    rng = np.random.default_rng(3)
-    cfg, params, h = setup(rng)
-    tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params, params.arrays())
-    pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
-    nodes = {node.op: node for node in tape.nodes}
-    feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
-    u, w, mu = pipeline.predict_components_np(params, feats, cfg)
-    s = wmmse.assemble_s(h, u, w, cfg)
-    np.testing.assert_array_equal(nodes["mu"].value, mu)
-    np.testing.assert_array_equal(nodes["s_re"].value, s.real)
-    np.testing.assert_array_equal(nodes["s_im"].value, s.imag)
 
 
 def test_softplus_far_negative_is_silent_and_exact():
