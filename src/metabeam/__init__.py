@@ -18,7 +18,7 @@ from .errors import (
 )
 from .meta import MetaConfig, TrainLog
 from .memory import MemoryEntry, MemorySet
-from .nn import MlpParams, PredictorParams
+from .nn import PredictorParams
 from .objective import SystemConfig
 from .wmmse import WmmseResult
 
@@ -32,7 +32,6 @@ __all__ = [
     "MemorySet",
     "MetaConfig",
     "MetabeamError",
-    "MlpParams",
     "NumericalError",
     "PredictorParams",
     "SingularMatrixError",

@@ -173,8 +173,6 @@ def _adapt_run(init, batches, cfg, meta_cfg):
     n = 1
     while n < min(per_run, len(batches)) and batches[n].shape == shape:
         n += 1
-    stack, _ = meta_mod.adapt_stack(
-        init, nn.stack_params(init, n), np.stack(batches[:n]), cfg, meta_cfg,
-        meta_cfg.adapt_steps,
-    )
-    return [nn.from_arrays([a[i] for a in stack], init) for i in range(n)]
+    stack, _ = meta_mod.adapt_stack(nn.stack_params(init, n), np.stack(batches[:n]), cfg,
+                                    meta_cfg, meta_cfg.adapt_steps)
+    return [nn.from_arrays([a[i] for a in stack.leaves], init.sizes) for i in range(n)]

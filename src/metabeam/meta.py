@@ -13,10 +13,12 @@ tape pass. A group's tasks share one tape with a leading task axis: each task
 keeps its own parameter copy (one slice of per-leaf stacks, weights
 (T, i, o) and biases (T, 1, o)), its own SGD steps and its own gradient, and
 its packed query gradient is added into the one flat meta gradient in task
-order. adapt_stack holds the one SGD loop: the support steps of the meta
-step and both test-time steps of memory.mml_test_loop (a run of memoryless
-slots as one stack, and adapt_on_test on a slot with its memory, on the
-parameters' own arrays) all run through it.
+order. Every loop passes its parameters as one nn.PredictorParams, whose
+leaves are the meta parameters' own arrays, per-task stacks or views of
+Adam's packed vector. adapt_stack holds the one SGD loop: the support steps
+of the meta step and both test-time steps of memory.mml_test_loop (a run of
+memoryless slots as one stack, and adapt_on_test on a slot with its memory,
+on the parameters' own arrays) all run through it.
 Each loop featurizes a batch once (pipeline.features) for all passes on it.
 Every per-task number is computed by the same floating-point operations as a
 one-task-at-a-time loop, so the result is bit-identical to it; the group
@@ -85,16 +87,17 @@ class TrainLog:
     wall_time: list = field(default_factory=list)
 
 
-def _loss_and_grad(params, batch, features, cfg, meta_cfg, reduction, arrays):
+def _loss_and_grad(params, batch, features, cfg, meta_cfg, reduction):
     """One tape pass: loss and per-leaf gradients on a batch and its features.
 
-    The leaves are the per-leaf arrays in params.arrays() order (see
-    nn.leaves_for); each gradient is shaped like its leaf. With per-leaf
-    stacks of T tasks, batch is (T, B, K, N) and the loss is per task, (T,);
-    each task's gradient is that of its own loss.
+    params' leaves become the tape's leaves (nn.leaves_for), and the
+    gradients are a list in params.leaves order, each shaped like its leaf.
+    With per-leaf stacks of T tasks (nn.stack_params), batch is (T, B, K, N)
+    and the loss is per task, (T,); each task's gradient is that of its own
+    loss.
     """
     tape = ad.Tape()
-    leaves, flat = nn.leaves_for(tape, params, arrays)
+    leaves = nn.leaves_for(tape, params)
     loss, _ = pipeline.reconstruct_and_loss(
         tape,
         leaves,
@@ -104,32 +107,34 @@ def _loss_and_grad(params, batch, features, cfg, meta_cfg, reduction, arrays):
         variant=meta_cfg.loss_variant,
         reduction=reduction,
     )
-    return loss.value, ad.grad(tape, loss, flat)
+    return loss.value, ad.grad(tape, loss, leaves.leaves)
 
 
-def adapt_stack(params, stack, batch, cfg, meta_cfg, steps):
-    """Plain gradient descent from per-leaf parameter arrays.
+def adapt_stack(params, batch, cfg, meta_cfg, steps):
+    """Plain gradient descent from params, a PredictorParams.
 
     Each step is theta <- theta - a * grad of the loss summed over the batch
-    (the unnormalized inner objective). stack holds either one copy of the
-    parameters (arrays shaped like params.arrays()) with batch (B, K, N), or
-    per-leaf stacks of T tasks (see nn.stack_params) with batch
-    (T, B, K, N): task t then steps on batch[t] alone, by the same
-    floating-point operations as a one-task stack. The inputs are never
-    written: each step writes its result into the gradients of its own pass.
-    Returns the adapted arrays (the input arrays themselves when steps is 0)
-    and the loss of the first step, at the input arrays ((T,) per task for a
-    stack; None when steps is 0). The batch is featurized only if a step runs.
+    (the unnormalized inner objective). params' leaves are either one copy
+    of the parameters with batch (B, K, N), or per-leaf stacks of T tasks
+    (see nn.stack_params) with batch (T, B, K, N): task t then steps on
+    batch[t] alone, by the same floating-point operations as a one-task
+    stack. The inputs are never written: each step writes its result into
+    the gradients of its own pass. Returns the adapted PredictorParams
+    (params itself when steps is 0) and the loss of the first step, at
+    params ((T,) per task for a stack; None when steps is 0). The batch is
+    featurized only if a step runs.
     """
     first = None
     features = pipeline.features(batch, cfg) if steps else None
     for step in range(steps):
-        loss, grads = _loss_and_grad(params, batch, features, cfg, meta_cfg, "sum", stack)
+        loss, grads = _loss_and_grad(params, batch, features, cfg, meta_cfg, "sum")
         if step == 0:
             first = loss
-        stack = [nn.sgd_step(a, g, meta_cfg.inner_lr) for a, g in zip(stack, grads)]
+        params = nn.PredictorParams(
+            [nn.sgd_step(a, g, meta_cfg.inner_lr) for a, g in zip(params.leaves, grads)],
+            params.sizes)
         del grads  # not held through the next pass, whose tape sets the peak
-    return stack, first
+    return params, first
 
 
 def adapt_on_test(params, batch, cfg, meta_cfg):
@@ -137,10 +142,8 @@ def adapt_on_test(params, batch, cfg, meta_cfg):
     params' own arrays and a (B, K, N) batch. Returns new parameters; the
     inputs are never mutated.
     """
-    arrays, _ = adapt_stack(
-        params, list(params.arrays()), batch, cfg, meta_cfg, meta_cfg.adapt_steps
-    )
-    return nn.from_arrays(arrays, params)
+    adapted, _ = adapt_stack(params, batch, cfg, meta_cfg, meta_cfg.adapt_steps)
+    return nn.from_arrays(adapted.leaves, params.sizes)
 
 
 def outer_update(params, tasks, cfg, meta_cfg, adam_state):
@@ -165,23 +168,21 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
         chunk = tasks[lo : lo + group]
         support = np.stack([task.support for task in chunk])
         query = np.stack([task.query for task in chunk])
-        stack = nn.stack_params(params, len(chunk))
-        stack, s_loss = adapt_stack(
-            params, stack, support, cfg, meta_cfg, meta_cfg.inner_steps
-        )
+        stack, s_loss = adapt_stack(nn.stack_params(params, len(chunk)), support, cfg,
+                                    meta_cfg, meta_cfg.inner_steps)
         if s_loss is None:  # no support step, so the support loss needs a pass
-            s_loss, _ = _loss_and_grad(params, support, pipeline.features(support, cfg),
-                                       cfg, meta_cfg, "sum", stack)
+            s_loss, _ = _loss_and_grad(stack, support, pipeline.features(support, cfg),
+                                       cfg, meta_cfg, "sum")
         support_losses.extend(s_loss / support.shape[1])
-        q_loss, grads = _loss_and_grad(params, query, pipeline.features(query, cfg), cfg,
-                                       meta_cfg, "sum", stack)
+        q_loss, grads = _loss_and_grad(stack, query, pipeline.features(query, cfg), cfg,
+                                       meta_cfg, "sum")
         for t in range(len(chunk)):  # task order, one packed vector per task
             total_g += np.concatenate([g[t].ravel() for g in grads])
         query_losses.extend(q_loss / query.shape[1])
     adam_state = adam_state or nn.AdamState.init(vec.size)
     new_vec, adam_state = nn.adam_step(vec, total_g, adam_state, meta_cfg.outer_lr)
     return (
-        nn.unpack(new_vec, params),
+        nn.unpack(new_vec, params.sizes),
         adam_state,
         float(np.mean(support_losses)),
         float(np.mean(query_losses)),
@@ -236,9 +237,9 @@ def unsupervised_train(dataset, cfg, meta_cfg, seed, init):
         losses = []
         for lo in range(0, size - bs + 1, bs):
             rows = order[lo : lo + bs]
-            views = nn.leaf_views(vec, init)  # adam_step never writes vec
-            loss, grads = _loss_and_grad(init, dataset[rows], features[rows], cfg, meta_cfg,
-                                         "mean", views)
+            views = nn.leaf_views(vec, init.sizes)  # adam_step never writes vec
+            loss, grads = _loss_and_grad(views, dataset[rows], features[rows], cfg, meta_cfg,
+                                         "mean")
             g = np.concatenate([g.ravel() for g in grads])
             vec, adam_state = nn.adam_step(vec, g, adam_state, meta_cfg.outer_lr)
             losses.append(float(loss))
@@ -246,4 +247,4 @@ def unsupervised_train(dataset, cfg, meta_cfg, seed, init):
         log.support_loss.append(float(np.mean(losses)))
         log.query_loss.append(float(np.mean(losses)))
         log.wall_time.append(time.perf_counter() - start)
-    return nn.unpack(vec, init), log
+    return nn.unpack(vec, init.sizes), log

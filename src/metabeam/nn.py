@@ -3,10 +3,11 @@
 The predictor holds three small ReLU MLPs (u-net, w-net, mu-net) sharing one
 input encoding, and mlp_forward is their one layer loop, run by the
 forward-only twin (pipeline.predict_beamformers) and the tape (autodiff.mlp).
-Parameters live in plain numpy arrays. Adam flattens them into a single
+PredictorParams is the one container of their leaves, in whichever form a
+step or a tape pass takes them. Adam flattens the leaves into a single
 vector (pack/unpack), and a checkpoint's payload is that vector; plain SGD
-steps each leaf's array, or a stack of per-task parameters (stack_params),
-and from_arrays rebuilds the parameters from such per-leaf arrays.
+steps each leaf, or a stack of per-task parameters (stack_params), and
+from_arrays rebuilds the parameters from such per-leaf arrays.
 
 Which arrays a step may overwrite: sgd_step writes its result into the
 gradient it is given (one the caller owns and no longer needs), never into
@@ -32,36 +33,27 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
-class MlpParams:
-    """Dense ReLU network: weights[i] is (sizes[i], sizes[i+1])."""
-
-    weights: list
-    biases: list
-
-    @property
-    def sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    def arrays(self):
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            yield b
-
-
-@dataclass
 class PredictorParams:
-    """The three component networks, in fixed (u, w, mu) order."""
+    """The three component networks, in fixed (u, w, mu) order.
 
-    u_net: MlpParams
-    w_net: MlpParams
-    mu_net: MlpParams
+    leaves lists every net's leaves in pack order: u, w, mu, and per layer
+    the weight, then the bias. They are the parameters' own arrays (weights
+    (i, o), biases (o,)), views of a packed vector (leaf_views), T tasks'
+    stacks (stack_params; weights (T, i, o), biases (T, 1, o)) or tape
+    leaves (leaves_for). sizes holds each net's layer sizes,
+    [fan_in, hidden..., fan_out].
+    """
+
+    leaves: list
+    sizes: list
 
     def nets(self):
-        return (self.u_net, self.w_net, self.mu_net)
-
-    def arrays(self):
-        for net in self.nets():
-            yield from net.arrays()
+        """Each net's (weights, biases), sliced from leaves by sizes."""
+        lo = 0
+        for net in self.sizes:
+            hi = lo + 2 * (len(net) - 1)
+            yield self.leaves[lo:hi:2], self.leaves[lo + 1 : hi : 2]
+            lo = hi
 
 
 def feature_dim(n, k):
@@ -70,15 +62,16 @@ def feature_dim(n, k):
 
 
 def init_mlp(rng, sizes, out_bias=0.0):
-    """Uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out)); zero biases
-    except an optional constant bias on the output layer."""
-    weights, biases = [], []
+    """One net's leaves, each weight then its bias: Uniform(-a, a) weights
+    with a = sqrt(6 / (fan_in + fan_out)); zero biases except an optional
+    constant bias on the output layer."""
+    leaves = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        leaves.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         last = i == len(sizes) - 2
-        biases.append(np.full(fan_out, out_bias if last else 0.0))
-    return MlpParams(weights=weights, biases=biases)
+        leaves.append(np.full(fan_out, out_bias if last else 0.0))
+    return leaves
 
 
 def predictor_sizes(n, k, width=DEFAULT_WIDTH):
@@ -90,70 +83,62 @@ def predictor_sizes(n, k, width=DEFAULT_WIDTH):
 def init_predictor(rng, n, k, width=DEFAULT_WIDTH):
     """Fresh predictor for an (N, K) system, shaped by predictor_sizes."""
     u, w, mu = predictor_sizes(n, k, width)
-    return PredictorParams(init_mlp(rng, u, out_bias=U_OUTPUT_BIAS),
-                           init_mlp(rng, w), init_mlp(rng, mu))
+    leaves = init_mlp(rng, u, out_bias=U_OUTPUT_BIAS) + init_mlp(rng, w) + init_mlp(rng, mu)
+    return PredictorParams(leaves, [u, w, mu])
 
 
 def pack(params):
     """Flatten every parameter array into one float64 vector (fixed order)."""
-    return np.concatenate([a.ravel() for a in params.arrays()])
+    return np.concatenate([a.ravel() for a in params.leaves])
 
 
-def unpack(vec, template):
-    """Rebuild a PredictorParams with template's shapes from a flat vector;
+def unpack(vec, sizes):
+    """Rebuild a PredictorParams of the given layer sizes from a flat vector;
     every array is a copy, so the result keeps vec neither alive nor shared."""
-    return from_arrays(leaf_views(vec, template), template)
+    return from_arrays(leaf_views(vec, sizes).leaves, sizes)
 
 
-def from_arrays(arrays, template):
-    """PredictorParams shaped like template from per-leaf arrays in
-    template.arrays() order, each of its leaf's size (e.g. one task's slice of
-    a stack). Copies every array, so the result keeps no input alive."""
-    return _assemble(
-        [a.reshape(t.shape).copy() for a, t in zip(arrays, template.arrays())], template
-    )
+def _leaf_shapes(sizes):
+    """(shape, entry count) of each leaf in pack order, for nets of the given
+    layer sizes: per layer the weight (i, o), then the bias (o,)."""
+    return [leaf for net in sizes for i, o in zip(net, net[1:])
+            for leaf in (((i, o), i * o), ((o,), o))]
 
 
-def leaf_views(vec, template):
-    """Views of consecutive pieces of the flat vector vec, shaped like
-    template.arrays(): no copy, so a write into vec shows through them."""
+def from_arrays(arrays, sizes):
+    """PredictorParams of the given layer sizes from per-leaf arrays in pack
+    order, each of its leaf's size (e.g. one task's slice of a stack). Copies
+    every array, so the result keeps no input alive."""
+    leaves = [a.reshape(shape).copy() for a, (shape, _) in zip(arrays, _leaf_shapes(sizes))]
+    return PredictorParams(leaves, sizes)
+
+
+def leaf_views(vec, sizes):
+    """PredictorParams of the given layer sizes whose leaves are views of
+    consecutive pieces of the flat vector vec: no copy, so a write into vec
+    shows through them."""
     vec = np.asarray(vec, dtype=np.float64)
-    leaves = list(template.arrays())
-    ends = list(itertools.accumulate(a.size for a in leaves))
+    shapes = _leaf_shapes(sizes)
+    ends = list(itertools.accumulate(count for _, count in shapes))
     if ends[-1] != vec.size:
-        raise ValueError(f"vector has {vec.size} entries, template needs {ends[-1]}")
-    return [vec[lo:hi].reshape(a.shape) for lo, hi, a in zip([0] + ends, ends, leaves)]
+        raise ValueError(f"vector has {vec.size} entries, sizes need {ends[-1]}")
+    leaves = [vec[lo:hi].reshape(shape) for lo, hi, (shape, _) in zip([0] + ends, ends, shapes)]
+    return PredictorParams(leaves, sizes)
 
 
-def _assemble(leaves, template):
-    """PredictorParams with template's layer counts from a list of per-leaf
-    arrays in template.arrays() order, taken as they are."""
-    nets, lo = [], 0
-    for net in template.nets():
-        hi = lo + 2 * len(net.weights)
-        nets.append(MlpParams(weights=leaves[lo:hi:2], biases=leaves[lo + 1 : hi : 2]))
-        lo = hi
-    return PredictorParams(*nets)
-
-
-def leaves_for(tape, params, arrays):
-    """One tape leaf per array of arrays, per-leaf arrays in params.arrays()
-    order: params' own, views of a packed vector (leaf_views), or T tasks'
-    stacks (stack_params; weights (T, i, o), biases (T, 1, o)). Returns the
-    leaves as a PredictorParams shaped like params, and as a flat list."""
-    flat = [tape.leaf(a) for a in arrays]
-    return _assemble(flat, params), flat
+def leaves_for(tape, params):
+    """params with each leaf registered as a tape leaf: params' own arrays,
+    views of a packed vector (leaf_views), or T tasks' stacks (stack_params;
+    weights (T, i, o), biases (T, 1, o))."""
+    return PredictorParams([tape.leaf(a) for a in params.leaves], params.sizes)
 
 
 def stack_params(params, t):
     """params for T tasks as per-leaf stacks: weights (T, i, o), biases
     (T, 1, o). Each stack is a read-only broadcast view of its leaf, not a
     copy: no step writes into a stack (sgd_step writes into the gradient)."""
-    stacks = []
-    for a in params.arrays():
-        one = a.reshape(1, -1, a.shape[-1])
-        stacks.append(np.broadcast_to(one, (t, *one.shape[1:])))
-    return stacks
+    leaves = [np.atleast_2d(a) for a in params.leaves]  # a bias (o,) as (1, o)
+    return PredictorParams([np.broadcast_to(a, (t, *a.shape)) for a in leaves], params.sizes)
 
 
 def mlp_forward(x, weights, biases):
@@ -234,12 +219,10 @@ def save_checkpoint(path, params):
     vec = pack(params)
     if not np.isfinite(vec).all():
         raise NumericalError(f"refusing to write non-finite parameters to {path}")
-    nets = params.nets()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(nets)))
-        for net in nets:
-            sizes = net.sizes
+        fh.write(struct.pack("<I", len(params.sizes)))
+        for sizes in params.sizes:
             fh.write(struct.pack(f"<I{len(sizes)}I", len(sizes), *sizes))
         fh.write(vec.astype("<f8").tobytes())
 
@@ -255,7 +238,7 @@ def load_checkpoint(path):
     offset += 4
     if net_count != 3:
         raise DataFormatError(f"expected 3 nets, header says {net_count}")
-    layers = []  # per net, its (fan_in, fan_out) pairs
+    sizes = []  # per net, its layer sizes
     for _ in range(net_count):
         if offset + 4 > len(blob):
             raise DataFormatError(f"truncated header at byte {offset}")
@@ -263,10 +246,9 @@ def load_checkpoint(path):
         offset += 4
         if n_sizes < 2 or n_sizes > 64 or offset + 4 * n_sizes > len(blob):
             raise DataFormatError(f"implausible layer count {n_sizes} at byte {offset}")
-        sizes = struct.unpack_from(f"<{n_sizes}I", blob, offset)
-        layers.append(list(zip(sizes, sizes[1:])))
+        sizes.append(list(struct.unpack_from(f"<{n_sizes}I", blob, offset)))
         offset += 4 * n_sizes
-    need = 8 * sum(i * o + o for net in layers for i, o in net)
+    need = 8 * sum(count for _, count in _leaf_shapes(sizes))
     if offset + need > len(blob):
         raise DataFormatError(f"truncated payload at byte {offset}, need {need} bytes")
     if offset + need < len(blob):
@@ -274,10 +256,4 @@ def load_checkpoint(path):
             f"{len(blob) - offset - need} trailing bytes after payload at byte "
             f"{offset + need}"
         )
-    # a shape-only template: unpack reads nothing but its leaves' shapes
-    template = PredictorParams(*(
-        MlpParams([np.empty((i, o)) for i, o in net], [np.empty(o) for _, o in net])
-        for net in layers
-    ))
-    return unpack(np.frombuffer(blob, dtype="<f8", count=need // 8, offset=offset),
-                  template)
+    return unpack(np.frombuffer(blob, dtype="<f8", count=need // 8, offset=offset), sizes)

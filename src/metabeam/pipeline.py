@@ -79,7 +79,7 @@ def reconstruct_and_loss(tape, leaves, h_batch, features, cfg, variant="correcte
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
     h_batch = h_batch.reshape(-1, k, n)
-    raw = (ad.mlp(tape, features, net.weights, net.biases) for net in leaves.nets())
+    raw = (ad.mlp(tape, features, w, b) for w, b in leaves.nets())
     loss, v_hat = _head_and_loss(tape, *raw, h_batch, cfg, variant, factor, tasks)
     return loss, v_hat.reshape(*tasks, per_task, n, k)
 
@@ -227,7 +227,7 @@ def predict_beamformers(params, h_batch, cfg):
     """
     h_batch = np.asarray(h_batch, dtype=np.complex128)
     x = features(h_batch, cfg)
-    raw = (nn.mlp_forward(x, net.weights, net.biases)[-1] for net in params.nets())
+    raw = (nn.mlp_forward(x, w, b)[-1] for w, b in params.nets())
     v = wmmse.reconstruct_v(h_batch, *_heads(*raw, cfg), cfg)
     return normalize_to_power(v, cfg.p)
 

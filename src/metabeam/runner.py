@@ -56,10 +56,9 @@ def checkpoint_path(out_dir, method):
 def load_params(path, cfg):
     """The checkpoint at path; DataFormatError if its layer sizes are not cfg's."""
     params = nn.load_checkpoint(path)
-    sizes = [net.sizes for net in params.nets()]
     want = nn.predictor_sizes(cfg.n, cfg.k, cfg.meta.width)
-    if sizes != want:
-        raise DataFormatError(f"{path} has layer sizes {sizes}; the config needs {want}")
+    if params.sizes != want:
+        raise DataFormatError(f"{path} has layer sizes {params.sizes}; the config needs {want}")
     return params
 
 

@@ -57,12 +57,12 @@ def _grad_err(rng, n, k, draws):
         params = nn.init_predictor(rng, n, k, width=8)
 
         def f(vec, params=params, h=h):
-            p = nn.unpack(vec, params)
+            p = nn.unpack(vec, params.sizes)
             tape = ad.Tape()
-            leaves, flat = nn.leaves_for(tape, p, p.arrays())
+            leaves = nn.leaves_for(tape, p)
             loss, _ = pipeline.reconstruct_and_loss(
                 tape, leaves, h, pipeline.features(h, sys_cfg), sys_cfg)
-            gs = ad.grad(tape, loss, flat)
+            gs = ad.grad(tape, loss, leaves.leaves)
             return float(loss.value), np.concatenate([g.ravel() for g in gs])
 
         err, _, _ = ad.finite_diff_check(

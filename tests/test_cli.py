@@ -386,7 +386,7 @@ def test_non_finite_results_and_parameters_are_not_written(cfg_path, tmp_path,
     assert not os.path.exists(os.path.join(out, "eval_maml_no_pretrain.csv"))
 
     def nan_training(dataset, cfg, meta_cfg, seed, init):
-        init.u_net.weights[0][0, 0] = np.nan
+        init.leaves[0][0, 0] = np.nan  # the u net's first weight
         return init, meta.TrainLog()
 
     monkeypatch.setattr(meta, "meta_train", nan_training)

@@ -4,7 +4,6 @@ import dataclasses
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -54,7 +54,7 @@ def _check_losses(got, want):
 
 def _check_checkpoint(got_path, want_path):
     got, want = nn.load_checkpoint(got_path), nn.load_checkpoint(want_path)
-    assert [a.shape for a in got.arrays()] == [a.shape for a in want.arrays()]
+    assert [a.shape for a in got.leaves] == [a.shape for a in want.leaves]
     np.testing.assert_allclose(nn.pack(got), nn.pack(want), rtol=LEARNED_RTOL, atol=0)
 
 

@@ -7,7 +7,6 @@ initialization on each slot batch alone.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -241,9 +240,9 @@ def test_memoryless_loop_calls_on_slot_in_order(monkeypatch):
     groups = []
     adapt_stack = meta.adapt_stack
 
-    def spy(params, stack, batch, *args):
+    def spy(params, batch, *args):
         groups.append(batch.shape[0])
-        return adapt_stack(params, stack, batch, *args)
+        return adapt_stack(params, batch, *args)
 
     monkeypatch.setattr(meta, "adapt_stack", spy)
     stream = [rand_batch(rng, 3, 2, 2) for _ in range(5)]

@@ -39,12 +39,12 @@ def small_setup(seed=0, b=8):
 
 def summed_loss_grad(params, batch, cfg, meta_cfg):
     tape = ad.Tape()
-    leaves, flat = nn.leaves_for(tape, params, params.arrays())
+    leaves = nn.leaves_for(tape, params)
     loss, _ = pipeline.reconstruct_and_loss(
         tape, leaves, batch, pipeline.features(batch, cfg), cfg,
         variant=meta_cfg.loss_variant, reduction="sum"
     )
-    grads = ad.grad(tape, loss, flat)
+    grads = ad.grad(tape, loss, leaves.leaves)
     return float(loss.value), np.concatenate([g.ravel() for g in grads])
 
 
@@ -118,7 +118,7 @@ def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
     for task in tasks:
         s_loss, _ = meta._loss_and_grad(params, task.support,
                                         pipeline.features(task.support, cfg), cfg,
-                                        meta_cfg, "sum", params.arrays())
+                                        meta_cfg, "sum")
         support_losses.append(s_loss / len(task.support))
         adapted = meta.adapt_on_test(
             params, task.support, cfg,
@@ -126,12 +126,12 @@ def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
         )
         q_loss, grads = meta._loss_and_grad(adapted, task.query,
                                             pipeline.features(task.query, cfg), cfg,
-                                            meta_cfg, "sum", adapted.arrays())
+                                            meta_cfg, "sum")
         total_g += np.concatenate([g.ravel() for g in grads])
         query_losses.append(q_loss / len(task.query))
     state = adam_state or nn.AdamState.init(vec.size)
     new_vec, state = nn.adam_step(vec, total_g, state, meta_cfg.outer_lr)
-    return (nn.unpack(new_vec, params), state,
+    return (nn.unpack(new_vec, params.sizes), state,
             float(np.mean(support_losses)), float(np.mean(query_losses)))
 
 
@@ -191,9 +191,9 @@ def test_loss_and_grad_frees_its_tape_without_gc(monkeypatch):
     try:
         tasks = batch.reshape(2, 4, 2, 2)
         meta._loss_and_grad(params, batch, pipeline.features(batch, cfg), cfg, meta_cfg,
-                            "sum", params.arrays())
-        meta._loss_and_grad(params, tasks, pipeline.features(tasks, cfg), cfg, meta_cfg,
-                            "sum", stack)
+                            "sum")
+        meta._loss_and_grad(stack, tasks, pipeline.features(tasks, cfg), cfg, meta_cfg,
+                            "sum")
         assert len(tapes) == 2
         assert all(ref() is None for ref in tapes)
     finally:
@@ -258,7 +258,7 @@ def test_each_loop_featurizes_its_batch_once(monkeypatch):
     assert calls == [batch.shape]
     calls.clear()
     tasks = batch.reshape(2, 4, 2, 2)
-    meta.adapt_stack(params, nn.stack_params(params, 2), tasks, cfg, meta_cfg, 3)
+    meta.adapt_stack(nn.stack_params(params, 2), tasks, cfg, meta_cfg, 3)
     assert calls == [tasks.shape]
     calls.clear()
     meta.unsupervised_train(batch, cfg, dataclasses.replace(meta_cfg, batch_size=2),

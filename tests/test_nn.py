@@ -14,9 +14,10 @@ def test_init_predictor_shapes_and_heads():
     params = nn.init_predictor(rng, n=3, k=2, width=16)
     d = nn.feature_dim(3, 2)
     assert d == 4 * 3 * 2
-    assert params.u_net.sizes == [d, 16, 16, 4]  # 2K outputs (re and im of u)
-    assert params.w_net.sizes == [d, 16, 16, 2]
-    assert params.mu_net.sizes == [d, 16, 16, 1]
+    u_sizes, w_sizes, mu_sizes = params.sizes
+    assert u_sizes == [d, 16, 16, 4]  # 2K outputs (re and im of u)
+    assert w_sizes == [d, 16, 16, 2]
+    assert mu_sizes == [d, 16, 16, 1]
 
 
 def test_init_bounds_follow_fan_sum():
@@ -24,8 +25,8 @@ def test_init_bounds_follow_fan_sum():
     # inside the bound and, with 24*16 draws, some mass lands beyond 0.9 a.
     rng = np.random.default_rng(1)
     params = nn.init_predictor(rng, n=3, k=2, width=16)
-    for net in params.nets():
-        for w in net.weights:
+    for weights, _ in params.nets():
+        for w in weights:
             bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
             assert np.abs(w).max() <= bound
             assert np.abs(w).max() > 0.9 * bound
@@ -34,11 +35,12 @@ def test_init_bounds_follow_fan_sum():
 def test_init_biases_zero_except_u_output():
     rng = np.random.default_rng(2)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
-    np.testing.assert_array_equal(params.u_net.biases[0], 0.0)
-    np.testing.assert_array_equal(params.u_net.biases[1], 0.0)
-    np.testing.assert_array_equal(params.u_net.biases[-1], nn.U_OUTPUT_BIAS)
-    for net in (params.w_net, params.mu_net):
-        for b in net.biases:
+    (_, u_biases), *others = params.nets()
+    np.testing.assert_array_equal(u_biases[0], 0.0)
+    np.testing.assert_array_equal(u_biases[1], 0.0)
+    np.testing.assert_array_equal(u_biases[-1], nn.U_OUTPUT_BIAS)
+    for _, biases in others:
+        for b in biases:
             np.testing.assert_array_equal(b, 0.0)
 
 
@@ -46,8 +48,8 @@ def test_pack_unpack_roundtrip_bits():
     rng = np.random.default_rng(3)
     params = nn.init_predictor(rng, n=2, k=3, width=8)
     vec = nn.pack(params)
-    back = nn.unpack(vec, params)
-    for a, b in zip(params.arrays(), back.arrays()):
+    back = nn.unpack(vec, params.sizes)
+    for a, b in zip(params.leaves, back.leaves):
         np.testing.assert_array_equal(a, b)
     # and the reverse direction
     np.testing.assert_array_equal(nn.pack(back), vec)
@@ -58,43 +60,43 @@ def test_unpack_rejects_wrong_length():
     params = nn.init_predictor(rng, n=2, k=2, width=8)
     vec = nn.pack(params)
     with pytest.raises(ValueError):
-        nn.unpack(vec[:-1], params)
+        nn.unpack(vec[:-1], params.sizes)
     with pytest.raises(ValueError):
-        nn.unpack(np.append(vec, 0.0), params)
+        nn.unpack(np.append(vec, 0.0), params.sizes)
 
 
 def test_unpack_copies_do_not_alias():
     rng = np.random.default_rng(5)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
     vec = nn.pack(params)
-    back = nn.unpack(vec, params)
+    back = nn.unpack(vec, params.sizes)
     vec[0] += 1.0
-    assert back.u_net.weights[0].ravel()[0] != vec[0]
+    assert back.leaves[0].ravel()[0] != vec[0]
 
 
 def test_leaf_views_share_the_vector():
-    # Views of consecutive pieces of vec, shaped like template.arrays(): a
+    # Views of consecutive pieces of vec, shaped like params.leaves: a
     # write into vec shows through them, and a wrong length raises.
     rng = np.random.default_rng(5)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
     vec = nn.pack(params)
-    views = nn.leaf_views(vec, params)
-    for v, a in zip(views, params.arrays(), strict=True):
+    views = nn.leaf_views(vec, params.sizes).leaves
+    for v, a in zip(views, params.leaves, strict=True):
         np.testing.assert_array_equal(v, a)  # same shape and entries
         assert np.shares_memory(v, vec)
     vec[-1] += 1.0
     assert views[-1].ravel()[-1] == vec[-1]
     with pytest.raises(ValueError):
-        nn.leaf_views(vec[:-1], params)
+        nn.leaf_views(vec[:-1], params.sizes)
 
 
 def test_from_arrays_takes_one_task_of_a_stack_as_a_copy():
     rng = np.random.default_rng(5)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
     scales = np.arange(1.0, 4.0).reshape(3, 1, 1)
-    stack = [scales * a for a in nn.stack_params(params, 3)]  # task t is (t+1) params
-    task = nn.from_arrays([a[2] for a in stack], params)
-    for got, a, leaf in zip(task.arrays(), stack, params.arrays()):
+    stack = [scales * a for a in nn.stack_params(params, 3).leaves]  # task t is (t+1) params
+    task = nn.from_arrays([a[2] for a in stack], params.sizes)
+    for got, a, leaf in zip(task.leaves, stack, params.leaves):
         np.testing.assert_array_equal(got, 3.0 * leaf)
         assert not np.shares_memory(got, a)
 
@@ -117,10 +119,13 @@ def test_leaves_for_registers_every_array():
     rng = np.random.default_rng(7)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
     tape = ad.Tape()
-    tree, flat = nn.leaves_for(tape, params, params.arrays())
-    assert len(flat) == sum(2 * len(net.weights) for net in params.nets())
+    tree = nn.leaves_for(tape, params)
+    flat = tree.leaves
+    assert len(flat) == sum(2 * len(weights) for weights, _ in params.nets())
     assert all(leaf.op == "leaf" for leaf in flat)
-    np.testing.assert_array_equal(tree.w_net.weights[0].value, params.w_net.weights[0])
+    _, (w_nodes, _), _ = tree.nets()
+    _, (w_arrays, _), _ = params.nets()
+    np.testing.assert_array_equal(w_nodes[0].value, w_arrays[0])
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -129,8 +134,28 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "net.ckpt"
     nn.save_checkpoint(path, params)
     back = nn.load_checkpoint(path)
-    for a, b in zip(params.arrays(), back.arrays()):
+    for a, b in zip(params.leaves, back.leaves):
         np.testing.assert_array_equal(a, b)
+
+
+def test_nets_of_different_depths_slice_and_roundtrip(tmp_path):
+    # init_predictor builds nets of equal depth; here each net has its own,
+    # so nets() and the loader must take every net's slice from its sizes.
+    rng = np.random.default_rng(13)
+    sizes = [[12, 5, 4], [12, 2], [12, 3, 3, 1]]
+    leaves = [leaf for net in sizes for leaf in nn.init_mlp(rng, net, out_bias=0.5)]
+    params = nn.PredictorParams(leaves, sizes)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(path, params)
+    back = nn.load_checkpoint(path)
+    assert back.sizes == sizes
+    assert nn.pack(back).tobytes() == nn.pack(params).tobytes()
+    for net, (weights, biases) in zip(sizes, back.nets(), strict=True):
+        assert [w.shape for w in weights] == list(zip(net, net[1:]))
+        assert [b.shape for b in biases] == [(o,) for o in net[1:]]
+    # the slices take every leaf once, in pack order
+    sliced = [a for weights, biases in back.nets() for pair in zip(weights, biases) for a in pair]
+    assert all(a is b for a, b in zip(sliced, back.leaves, strict=True))
 
 
 def test_checkpoint_payload_is_the_packed_vector(tmp_path):
@@ -139,7 +164,7 @@ def test_checkpoint_payload_is_the_packed_vector(tmp_path):
     params = nn.init_predictor(np.random.default_rng(12), n=2, k=3, width=8)
     path = tmp_path / "net.ckpt"
     nn.save_checkpoint(path, params)
-    header = 5 + 4 + sum(4 * (1 + len(net.sizes)) for net in params.nets())
+    header = 5 + 4 + sum(4 * (1 + len(sizes)) for sizes in params.sizes)
     assert path.read_bytes()[header:] == nn.pack(params).astype("<f8").tobytes()
 
 
@@ -156,7 +181,7 @@ def test_checkpoint_file_is_stable(tmp_path):
 def test_checkpoint_refuses_non_finite_parameters(tmp_path, bad):
     rng = np.random.default_rng(11)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
-    params.mu_net.biases[-1][0] = bad
+    params.leaves[-1][0] = bad  # the mu net's output bias
     path = tmp_path / "net.ckpt"
     with pytest.raises(NumericalError):
         nn.save_checkpoint(path, params)

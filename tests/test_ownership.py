@@ -34,58 +34,58 @@ def snapshot(arrays):
 def test_meta_train_keeps_init_and_dataset():
     rng, cfg, meta_cfg, params = setup()
     dataset = rand_batch(rng, 24, 2, 2)
-    before, data_before = snapshot(params.arrays()), dataset.tobytes()
+    before, data_before = snapshot(params.leaves), dataset.tobytes()
     meta.meta_train(dataset, cfg, meta_cfg, seed=1, init=params)
-    assert snapshot(params.arrays()) == before
+    assert snapshot(params.leaves) == before
     assert dataset.tobytes() == data_before
 
 
 def test_unsupervised_train_keeps_init_and_dataset():
     rng, cfg, meta_cfg, params = setup()
     dataset = rand_batch(rng, 16, 2, 2)
-    before, data_before = snapshot(params.arrays()), dataset.tobytes()
+    before, data_before = snapshot(params.leaves), dataset.tobytes()
     trained, _ = meta.unsupervised_train(dataset, cfg, meta_cfg, seed=1, init=params)
-    assert snapshot(params.arrays()) == before
+    assert snapshot(params.leaves) == before
     assert dataset.tobytes() == data_before
     # the result owns its arrays: no views of the loop's packed vector
-    assert all(a.base is None for a in trained.arrays())
+    assert all(a.base is None for a in trained.leaves)
 
 
 def test_outer_update_keeps_params_and_tasks():
     rng, cfg, meta_cfg, params = setup()
     tasks = [channels.Task(support=rand_batch(rng, 4, 2, 2), query=rand_batch(rng, 4, 2, 2))
              for _ in range(3)]
-    before = snapshot(params.arrays())
+    before = snapshot(params.leaves)
     data_before = snapshot(a for task in tasks for a in (task.support, task.query))
     new_params, state, _, _ = meta.outer_update(params, tasks, cfg, meta_cfg, None)
     meta.outer_update(new_params, tasks, cfg, meta_cfg, state)
-    assert snapshot(params.arrays()) == before
+    assert snapshot(params.leaves) == before
     assert snapshot(a for task in tasks for a in (task.support, task.query)) == data_before
 
 
 def test_adapt_stack_keeps_stack_and_batch():
     rng, cfg, meta_cfg, params = setup()
-    before = snapshot(params.arrays())
+    before = snapshot(params.leaves)
     for stack, batch in [
-        (list(params.arrays()), rand_batch(rng, 4, 2, 2)),
+        (params, rand_batch(rng, 4, 2, 2)),
         (nn.stack_params(params, 3), rand_batch(rng, 3, 4, 2, 2)),
     ]:
-        stack_before, batch_before = snapshot(stack), batch.tobytes()
-        adapted, _ = meta.adapt_stack(params, stack, batch, cfg, meta_cfg, 3)
-        assert snapshot(stack) == stack_before
+        stack_before, batch_before = snapshot(stack.leaves), batch.tobytes()
+        adapted, _ = meta.adapt_stack(stack, batch, cfg, meta_cfg, 3)
+        assert snapshot(stack.leaves) == stack_before
         assert batch.tobytes() == batch_before
-        assert not any(np.shares_memory(a, b) for a in adapted for b in stack)
-    assert snapshot(params.arrays()) == before
+        assert not any(np.shares_memory(a, b) for a in adapted.leaves for b in stack.leaves)
+    assert snapshot(params.leaves) == before
 
 
 def test_mml_test_loop_keeps_stream_and_init():
     rng, cfg, meta_cfg, params = setup()
     stream = [rand_batch(rng, 4, 2, 2) for _ in range(5)]
-    before, stream_before = snapshot(params.arrays()), snapshot(stream)
+    before, stream_before = snapshot(params.leaves), snapshot(stream)
     for capacity in (0, 4):
         memory.mml_test_loop(params, stream, cfg, meta_cfg, capacity)
         assert snapshot(stream) == stream_before
-        assert snapshot(params.arrays()) == before
+        assert snapshot(params.leaves) == before
 
 
 def test_grad_returns_mlp_output_adjoint_unmodified():
@@ -93,7 +93,7 @@ def test_grad_returns_mlp_output_adjoint_unmodified():
     # fresh g * c; the backward of y1's node must not mask it in place.
     rng = np.random.default_rng(5)
     sizes = [3, 6, 6, 4]
-    net1 = nn.init_mlp(rng, sizes)
+    leaves1 = nn.init_mlp(rng, sizes)
     c = rng.standard_normal((7, 4))
     x0 = rng.standard_normal((7, 3))
 
@@ -101,8 +101,8 @@ def test_grad_returns_mlp_output_adjoint_unmodified():
         return tape.record(a.value * c, (a,), lambda g: (g * c,), "times")
 
     tape = ad.Tape()
-    w1 = [tape.leaf(w) for w in net1.weights]
-    b1 = [tape.leaf(b) for b in net1.biases]
+    w1 = [tape.leaf(w) for w in leaves1[::2]]
+    b1 = [tape.leaf(b) for b in leaves1[1::2]]
     y1 = ad.mlp(tape, x0, w1, b1)
     y2 = times_c(tape, y1)
     g_y1, g_y2, *_ = ad.grad(tape, y2, [y1, y2, *w1])

@@ -72,7 +72,7 @@ def test_predicted_ranges():
     rng = np.random.default_rng(2)
     cfg, params, h = setup(rng, b=10)
     feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
-    raw = (nn.mlp_forward(feats, net.weights, net.biases)[-1] for net in params.nets())
+    raw = (nn.mlp_forward(feats, w, b)[-1] for w, b in params.nets())
     u, w, mu = pipeline._heads(*raw, cfg)
     assert u.shape == (10, 3) and u.dtype == np.complex128
     assert np.all(w >= 1.0)
@@ -100,7 +100,7 @@ def test_loss_equals_objective_on_reconstruction():
     cfg, params, h = setup(rng)
     for variant in ("corrected", "verbatim"):
         tape = ad.Tape()
-        leaves, _ = nn.leaves_for(tape, params, params.arrays())
+        leaves = nn.leaves_for(tape, params)
         loss, v_hat = pipeline.reconstruct_and_loss(
             tape, leaves, h, pipeline.features(h, cfg), cfg, variant=variant
         )
@@ -112,7 +112,7 @@ def test_loss_sum_reduction_is_batch_sum():
     rng = np.random.default_rng(5)
     cfg, params, h = setup(rng, b=4)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params, params.arrays())
+    leaves = nn.leaves_for(tape, params)
     feats = pipeline.features(h, cfg)
     loss, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, feats, cfg, reduction="sum")
     per_sample = objective.sum_rate_loss(h, v_hat, cfg)
@@ -127,7 +127,7 @@ def test_loss_variants_differ_for_multiuser():
     vals = {}
     for variant in ("corrected", "verbatim"):
         tape = ad.Tape()
-        leaves, _ = nn.leaves_for(tape, params, params.arrays())
+        leaves = nn.leaves_for(tape, params)
         loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg,
                                                 variant=variant)
         vals[variant] = float(loss.value)
@@ -141,18 +141,18 @@ def test_forward_twin_matches_tape_reconstruction():
     rng = np.random.default_rng(7)
     cfg, params, h = setup(rng, b=12)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params, params.arrays())
+    leaves = nn.leaves_for(tape, params)
     _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
     np.testing.assert_array_equal(v_hat, pipeline.predict_beamformers(params, h, cfg))
 
     stack = [a * (1.0 + 0.1 * np.arange(3).reshape(3, 1, 1))
-             for a in nn.stack_params(params, 3)]
+             for a in nn.stack_params(params, 3).leaves]
     h = h.reshape(3, 4, 3, 3)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params, stack)
+    leaves = nn.leaves_for(tape, nn.PredictorParams(stack, params.sizes))
     _, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
     for t in range(3):
-        task = nn.from_arrays([a[t] for a in stack], params)
+        task = nn.from_arrays([a[t] for a in stack], params.sizes)
         np.testing.assert_array_equal(v_hat[t], pipeline.predict_beamformers(task, h[t], cfg))
 
 
@@ -162,11 +162,12 @@ def test_twin_and_tape_share_the_singularity_policy():
     # the pivot rule of linalg.hpd_solve rejects the matrices on both paths.
     rng = np.random.default_rng(9)
     cfg, params, h = setup(rng, k=1)
-    params.u_net.biases[-1][:] = 1e6
+    (_, u_biases), _, _ = params.nets()
+    u_biases[-1][:] = 1e6
     with pytest.raises(SingularMatrixError):
         pipeline.predict_beamformers(params, h, cfg)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params, params.arrays())
+    leaves = nn.leaves_for(tape, params)
     with pytest.raises(SingularMatrixError):
         pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
 
@@ -195,12 +196,13 @@ def test_evaluate_wsr_consistent_with_objective():
 def test_zero_u_prediction_raises():
     rng = np.random.default_rng(10)
     cfg, params, h = setup(rng)
-    params.u_net.weights[-1][:] = 0.0
-    params.u_net.biases[-1][:] = 0.0  # remove the output bias: u == 0
+    (u_weights, u_biases), _, _ = params.nets()
+    u_weights[-1][:] = 0.0
+    u_biases[-1][:] = 0.0  # remove the output bias: u == 0
     with pytest.raises(DegenerateInputError):
         pipeline.predict_beamformers(params, h, cfg)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params, params.arrays())
+    leaves = nn.leaves_for(tape, params)
     with pytest.raises(DegenerateInputError):
         pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
 
@@ -209,7 +211,7 @@ def test_empty_batch_rejected():
     rng = np.random.default_rng(11)
     cfg, params, _ = setup(rng)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params, params.arrays())
+    leaves = nn.leaves_for(tape, params)
     with pytest.raises(ValueError):
         empty = np.zeros((0, 3, 3), complex)
         pipeline.reconstruct_and_loss(tape, leaves, empty, pipeline.features(empty, cfg), cfg)
@@ -223,11 +225,11 @@ def test_full_pipeline_gradient_smoke():
     h = rand_batch(rng, 3, 2, 2)
 
     def f(vec):
-        p = nn.unpack(vec, params)
+        p = nn.unpack(vec, params.sizes)
         tape = ad.Tape()
-        leaves, flat = nn.leaves_for(tape, p, p.arrays())
+        leaves = nn.leaves_for(tape, p)
         loss, _ = pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
-        grads = ad.grad(tape, loss, flat)
+        grads = ad.grad(tape, loss, leaves.leaves)
         return float(loss.value), np.concatenate([g.ravel() for g in grads])
 
     err, ok, _ = ad.finite_diff_check(
@@ -332,7 +334,7 @@ def test_reference_shape_pass_records_at_most_40_nodes():
     rng = np.random.default_rng(14)
     cfg, params, h = setup(rng, b=40, width=64)
     tape = ad.Tape()
-    leaves, _ = nn.leaves_for(tape, params, params.arrays())
+    leaves = nn.leaves_for(tape, params)
     pipeline.reconstruct_and_loss(tape, leaves, h, pipeline.features(h, cfg), cfg)
     assert [node.op for node in tape.nodes] == (
         ["leaf"] * 18 + ["mlp"] * 3

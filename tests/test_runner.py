@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from metabeam import channels, memory, meta, nn, objective, pipeline, runner
+from metabeam import channels, memory, meta, nn, pipeline, runner
 from metabeam.config import ExperimentConfig, system_for
 from metabeam.errors import DataFormatError, NumericalError
 from metabeam.meta import MetaConfig

@@ -146,7 +146,7 @@ def test_solve_mu_hits_power_budget():
             assert p_used <= cfg.p * (1.0 + 1e-9)
 
 
-def _assert_budget_row(h, u, w, mu, cfg, rtol=1e-9):
+def _assert_budget_row(h, u, w, mu, cfg, rtol=wmmse.MU_RTOL):
     """mu puts the power in [P (1 - rtol), P], or is 0 / the rank floor."""
     p_used = total_power(reconstruct_v(h, u, w, mu, cfg))
     in_band = cfg.p * (1.0 - rtol - 1e-10) <= p_used <= cfg.p * (1.0 + 1e-10)
