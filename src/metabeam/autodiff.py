@@ -130,8 +130,8 @@ def csolve_hpd(tape, s_re, s_im, mu, rhs):
     Solves (S + mu I) X = rhs with S = s_re + i s_im given by two (B, N, N)
     real nodes, mu a (B,) node of nonnegative shifts, and rhs a constant
     complex (B, N, K) array. Returns one node whose value is the complex
-    (B, N, K) solution X. The forward is linalg.hpd_solve, which certifies
-    every matrix and raises SingularMatrixError under its pivot rule.
+    (B, N, K) solution X. linalg.hpd_solve certifies and solves the S + mu I
+    built here, raising SingularMatrixError under its pivot rule.
 
     Adjoint, with G = dL/dRe X + i dL/dIm X the node's complex adjoint: the
     rhs adjoint is Q = (S + mu I)^{-1} G (Hermitian, so no transpose), the
@@ -140,7 +140,7 @@ def csolve_hpd(tape, s_re, s_im, mu, rhs):
     """
     n = s_re.value.shape[-1]
     s = s_re.value + 1j * s_im.value + mu.value[:, None, None] * _identity(n)
-    x = hpd_solve(s, 0.0, rhs)
+    x = hpd_solve(s, rhs)
 
     def backward(g):
         q = np.linalg.solve(s, g)  # s is certified

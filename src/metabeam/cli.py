@@ -3,7 +3,7 @@
 Subcommands: gen-data, train, eval, figure, oracle, gradcheck (which checks
 the configured loss through training's own tape pass); the global flags go
 before or after the subcommand. Exit codes: 0 success, 1 usage or
-configuration error, 2 numerical failure.
+configuration error (a bad path among them), 2 numerical failure.
 """
 
 import argparse
@@ -22,6 +22,7 @@ from .errors import (
     DataFormatError,
     DegenerateInputError,
     MetabeamError,
+    NumericalError,
     SingularMatrixError,
 )
 from .seeding import rng_for, subseed
@@ -99,6 +100,8 @@ def _cmd_oracle(args):
     for i in range(args.instances):
         h = channels.sample_channels(rng, cfg.test_channel, 1, cfg.n, cfg.k)[0]
         oracle = wmmse.grid_oracle(h, sys_cfg, grid_steps=args.grid_steps)
+        if not oracle > 0.0:  # every rate underflowed: no ratio to form
+            raise NumericalError(f"instance {i}: oracle rate {oracle} at {args.snr_db:g} dB")
         solved = wmmse.wmmse_solve(h, sys_cfg, seed=i, restarts=cfg.wmmse_restarts)
         ratio = solved.wsr_trace.max() / oracle  # the returned, best iterate
         ratios.append(ratio)
@@ -226,7 +229,7 @@ def main(argv=None):
     except (SingularMatrixError, DegenerateInputError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MetabeamError as exc:

@@ -3,8 +3,8 @@
 All routines work on numpy complex128 arrays, over any leading batch axes.
 A channel is a (K, N) array of K row vectors; beamformer matrices are
 (N, K) with one column per user.
-hpd_solve is the package's one Hermitian positive definite solve: the WMMSE
-solver, the forward-only twin and the tape's solve node share its policy.
+hpd_solve is the package's one Hermitian positive definite solve: each caller
+builds the matrix it factors (S + mu I included), and all share its policy.
 """
 
 from functools import lru_cache
@@ -51,29 +51,27 @@ def _identity(n):
     return eye
 
 
-def hpd_solve(a, mu, b):
-    """Solve (A + mu I) x = b for Hermitian positive definite A + mu I.
+def hpd_solve(s, b):
+    """Solve S x = b for Hermitian positive definite S.
 
-    a: (..., N, N) Hermitian. mu: real >= 0 shift, a scalar or one value per
-    matrix (shape a.shape[:-2]). b: (N,) or (N, K), or batched (..., N, K).
+    s: (..., N, N) Hermitian; each caller builds the matrix it needs solved
+    (S + mu I included). b: (N,) or (N, K), or batched (..., N, K).
     Raises SingularMatrixError when any Cholesky factorization fails or any
-    squared pivot (factor diagonal) is at most PIVOT_RTOL * trace(A + mu I)
-    of its matrix; then solves once (numpy has no batched triangular solve).
+    squared pivot (factor diagonal) is at most PIVOT_RTOL * trace(S) of its
+    matrix; then solves once (numpy has no batched triangular solve).
     """
-    a = np.asarray(a, dtype=np.complex128)
+    s = np.asarray(s, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
-        raise ValueError(f"A must be square, got {a.shape}")
+    n = s.shape[-1]
+    if s.ndim < 2 or s.shape[-2] != n:
+        raise ValueError(f"S must be square, got {s.shape}")
     rows = b.shape[0] if b.ndim == 1 else b.shape[-2]
     if rows != n:
-        raise ValueError(f"rhs length {rows} does not match A size {n}")
-    mu = np.asarray(mu, dtype=np.float64)
-    s = a + mu[..., None, None] * _identity(n) if mu.any() else a
+        raise ValueError(f"rhs length {rows} does not match S size {n}")
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"A + {mu} I is not positive definite") from exc
+        raise SingularMatrixError("S is not positive definite") from exc
     pivots = chol.diagonal(axis1=-2, axis2=-1).real ** 2
     trace = s.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
     threshold = PIVOT_RTOL * np.maximum(trace, TINY)

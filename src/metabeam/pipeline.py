@@ -9,8 +9,8 @@ the tape holds closed-form nodes only: Re S and Im S and mu on the raw net
 outputs, the Hermitian solve, and one rate-loss node for everything after
 the solve. Every forward value on the tape comes from the forward-only
 twin's own code: the nets' layer loop (nn.mlp_forward), the output maps
-(_heads), the S assembly (wmmse.assemble_s), the solve
-(linalg.hpd_solve, through wmmse.reconstruct_v in the twin), the column
+(_heads), the S assembly (wmmse.assemble_s), S + mu I and its solve
+(linalg.hpd_solve; built as in wmmse.reconstruct_v, the twin's), the column
 scales (wmmse.column_scales), the power projection (linalg.scale_to_power)
 and the rate terms (objective.gains and objective.signal_denom). So the
 tape's beamformers equal the twin's to the bit, and the solver, the twin and

@@ -1,4 +1,4 @@
-"""WMMSE solver, its (u, w, mu) decomposition, and grid-search oracles.
+"""WMMSE solver, its (u, w, mu) decomposition, and the batched grid oracle.
 
 The weighted-MMSE alternating solver maximizes the weighted sum rate under a
 total power budget. Each iterate is summarized by K complex receiver
@@ -14,6 +14,7 @@ updates come from objective's one rate core: the solver evaluates each
 iterate's couplings once, and they feed its rate, the next u and the next w.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import CapabilityError, DegenerateInputError, SingularMatrixError
 from .linalg import (
     PIVOT_RTOL,
     TINY,
+    _identity,
     hermitian_rank1_sum,
     hpd_solve,
     normalize_to_power,
@@ -84,13 +86,15 @@ def reconstruct_v(h, u, w, mu, cfg, s=None, scales=None):
     u (complex) and w (real) are (K,) with a scalar mu, or rows (S, K) with
     mu (S,). h is one (K, N) channel shared by every row, or a channel batch
     (B, K, N) with one (u, w, mu) row per channel. s and scales, when
-    given, are S and column_scales already computed from the same (u, w).
+    given, are S and column_scales already computed from the same (u, w);
+    S + mu I is built here, as autodiff.csolve_hpd builds it.
     """
     if s is None:
         s = assemble_s(h, u, w, cfg)
     if scales is None:
         scales = column_scales(u, w, cfg)
-    x = hpd_solve(s, mu, np.swapaxes(h, -1, -2))  # (S + mu I)^{-1} h_k
+    shifted = s + np.asarray(mu)[..., None, None] * _identity(s.shape[-1])
+    x = hpd_solve(shifted, np.swapaxes(h, -1, -2))  # (S + mu I)^{-1} h_k
     return x * scales[..., None, :]
 
 
@@ -195,14 +199,14 @@ def zf_beamformer(h, cfg):
     return normalize_to_power(x / norms[None, :], cfg.p)
 
 
-def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
+def wmmse_solve(h, cfg, seed=0, eps=1e-8, max_iters=300, restarts=3):
     """Alternating WMMSE maximization of the weighted sum rate.
 
-    The iteration is a local ascent, so when no v0 is given the solver runs a
-    start portfolio (matched-filter, zero-forcing, and `restarts` seeded random
-    beamformers) and keeps the best run. With an explicit v0 only that single
-    start is used. Each run alternates (u, w) and (mu, V) updates and stops
-    when the Frobenius change of V drops below eps or max_iters is reached.
+    The iteration is a local ascent, so the solver runs a start portfolio
+    (matched-filter, zero-forcing, and `restarts` seeded random beamformers)
+    and keeps the best run. Each run alternates (u, w) and (mu, V) updates
+    and stops when the Frobenius change of V drops below eps or max_iters is
+    reached.
     All starts advance together as one batch; a start that stops is dropped
     from the running batch, its results kept, while the others go on, so
     each follows the iterates it would alone.
@@ -216,16 +220,11 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
     winning start (the first one reaching the best WSR).
     """
     h = np.asarray(h, dtype=np.complex128)
-    if v0 is not None:
-        starts = [np.asarray(v0, dtype=np.complex128)]
-    else:
-        rng = np.random.default_rng(seed)
-        starts = [mrt_beamformer(h, cfg), zf_beamformer(h, cfg)]
-        for _ in range(restarts):
-            raw = rng.standard_normal((cfg.n, cfg.k)) + 1j * rng.standard_normal(
-                (cfg.n, cfg.k)
-            )
-            starts.append(normalize_to_power(raw, cfg.p))
+    rng = np.random.default_rng(seed)
+    starts = [mrt_beamformer(h, cfg), zf_beamformer(h, cfg)]
+    for _ in range(restarts):
+        raw = rng.standard_normal((cfg.n, cfg.k)) + 1j * rng.standard_normal((cfg.n, cfg.k))
+        starts.append(normalize_to_power(raw, cfg.p))
     v = np.stack(starts)
     g, a2, sinr = _couplings(h, v, cfg)  # of the running starts' iterates
     # Per-start results as of iteration 0; a start's row is written once more
@@ -269,26 +268,21 @@ def wmmse_solve(h, cfg, v0=None, seed=0, eps=1e-8, max_iters=300, restarts=3):
 
 
 def _directions(h, lam, cfg):
-    """Unit-norm columns of (I + sum_j lam_j / sigma2 * h_j h_j^H)^{-1} h_k."""
+    """Unit-norm columns of (I + sum_j lam_j / sigma2 * h_j h_j^H)^{-1} h_k
+    of one dual point lam (K,), or of a grid (G, K) in one solve, (G, N, K)."""
     a = np.eye(cfg.n) + hermitian_rank1_sum(lam / cfg.sigma2, h)
-    x = hpd_solve(a, 0.0, h.T)
-    norms = np.linalg.norm(x, axis=0)
+    x = hpd_solve(a, h.T)
+    norms = np.linalg.norm(x, axis=-2)
     if np.any(norms == 0.0):
         raise DegenerateInputError("a channel row is zero; direction undefined")
-    return x / norms[None, :]
+    return x / norms[..., None, :]
 
 
 def _simplex_grid(k, total, steps):
-    """All K-vectors on the simplex {x >= 0, sum x = total} with steps-1 parts."""
-    parts = steps - 1
-    if k == 1:
-        return np.array([[float(total)]])
-    if k == 2:
-        grids = [(i, parts - i) for i in range(parts + 1)]
-    else:
-        grids = [(i, j, parts - i - j)
-                 for i in range(parts + 1) for j in range(parts + 1 - i)]
-    return np.array(grids, dtype=np.float64) * (total / parts)
+    """All (G, K) points of the simplex {x >= 0, sum x = total} in steps-1 parts."""
+    parts = steps - 1 if k > 1 else 1  # K = 1: the one point is total itself
+    counts = [c for c in itertools.product(range(parts + 1), repeat=k) if sum(c) == parts]
+    return np.array(counts, dtype=np.float64) * (total / parts)
 
 
 def grid_oracle(h, cfg, grid_steps=41):
@@ -305,9 +299,7 @@ def grid_oracle(h, cfg, grid_steps=41):
         raise ValueError("grid_steps must be at least 5")
     h = np.asarray(h, dtype=np.complex128)
     grid = _simplex_grid(cfg.k, cfg.p, grid_steps)  # lam and p share it
-    best = -np.inf
-    for lam in grid:
-        # the structured beamformer of every power split at once
-        v = _directions(h, lam, cfg) * np.sqrt(grid)[:, None, :]
-        best = max(best, float(np.max(objective.wsr(h, v, cfg))))
-    return best
+    amplitudes = np.sqrt(grid)[:, None, :]  # of every power split at once
+    # the directions of every dual point come from one solve
+    return max(float(np.max(objective.wsr(h, d * amplitudes, cfg)))
+               for d in _directions(h, grid, cfg))

@@ -98,6 +98,26 @@ def test_missing_config_file_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--out", "{file}", "train"],  # FileExistsError
+    ["--out", "{file}", "figure", "--figure", "fig6"],  # FileExistsError
+    ["--out", "{file}/x", "eval", "--method", "wmmse"],  # NotADirectoryError
+    ["--config", "{dir}", "gen-data"],  # IsADirectoryError
+    ["--out", "{dir}/out", "eval", "--method", "mml", "--checkpoint", "{dir}"],
+])
+def test_bad_path_is_usage_error(argv, cfg_path, tmp_path, capsys):
+    # Each path is refused by the operating system; the CLI reports it as a
+    # usage error (exit 1) with one line on stderr, not a traceback.
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = [arg.format(file=file, dir=tmp_path) for arg in argv]
+    if "--config" not in argv:
+        argv = ["--config", cfg_path, *argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_invalid_config_value_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[system]\nk = 0\n")
@@ -314,6 +334,15 @@ def test_oracle_scores_the_returned_best_iterate(cfg_path, monkeypatch, capsys):
     assert code == cli.EXIT_OK
     assert "wmmse 2.0000  ratio 1.0000" in out
     assert "min 1.0000  mean 1.0000" in out
+
+
+def test_oracle_whose_rates_underflow_is_a_numerical_failure(capsys):
+    # At -400 dB every rate of the grid is 0: the CLI names the instance and
+    # the SNR and exits 2 before it forms the ratio 0/0.
+    code = cli.main(["oracle", "--snr-db", "-400", "--instances", "1"])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: instance 0: ") and "-400 dB" in err
 
 
 def test_oracle_rejects_large_k(tmp_path, capsys):

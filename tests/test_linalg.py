@@ -50,9 +50,9 @@ def test_rank1_sum_length_mismatch():
 
 
 def test_hpd_solve_identity_shift():
-    # A = 0, mu = 1 makes the system (0 + I) x = b, so x = b.
+    # A = 0 shifted by mu = 1 makes the system (0 + I) x = b, so x = b.
     b = np.array([[1.0 + 2j], [3.0 - 1j]])
-    x = hpd_solve(np.zeros((2, 2), dtype=complex), 1.0, b)
+    x = hpd_solve(np.zeros((2, 2), dtype=complex) + np.eye(2), b)
     np.testing.assert_allclose(x, b, atol=0)
 
 
@@ -60,7 +60,7 @@ def test_hpd_solve_diagonal():
     # A = diag(1, 3), mu = 1: x = b / [2, 4].
     a = np.diag([1.0, 3.0]).astype(complex)
     b = np.array([[4.0], [8.0]], dtype=complex)
-    np.testing.assert_allclose(hpd_solve(a, 1.0, b), [[2.0], [2.0]], atol=1e-15)
+    np.testing.assert_allclose(hpd_solve(a + np.eye(2), b), [[2.0], [2.0]], atol=1e-15)
 
 
 def test_hpd_solve_residual():
@@ -71,24 +71,24 @@ def test_hpd_solve_residual():
         a = g @ g.conj().T + 0.1 * np.eye(n)
         b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         mu = float(rng.uniform(0.0, 2.0))
-        x = hpd_solve(a, mu, b)
+        x = hpd_solve(a + mu * np.eye(n), b)
         resid = np.linalg.norm((a + mu * np.eye(n)) @ x - b)
         assert resid <= 1e-10 * max(np.linalg.norm(b), 1.0)
 
 
 def test_hpd_solve_singular_raises():
     with pytest.raises(SingularMatrixError):
-        hpd_solve(np.zeros((2, 2), dtype=complex), 0.0, np.ones((2, 1), dtype=complex))
+        hpd_solve(np.zeros((2, 2), dtype=complex), np.ones((2, 1), dtype=complex))
     h = np.array([[1.0], [1j]])
     rank1 = h @ h.conj().T  # rank 1 in a 2-dim space
     with pytest.raises(SingularMatrixError):
-        hpd_solve(rank1, 0.0, np.ones((2, 1), dtype=complex))
+        hpd_solve(rank1, np.ones((2, 1), dtype=complex))
     # The factorization succeeds, but the pivot 1e-13 is below 1e-12 * trace.
     with pytest.raises(SingularMatrixError):
-        hpd_solve(np.diag([1.0, 1e-13]).astype(complex), 0.0, np.ones(2))
+        hpd_solve(np.diag([1.0, 1e-13]).astype(complex), np.ones(2))
     # A NaN entry factors into NaN pivots, which fail the pivot rule.
     with pytest.raises(SingularMatrixError):
-        hpd_solve(np.diag([np.nan, 1.0]).astype(complex), 0.1, np.ones(2))
+        hpd_solve(np.diag([np.nan, 1.1]).astype(complex), np.ones(2))
 
 
 def test_total_power_examples():
@@ -233,24 +233,21 @@ def test_hpd_solve_batched_rows_match_2d_calls():
     a = g @ np.swapaxes(g, 1, 2).conj() + 0.1 * np.eye(n)
     b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     mu = rng.uniform(0.0, 2.0, size=batch)
-    x = hpd_solve(a, mu, b)
+    shifted = a + mu[:, None, None] * np.eye(n)
+    x = hpd_solve(shifted, b)
     assert x.shape == (batch, n, 2)
     for row in range(batch):
-        np.testing.assert_array_equal(x[row], hpd_solve(a[row], mu[row], b))
-    # A scalar shift applies to every matrix.
-    x0 = hpd_solve(a, 0.5, b)
-    for row in range(batch):
-        np.testing.assert_array_equal(x0[row], hpd_solve(a[row], 0.5, b))
+        np.testing.assert_array_equal(x[row], hpd_solve(shifted[row], b))
 
 
 def test_hpd_solve_batched_raises_on_one_singular_row():
     a = np.stack([np.eye(2), np.eye(2)]).astype(complex)
     b = np.ones((2, 1), dtype=complex)
-    hpd_solve(a, 0.0, b)
+    hpd_solve(a, b)
     h = np.array([[1.0], [1j]])
     a[1] = h @ h.conj().T  # rank 1: the factorization fails at its second pivot
     with pytest.raises(SingularMatrixError):
-        hpd_solve(a, 0.0, b)
+        hpd_solve(a, b)
     a[1] = -np.eye(2)  # indefinite: the factorization itself fails
     with pytest.raises(SingularMatrixError):
-        hpd_solve(a, 0.0, b)
+        hpd_solve(a, b)

@@ -321,17 +321,6 @@ def test_wmmse_fixed_point():
     assert np.abs(v_back - res.v).max() < 1e-5
 
 
-def test_wmmse_explicit_start_is_deterministic():
-    rng = np.random.default_rng(9)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
-    h = rand_h(rng, 2, 2)
-    v0 = mrt_beamformer(h, cfg)
-    a = wmmse_solve(h, cfg, v0=v0)
-    b = wmmse_solve(h, cfg, v0=v0)
-    np.testing.assert_array_equal(a.v, b.v)
-    np.testing.assert_array_equal(a.wsr_trace, b.wsr_trace)
-
-
 def test_directions_lambda_zero_are_unit_matched_filters():
     # lam = 0 gives the matched-filter (MRT) directions, each of unit norm
     rng = np.random.default_rng(10)
@@ -342,6 +331,21 @@ def test_directions_lambda_zero_are_unit_matched_filters():
         assert np.linalg.norm(d[:, k]) == pytest.approx(1.0, rel=1e-12)
         c = np.vdot(h[k], d[:, k]) / np.linalg.norm(h[k])
         assert abs(c) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 3), (4, 2), (2, 3)])
+def test_directions_of_a_grid_equal_its_one_row_calls(n, k):
+    # The oracle solves its whole dual grid in one call: each point's
+    # directions must be the bits of a call on that point alone, and every
+    # column of unit norm.
+    rng = np.random.default_rng(40 + n + k)
+    cfg = SystemConfig(n=n, k=k, sigma2=1.0, p=10.0)
+    h = rand_h(rng, k, n)
+    grid = _simplex_grid(k, cfg.p, 6)
+    d = _directions(h, grid, cfg)
+    assert d.shape == (len(grid), n, k)
+    np.testing.assert_array_equal(d, np.stack([_directions(h, lam, cfg) for lam in grid]))
+    np.testing.assert_allclose(np.linalg.norm(d, axis=-2), 1.0, rtol=1e-12)
 
 
 def test_grid_oracle_k1_closed_form():
@@ -430,7 +434,7 @@ def test_wmmse_converged_flag():
 
 
 def _portfolio(h, cfg, seed, restarts):
-    """The starts wmmse_solve runs when no v0 is given, in its order."""
+    """The starts wmmse_solve runs, in its order."""
     start_rng = np.random.default_rng(seed)
     starts = [mrt_beamformer(h, cfg), zf_beamformer(h, cfg)]
     for _ in range(restarts):
@@ -466,18 +470,16 @@ def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
 
 
 def _assert_solve_matches_reference(h, cfg, seed, restarts=3, eps=1e-8, max_iters=300):
-    """wmmse_solve on the portfolio, and on its last start alone, equals the
-    reference loop field by field (the winner is the first start reaching
-    the best WSR). Returns the reference runs and the winner's index."""
-    starts = _portfolio(h, cfg, seed, restarts)
-    runs = [_reference_run(h, cfg, v0, eps, max_iters) for v0 in starts]
+    """wmmse_solve on the portfolio equals the reference loop of its winning
+    start field by field (the winner is the first start reaching the best
+    WSR). Returns the reference runs and the winner's index."""
+    runs = [_reference_run(h, cfg, v0, eps, max_iters)
+            for v0 in _portfolio(h, cfg, seed, restarts)]
     win = int(np.argmax([run[1].max() for run in runs]))
-    kwargs = {"eps": eps, "max_iters": max_iters}
-    for got, want in ((wmmse_solve(h, cfg, seed=seed, restarts=restarts, **kwargs), runs[win]),
-                      (wmmse_solve(h, cfg, v0=starts[-1], **kwargs), runs[-1])):
-        np.testing.assert_array_equal(got.v, want[0])
-        np.testing.assert_array_equal(got.wsr_trace, want[1])
-        assert (got.iterations, got.converged) == (want[2], want[3])
+    got = wmmse_solve(h, cfg, seed=seed, restarts=restarts, eps=eps, max_iters=max_iters)
+    np.testing.assert_array_equal(got.v, runs[win][0])
+    np.testing.assert_array_equal(got.wsr_trace, runs[win][1])
+    assert (got.iterations, got.converged) == (runs[win][2], runs[win][3])
     return runs, win
 
 
@@ -556,21 +558,3 @@ def test_wmmse_solve_evaluates_couplings_once_per_iterate(monkeypatch):
     for it in range(2, len(searches) + 1):
         kept = stops[stops >= it - 1] >= it
         np.testing.assert_array_equal(searches[it - 1][0], searches[it - 2][1][kept])
-
-
-def test_wmmse_batched_starts_follow_solo_runs():
-    # The portfolio advances all starts as one batch; each must follow the
-    # iterates of the same start run alone, and the first start with the
-    # best WSR wins.
-    rng = np.random.default_rng(17)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
-    h = rand_h(rng, 3, 3)
-    seed, restarts = 4, 3
-    starts = _portfolio(h, cfg, seed, restarts)
-    solo = [wmmse_solve(h, cfg, v0=v0) for v0 in starts]
-    win = int(np.argmax([run.wsr_trace.max() for run in solo]))
-    res = wmmse_solve(h, cfg, seed=seed, restarts=restarts)
-    np.testing.assert_allclose(res.wsr_trace, solo[win].wsr_trace, rtol=1e-12)
-    np.testing.assert_allclose(res.v, solo[win].v, rtol=0, atol=1e-12)
-    assert res.iterations == solo[win].iterations
-    assert res.converged == solo[win].converged
