@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .meta import MetaConfig
 
 METHODS = ("wmmse", "unsupervised", "maml", "maml_no_pretrain", "mml")
+MIN_SNR_DB, MAX_SNR_DB = -400, 120  # in dB; every figure runs clean over this range
 _TOP_LEVEL_COMMA = re.compile(r",(?![^()]*\))")  # a comma outside parentheses
 
 
@@ -110,7 +111,6 @@ class ExperimentConfig:
     # [system]
     n: int = 3
     k: int = 3
-    sigma2: float = 1.0
     snr_db: list = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0])
     alpha: list = None  # None means unit weights
     # [train]
@@ -142,12 +142,12 @@ class ExperimentConfig:
 
 
 def system_for(cfg, snr_db):
-    """SystemConfig at one grid point: P = sigma2 * 10^(snr/10)."""
-    try:
-        p = cfg.sigma2 * 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        p = math.inf  # rejected by SystemConfig like any other P out of range
-    return objective.SystemConfig(n=cfg.n, k=cfg.k, sigma2=cfg.sigma2, p=p, alpha=cfg.alpha)
+    """SystemConfig at one grid point. Configs fix the noise power at 1, so
+    P = 10^(snr/10); an SNR outside [MIN_SNR_DB, MAX_SNR_DB] is rejected."""
+    if not MIN_SNR_DB <= snr_db <= MAX_SNR_DB:
+        raise ValueError(f"SNR must be in [{MIN_SNR_DB}, {MAX_SNR_DB}] dB, "
+                         f"got {format_float(snr_db)}")
+    return objective.SystemConfig(n=cfg.n, k=cfg.k, p=10.0 ** (snr_db / 10.0), alpha=cfg.alpha)
 
 
 def _reason(check, *args):
@@ -186,12 +186,11 @@ def _known_methods(names):
 # One row per key, in echo order: (section, key, attribute path, parser,
 # check). A check returns True or the reason the value is rejected. The
 # [system] keys and train.snr_db have no range check of their own: _validate
-# builds the SystemConfig of every SNR they define, which checks them.
+# calls system_for at every SNR they define, which checks all of them.
 KEYS = (
     ("run", "seed", "seed", int, lambda seed: _reason(seeding.subseed, seed)),
     ("system", "n", "n", int, None),
     ("system", "k", "k", int, None),
-    ("system", "sigma2", "sigma2", float, None),
     ("system", "snr_db", "snr_db", _parse_float_list, _distinct),
     ("system", "alpha", "alpha", _parse_float_list, None),
     ("train", "mix", "train_mix", parse_mix,
@@ -282,15 +281,14 @@ def _validate(cfg, lines):
         verdict = True if check is None else check(_get(cfg, path))
         if verdict is not True:
             fail(f"{section}.{key}: {verdict}", f"{section}.{key}")
-    system = ("system.n", "system.k", "system.sigma2", "system.alpha")
+    system = ("system.n", "system.k", "system.alpha")
     for grid, snrs in (("system.snr_db", cfg.snr_db), ("train.snr_db", [cfg.train_snr_db])):
         for snr in snrs:
             verdict = _reason(system_for, cfg, snr)
             if verdict is not True:
                 keys = system + (grid,)
                 named = [k for k in keys if k in lines] or list(keys)
-                fail(f"{', '.join(named)}: {verdict} (at {grid} = {format_float(snr)})",
-                     *keys)
+                fail(f"{', '.join(named)}: {verdict}", *keys)
     m = cfg.meta
     if m.n_support + m.n_query > cfg.train_size:
         fail(f"meta.n_support + meta.n_query = {m.n_support + m.n_query} exceeds "

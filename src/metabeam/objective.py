@@ -18,8 +18,8 @@ from .linalg import MAX_POWER
 class SystemConfig:
     """Static system description.
 
-    n: transmit antennas. k: single-antenna users. sigma2: noise power.
-    p: transmit power budget (p = sigma2 * 10^(snr_db/10)).
+    n: transmit antennas. k: single-antenna users. sigma2: noise power;
+    configs fix it at 1, so the transmit power budget p = 10^(snr_db/10).
     alpha: per-user rate weights, finite and nonnegative, at least one
     positive; default all ones.
     """

@@ -1,5 +1,6 @@
 """CLI exit codes and subcommand plumbing, driven in-process via main()."""
 
+import csv
 import dataclasses
 import inspect
 import os
@@ -11,7 +12,14 @@ import numpy as np
 import pytest
 
 from metabeam import channels, cli, meta, nn, pipeline, runner, wmmse
-from metabeam.config import METHODS, ExperimentConfig, parse_config, render_config
+from metabeam.config import (
+    MAX_SNR_DB,
+    METHODS,
+    MIN_SNR_DB,
+    ExperimentConfig,
+    parse_config,
+    render_config,
+)
 from metabeam.errors import NumericalError, SingularMatrixError
 from metabeam.meta import MetaConfig
 
@@ -59,9 +67,14 @@ def test_method_and_figure_choices_come_from_their_owners(capsys):
 
 
 def test_out_of_range_snr_flag_is_usage_error(capsys):
-    # 10^(4000/10) overflows a float; the power is rejected, not a traceback
-    assert cli.main(["gradcheck", "--draws", "1", "--snr-db", "4000"]) == cli.EXIT_USAGE
-    assert "p in (0" in capsys.readouterr().err
+    # system_for holds the one SNR range, so the flag is rejected as a
+    # config SNR is: one line and exit 1, before anything runs
+    for argv in (["gradcheck", "--draws", "1"], ["oracle", "--instances", "1"]):
+        for snr in ("121", "-401", "4000", "nan"):
+            assert cli.main([*argv, "--snr-db", snr]) == cli.EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: SNR must be in [{MIN_SNR_DB}, {MAX_SNR_DB}] dB, got {snr}\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -312,6 +325,30 @@ def test_figure_subcommand(cfg_path, tmp_path, capsys):
                      "--figure", "fig7"])
     assert code == cli.EXIT_OK
     assert os.path.exists(os.path.join(out, "fig7.csv"))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("snr", [MIN_SNR_DB, MAX_SNR_DB])
+@pytest.mark.parametrize("figure", sorted(runner.FIGURE_CHANNELS))
+def test_figure_runs_clean_at_the_snr_range_edges(figure, snr, tmp_path, capsys):
+    # Both SNR grids at one edge of the accepted range: every method trains,
+    # adapts and is scored without a RuntimeWarning (an error in this suite)
+    # and writes finite rows.
+    meta = MetaConfig(width=8, epochs=1, n_support=4, n_query=4, n_tasks=2, batch_size=8,
+                      adapt_steps=1)
+    cfg = ExperimentConfig(
+        snr_db=[float(snr)], train_snr_db=float(snr), train_size=24, test_size=6,
+        test_seeds=1, slots=3, slot_size=6, meta=meta, capacity=4, wmmse_restarts=1,
+    )
+    path = tmp_path / "edge.cfg"
+    path.write_text(render_config(cfg))
+    out = tmp_path / "out"
+    code = cli.main(["--config", str(path), "--out", str(out), "figure", "--figure", figure])
+    assert code == cli.EXIT_OK
+    with open(out / f"{figure}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["method"] for r in rows} == set(METHODS)
+    assert np.isfinite([[float(r["wsr_mean"]), float(r["wsr_std"])] for r in rows]).all()
     capsys.readouterr()
 
 

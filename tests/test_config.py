@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from metabeam.channels import ChannelModelSpec
 from metabeam.config import (
     KEYS,
+    MAX_SNR_DB,
     METHODS,
+    MIN_SNR_DB,
     ExperimentConfig,
     format_float,
     parse_channel_term,
@@ -142,8 +144,8 @@ def test_echo_round_trip_modified_config():
         n = 2
         k = 2
         alpha = 0.5, 1.5
-        sigma2 = 0.3333333333
         [train]
+        snr_db = 0.3333333333
         mix = nakagami(m=3)=0.123456789, rician(kappa=3.14159265)=0.876543211
         [test]
         channel = rician(kappa=7)
@@ -163,7 +165,7 @@ def test_echo_round_trip_modified_config():
     assert echoed == cfg
     assert echoed.alpha == [0.5, 1.5]
     # full-precision values that `:g` would shorten to a different float
-    assert (echoed.sigma2, echoed.meta.inner_lr) == (0.3333333333, 0.0123456789)
+    assert (echoed.train_snr_db, echoed.meta.inner_lr) == (0.3333333333, 0.0123456789)
     assert echoed.train_mix[1][0].kappa == 3.14159265
     assert echoed.emit_json is True
 
@@ -186,6 +188,12 @@ def test_validation_errors():
         parse_config_text("[memory]\ncapacity = 8\nadapt_steps = 5\n")
 
 
+def test_sigma2_is_an_unknown_key():
+    # Configs fix the noise power at 1; only the SNR sets the power budget.
+    with pytest.raises(ConfigError, match=r"^line 2: unknown key 'system\.sigma2'$"):
+        parse_config_text("[system]\nsigma2 = 1\n")
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -203,16 +211,17 @@ def test_validation_errors():
         ("[meta]\ninner_steps = -1\n", "meta.inner_steps"),
         ("[meta]\nadapt_steps = -2\n", "meta.adapt_steps"),
         ("[eval]\nwmmse_restarts = -1\n", "eval.wmmse_restarts"),
-        ("[system]\nsigma2 = -1\n", "system.sigma2"),
-        ("[system]\nsigma2 = 0\n", "system.sigma2"),
-        ("[system]\nsigma2 = nan\n", "system.sigma2"),
         ("[system]\nsnr_db = 0, inf\n", "system.snr_db"),
         ("[train]\nsnr_db = nan\n", "train.snr_db"),
-        # P = sigma2 * 10^(snr/10) outside (0, 1e100]
+        # SNR outside [MIN_SNR_DB, MAX_SNR_DB] = [-400, 120] dB
         ("[system]\nsnr_db = 0, 1001\n", "system.snr_db"),
         ("[system]\nsnr_db = -4000\n", "system.snr_db"),
         ("[system]\nsnr_db = 4000\n", "system.snr_db"),
         ("[train]\nsnr_db = 2000\n", "train.snr_db"),
+        ("[system]\nsnr_db = 0, 120.001\n", "system.snr_db"),
+        ("[system]\nsnr_db = -400.001\n", "system.snr_db"),
+        ("[train]\nsnr_db = 120.001\n", "train.snr_db"),
+        ("[train]\nsnr_db = -400.001\n", "train.snr_db"),
         ("[system]\nalpha = nan, 1, 1\n", "system.alpha"),
         ("[system]\nalpha = -1, 1, 1\n", "system.alpha"),
         ("[system]\nk = 3\nalpha = 1, 1\n", "system.alpha"),
@@ -311,6 +320,9 @@ _SPECS = st.one_of(
     st.builds(ChannelModelSpec, st.just("rician"), kappa=_floats(0.0, 50.0)),
     st.builds(ChannelModelSpec, st.just("nakagami"), m=_floats(1e-3, 50.0)),
 )
+# every accepted SNR, with the edges of the range drawn often
+_SNRS = (st.sampled_from([float(MIN_SNR_DB), float(MAX_SNR_DB)])
+         | _floats(MIN_SNR_DB, MAX_SNR_DB))
 
 
 @st.composite
@@ -331,13 +343,11 @@ def _configs(draw):
     )
     return ExperimentConfig(
         seed=ints(0, 2**32 - 1), n=ints(1, 8), k=k,
-        sigma2=draw(_floats(1e-3, 1e3)),
-        snr_db=draw(st.lists(_floats(-100.0, 100.0), min_size=1, max_size=5,
-                             unique=True)),
+        snr_db=draw(st.lists(_SNRS, min_size=1, max_size=5, unique=True)),
         alpha=draw(st.none() | st.lists(_floats(0.0, 10.0), min_size=k, max_size=k)
                    .filter(any)),  # at least one positive weight
         train_mix=[(draw(_SPECS), frac), (draw(_SPECS), 1.0 - frac)],
-        train_size=train_size, train_snr_db=draw(_floats(-100.0, 100.0)),
+        train_size=train_size, train_snr_db=draw(_SNRS),
         test_channel=draw(_SPECS), test_size=ints(1, 500), test_seeds=ints(1, 10),
         slots=ints(1, 100), slot_size=ints(1, 100), meta=meta,
         capacity=ints(0, 256),

@@ -30,12 +30,13 @@ def tiny_cfg(**overrides):
 
 
 def test_system_for_power_grid():
-    cfg = tiny_cfg(sigma2=2.0)
-    sys_cfg = system_for(cfg, 10.0)
-    assert sys_cfg.p == pytest.approx(20.0)
-    assert sys_cfg.sigma2 == 2.0
-    assert (sys_cfg.n, sys_cfg.k) == (2, 2)
-    assert system_for(cfg, 0.0).p == pytest.approx(2.0)
+    # the noise power is the unit, so the power budget is the linear SNR
+    cfg = tiny_cfg()
+    for snr in (-400.0, 0.0, 10.0, 7.5, 120.0):
+        sys_cfg = system_for(cfg, snr)
+        assert sys_cfg.p == 10 ** (snr / 10)
+        assert sys_cfg.sigma2 == 1.0
+        assert (sys_cfg.n, sys_cfg.k) == (2, 2)
 
 
 def test_train_dataset_and_init_are_method_independent():
