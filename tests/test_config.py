@@ -211,6 +211,10 @@ def test_sigma2_is_an_unknown_key():
         ("[meta]\ninner_steps = -1\n", "meta.inner_steps"),
         ("[meta]\nadapt_steps = -2\n", "meta.adapt_steps"),
         ("[eval]\nwmmse_restarts = -1\n", "eval.wmmse_restarts"),
+        # sigma2 is no key at all now; any value of it fails as unknown
+        ("[system]\nsigma2 = -1\n", "system.sigma2"),
+        ("[system]\nsigma2 = 0\n", "system.sigma2"),
+        ("[system]\nsigma2 = nan\n", "system.sigma2"),
         ("[system]\nsnr_db = 0, inf\n", "system.snr_db"),
         ("[train]\nsnr_db = nan\n", "train.snr_db"),
         # SNR outside [MIN_SNR_DB, MAX_SNR_DB] = [-400, 120] dB
