@@ -3,8 +3,9 @@
 All routines work on numpy complex128 arrays, over any leading batch axes.
 A channel is a (K, N) array of K row vectors; beamformer matrices are
 (N, K) with one column per user.
-hpd_solve is the package's one Hermitian positive definite solve: each caller
-builds the matrix it factors (S + mu I included), and all share its policy.
+hpd_solve is the one Hermitian positive definite solve of the twin, the tape
+and the grid oracle: each builds the matrix it factors (S + mu I included).
+Its singularity policy, check_pivots, also guards the WMMSE solver's solve.
 """
 
 from functools import lru_cache
@@ -72,8 +73,14 @@ def hpd_solve(s, b):
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("S is not positive definite") from exc
-    pivots = chol.diagonal(axis1=-2, axis2=-1).real ** 2
-    trace = s.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    check_pivots(chol.diagonal(axis1=-2, axis2=-1).real ** 2,
+                 s.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1))
+    return np.linalg.solve(s, b)  # broadcasts a shared b over the batch
+
+
+def check_pivots(pivots, trace):
+    """The one singularity policy: SingularMatrixError unless each pivot
+    (..., N) (squared Cholesky diagonal, or eigenvalue) > PIVOT_RTOL * trace."""
     threshold = PIVOT_RTOL * np.maximum(trace, TINY)
     # one pass over the pivots (a NaN fails it); per-matrix minima cost more
     if not (pivots > threshold[..., None]).all():
@@ -81,7 +88,6 @@ def hpd_solve(s, b):
             f"pivot below threshold (smallest pivot/threshold ratio "
             f"{np.min(pivots.min(axis=-1) / threshold):.3e})"
         )
-    return np.linalg.solve(s, b)  # broadcasts a shared b over the batch
 
 
 def total_power(v):

@@ -13,8 +13,8 @@ twin's own code: the nets' layer loop (nn.mlp_forward), the output maps
 (linalg.hpd_solve; built as in wmmse.reconstruct_v, the twin's), the column
 scales (wmmse.column_scales), the power projection (linalg.scale_to_power)
 and the rate terms (objective.gains and objective.signal_denom). So the
-tape's beamformers equal the twin's to the bit, and the solver, the twin and
-the tape share one singularity policy.
+tape's beamformers equal the twin's to the bit; the twin, the tape and the
+solver's eigenbasis solve share one singularity policy, linalg.check_pivots.
 
 Input encoding (per sample, length 4*N*K):
     [Re H (row-major K x N), Im H, Re V_cur (row-major N x K), Im V_cur]
@@ -222,7 +222,7 @@ def predict_beamformers(params, h_batch, cfg):
 
     The three nets run through nn.mlp_forward, the loop of the tape's mlp
     nodes, and _heads maps their outputs to (u, w, mu); the triples go
-    through the solver's reconstruction (wmmse.reconstruct_v), then onto the
+    through wmmse.reconstruct_v (the solver's V to rounding), then onto the
     power budget.
     """
     h_batch = np.asarray(h_batch, dtype=np.complex128)

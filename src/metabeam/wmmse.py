@@ -9,7 +9,8 @@ and reconstruct_v also take a leading batch axis (one row per start), and
 solve_mu takes rows only: one start is a one-row call. reconstruct_v and
 assemble_s also take a channel batch, for the forward-only predictor twin
 (pipeline.predict_beamformers) and the tape, and so does mrt_beamformer,
-which gives the predictor's reference beamformer. Rates and the (u, w)
+which gives the predictor's reference beamformer; the solver instead gets
+V from solve_mu's eigenbasis of S (_solve_in_basis). Rates and the (u, w)
 updates come from objective's one rate core: the solver evaluates each
 iterate's couplings once, and they feed its rate, the next u and the next w.
 """
@@ -25,6 +26,7 @@ from .linalg import (
     PIVOT_RTOL,
     TINY,
     _identity,
+    check_pivots,
     hermitian_rank1_sum,
     hpd_solve,
     normalize_to_power,
@@ -80,25 +82,37 @@ def assemble_s(h, u, w, cfg):
     return hermitian_rank1_sum(coeffs, h)
 
 
-def reconstruct_v(h, u, w, mu, cfg, s=None, scales=None):
-    """Closed-form beamformer v_k = alpha_k w_k u_k (S + mu I)^{-1} h_k.
+def reconstruct_v(h, u, w, mu, cfg):
+    """Closed-form beamformer v_k = alpha_k w_k u_k (S + mu I)^{-1} h_k, by
+    hpd_solve (the solver gets the same V from _solve_in_basis).
 
     u (complex) and w (real) are (K,) with a scalar mu, or rows (S, K) with
     mu (S,). h is one (K, N) channel shared by every row, or a channel batch
-    (B, K, N) with one (u, w, mu) row per channel. s and scales, when
-    given, are S and column_scales already computed from the same (u, w);
-    S + mu I is built here, as autodiff.csolve_hpd builds it.
+    (B, K, N) with one (u, w, mu) row per channel. S + mu I is built here,
+    as autodiff.csolve_hpd builds it.
     """
-    if s is None:
-        s = assemble_s(h, u, w, cfg)
-    if scales is None:
-        scales = column_scales(u, w, cfg)
+    s = assemble_s(h, u, w, cfg)
     shifted = s + np.asarray(mu)[..., None, None] * _identity(s.shape[-1])
     x = hpd_solve(shifted, np.swapaxes(h, -1, -2))  # (S + mu I)^{-1} h_k
-    return x * scales[..., None, :]
+    return x * column_scales(u, w, cfg)[..., None, :]
 
 
-def solve_mu(h, u, w, cfg, max_iters=200, s=None, scales=None, mu0=None):
+def _eigenbasis(s, h):
+    """(eigs, q, qh = Q^H h^T (S, N, K)) of each row's S = Q diag(eigs) Q^H."""
+    eigs, q = np.linalg.eigh(s)
+    return eigs, q, q.swapaxes(1, 2).conj() @ h.T
+
+
+def _solve_in_basis(basis, mu, scales):
+    """reconstruct_v's V to rounding: Q diag(1/(eigs + mu)) Q^H h_k times the
+    scales (S, K), on the raw eigenvalues of S + mu I, under check_pivots."""
+    eigs, q, qh = basis
+    d = eigs + mu[:, None]
+    check_pivots(d, np.add.reduce(d, axis=-1))
+    return (q @ (qh / d[..., None])) * scales[:, None, :]
+
+
+def solve_mu(h, u, w, cfg, max_iters=200, s=None, scales=None, mu0=None, basis=None):
     """Smallest mu >= 0 putting the reconstructed power at the budget.
 
     u (complex) and w (real) are (S, K) rows, one triple each, and h is the
@@ -120,21 +134,21 @@ def solve_mu(h, u, w, cfg, max_iters=200, s=None, scales=None, mu0=None):
     is slack (the unconstrained optimum). The mu -> 0+ limit of the
     reconstruction is still finite because every scaled column h_k lies in
     the range of S, so instead of 0 this returns a floor proportional to
-    trace(S) that keeps the downstream Cholesky solve positive definite and
-    perturbs that limit by a negligible relative amount.
+    trace(S) that keeps the downstream solve of S + mu I positive definite
+    and perturbs that limit by a negligible relative amount.
 
-    s and scales, when given, are S (S, N, N) and column_scales (S, K)
-    already computed from the same rows.
+    s, scales and basis, when given, are S (S, N, N), column_scales (S, K)
+    and _eigenbasis(S, h) (then s is unread) from the same rows.
     """
     scales2 = np.abs(column_scales(u, w, cfg) if scales is None else scales) ** 2
     if (scales2 == 0.0).all(axis=-1).any():
         raise DegenerateInputError("all reconstruction scales are zero")
-    if s is None:
-        s = assemble_s(h, u, w, cfg)
     # One Hermitian eigendecomposition per row turns each power evaluation
     # into a rational function of mu: power(mu) = sum_n c[n] / (eig_n + mu)^2.
-    eigs, q = np.linalg.eigh(s)
-    proj = np.abs(q.swapaxes(1, 2).conj() @ h.T) ** 2  # |q_n^H h_k|^2
+    if basis is None:
+        basis = _eigenbasis(assemble_s(h, u, w, cfg) if s is None else s, h)
+    eigs, _, qh = basis
+    proj = np.abs(qh) ** 2  # |q_n^H h_k|^2
     c = np.add.reduce(scales2[:, None, :] * proj, axis=-1)
     # Eigenvalues at rounding scale are exact zeros of S, and their terms of
     # c are rounding noise too (each scaled column h_k lies in the range of
@@ -215,7 +229,7 @@ def wmmse_solve(h, cfg, seed=0, eps=1e-8, max_iters=300, restarts=3):
     compute_u, compute_w and objective.wsr give. Each start's mu search
     begins at its mu of the previous iterate (solve_mu's mu0; pass 1
     starts at mu = 0), so a start whose power is still in the band there
-    takes no Newton step.
+    takes no Newton step. V is solved in the search's eigenbasis of S.
     Always returns the best iterate seen; the returned trace belongs to the
     winning start (the first one reaching the best WSR).
     """
@@ -239,10 +253,10 @@ def wmmse_solve(h, cfg, seed=0, eps=1e-8, max_iters=300, restarts=3):
     mu = None  # each running start's mu; pass 1 searches from mu = 0
     for it in range(1, max_iters + 1):
         u, w = _receivers_and_weights(g, a2, sinr, cfg)
-        s = assemble_s(h, u, w, cfg)  # shared by the mu search and the solve
-        scales = column_scales(u, w, cfg)  # and so are the column scales
-        mu = solve_mu(h, u, w, cfg, s=s, scales=scales, mu0=mu)
-        v_new = reconstruct_v(h, u, w, mu, cfg, s=s, scales=scales)
+        basis = _eigenbasis(assemble_s(h, u, w, cfg), h)  # S's one factorization
+        scales = column_scales(u, w, cfg)  # shared by the mu search and the solve
+        mu = solve_mu(h, u, w, cfg, scales=scales, mu0=mu, basis=basis)
+        v_new = _solve_in_basis(basis, mu, scales)
         g, a2, sinr = _couplings(h, v_new, cfg)
         wsr = run_traces[:, it] = objective.wsr_from_sinr(sinr, cfg)
         gain = wsr > run_best_wsr
@@ -299,7 +313,7 @@ def grid_oracle(h, cfg, grid_steps=41):
         raise ValueError("grid_steps must be at least 5")
     h = np.asarray(h, dtype=np.complex128)
     grid = _simplex_grid(cfg.k, cfg.p, grid_steps)  # lam and p share it
-    amplitudes = np.sqrt(grid)[:, None, :]  # of every power split at once
-    # the directions of every dual point come from one solve
-    return max(float(np.max(objective.wsr(h, d * amplitudes, cfg)))
-               for d in _directions(h, grid, cfg))
+    # one solve and one gains call for all dual points; V = d sqrt(p) scales column j by p_j
+    a2 = np.abs(objective.gains(h, _directions(h, grid, cfg))) ** 2
+    return max(float(np.max(objective.wsr_from_sinr(
+        objective.sinr_from_couplings(a2_l * grid[:, None, :], cfg), cfg))) for a2_l in a2)

@@ -21,14 +21,18 @@ from metabeam.errors import CapabilityError, DegenerateInputError, SingularMatri
 from metabeam.linalg import (
     PIVOT_RTOL,
     hermitian_rank1_sum,
+    hpd_solve,
     normalize_to_power,
     total_power,
 )
-from metabeam.objective import SystemConfig, all_sinr, wsr
+from metabeam.objective import SystemConfig, all_sinr, gains, wsr
 from metabeam.wmmse import (
     _directions,
+    _eigenbasis,
     _simplex_grid,
+    _solve_in_basis,
     assemble_s,
+    column_scales,
     compute_u,
     compute_w,
     grid_oracle,
@@ -265,6 +269,63 @@ def test_solve_mu_degenerate_zero_components():
         solve_mu(h, np.zeros((1, 2), complex), np.ones((1, 2)), cfg)
 
 
+@pytest.mark.parametrize("n, k", [(3, 3), (4, 2)])
+def test_solve_in_basis_equals_reconstruct_v(n, k):
+    # The solver's V step solves S + mu I in solve_mu's eigenbasis of S; on
+    # the same rows it gives reconstruct_v's hpd_solve to rounding, and the
+    # basis changes no bit of mu. With K < N, S is rank deficient, and rows
+    # with a slack budget sit at the floor mu, where S + mu I has a
+    # condition number near 1e10: there both solves carry null-space
+    # rounding noise of about 1e-6 ||V|| that no gain h_j^H v_k sees, so
+    # those rows agree to 1e-12 on their gains and to 1e-5 on V.
+    floor_rows = 0
+    for snr_db in (0, 10, 20, 30, 40):
+        rng = np.random.default_rng(40 + snr_db)
+        cfg = SystemConfig(n=n, k=k, p=10.0 ** (snr_db / 10))
+        h = rand_h(rng, k, n)
+        v = normalize_to_power(rng.standard_normal((8, n, k))
+                               + 1j * rng.standard_normal((8, n, k)), cfg.p)
+        u, w = compute_u(h, v, cfg), compute_w(h, v, cfg)
+        s = assemble_s(h, u, w, cfg)
+        basis = _eigenbasis(s, h)
+        mu = solve_mu(h, u, w, cfg, s=s, basis=basis)
+        np.testing.assert_array_equal(mu, solve_mu(h, u, w, cfg, s=s))
+        got = _solve_in_basis(basis, mu, column_scales(u, w, cfg))
+        want = reconstruct_v(h, u, w, mu, cfg)
+        floor = 100.0 * PIVOT_RTOL * np.trace(s, axis1=1, axis2=2).real
+        at_floor = np.isclose(mu, floor, rtol=1e-6, atol=0.0)
+        floor_rows += int(at_floor.sum())
+        for row in range(8):
+            size = np.linalg.norm(want[row])
+            if at_floor[row]:
+                g = gains(h, want[row])
+                assert np.linalg.norm(gains(h, got[row]) - g) <= 1e-12 * np.linalg.norm(g)
+            assert np.linalg.norm(got[row] - want[row]) <= (
+                1e-5 if at_floor[row] else 1e-12) * size
+    assert (floor_rows > 0) == (k < n)
+
+
+@pytest.mark.parametrize("case", ["rank deficient", "eigenvalue hit", "nan"])
+def test_solve_in_basis_refuses_what_hpd_solve_refuses(case):
+    # One bad row among good ones: mu = 0 on a rank-deficient S (K < N),
+    # mu = -lambda_min (S + mu I singular to the bit), or a NaN mu.
+    n, k = (4, 2) if case == "rank deficient" else (3, 3)
+    rng = np.random.default_rng(16)
+    cfg = SystemConfig(n=n, k=k, p=10.0)
+    h = rand_h(rng, k, n)
+    u = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+    w = rng.uniform(1.0, 5.0, size=(3, k))
+    s = assemble_s(h, u, w, cfg)
+    basis = _eigenbasis(s, h)
+    mu = np.ones(3)
+    mu[1] = {"rank deficient": 0.0, "eigenvalue hit": -basis[0][1, 0], "nan": np.nan}[case]
+    with pytest.raises(SingularMatrixError):
+        _solve_in_basis(basis, mu, column_scales(u, w, cfg))
+    with pytest.raises(SingularMatrixError):
+        hpd_solve(s + mu[:, None, None] * np.eye(n), h.T)
+    _solve_in_basis(basis, np.ones(3), column_scales(u, w, cfg))  # the good rows pass
+
+
 def test_start_portfolio_beamformers():
     rng = np.random.default_rng(5)
     cfg = SystemConfig(n=3, k=2, sigma2=1.0, p=10.0)
@@ -447,9 +508,9 @@ def _portfolio(h, cfg, seed, restarts):
 def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
     """The textbook WMMSE iterate for one start, each step recomputed from
     the last V: (u, w), S, mu (searched from the previous iterate's mu), the
-    closed-form V and its rate. Stops on ||V_new - V||_F < eps; returns
-    (best V, WSR trace, iterations, converged), the best V being the first
-    iterate with the largest WSR."""
+    closed-form V (solved in the eigenbasis of S) and its rate. Stops on
+    ||V_new - V||_F < eps; returns (best V, WSR trace, iterations,
+    converged), the best V being the first iterate with the largest WSR."""
     v = v0[None]
     trace = [wsr(h, v, cfg)[0]]
     best_v = v[0]
@@ -458,7 +519,7 @@ def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
         u, w = compute_u(h, v, cfg), compute_w(h, v, cfg)
         s = assemble_s(h, u, w, cfg)
         mu = solve_mu(h, u, w, cfg, s=s, mu0=mu)
-        v_new = reconstruct_v(h, u, w, mu, cfg, s=s)
+        v_new = _solve_in_basis(_eigenbasis(s, h), mu, column_scales(u, w, cfg))
         trace.append(wsr(h, v_new, cfg)[0])
         if trace[-1] > max(trace[:-1]):
             best_v = v_new[0]
