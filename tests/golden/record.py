@@ -1,17 +1,19 @@
-"""Record the golden reduced figure that tests/test_golden.py compares.
+"""Record the golden reduced figures that tests/test_golden.py compares.
 
     PYTHONPATH=src python tests/golden/record.py [--diff]
 
-Runs `metabeam figure --figure fig6` on golden.cfg and stores next to this
-file what the run wrote: the figure CSV, each training log without its
-wall_time column (a timing, not a result) and both checkpoints.
+Runs `metabeam figure` for each entry of GOLDENS: fig6 on golden.cfg,
+recorded next to this file, and fig5 on verbatim.cfg, recorded in
+verbatim/. It stores what each run wrote: the figure CSV, each training log
+without its wall_time column (a timing, not a result) and both checkpoints.
 Re-record only with a change that alters results on purpose, and list the
 largest difference per method with that change.
 
-With --diff it writes nothing: it reruns the figure and prints, for each
-recorded file, `identical` or the largest relative difference of its numbers
-per method (rows of the figure, losses of a log, parameters of a
-checkpoint). It exits 1 when some file differs.
+With --diff it writes nothing: it reruns the figures and prints, for each
+recorded file (named relative to this directory), `identical` or the
+largest relative difference of its numbers per method (rows of the figure,
+losses of a log, parameters of a checkpoint). It exits 1 when some file
+differs.
 """
 
 import argparse
@@ -25,25 +27,30 @@ import numpy as np
 from metabeam import cli, nn
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-CONFIG = os.path.join(HERE, "golden.cfg")
-FIGURE = "fig6"
+# (config, figure, directory of its record) of each golden figure
+GOLDENS = (
+    (os.path.join(HERE, "golden.cfg"), "fig6", HERE),
+    (os.path.join(HERE, "verbatim.cfg"), "fig5", os.path.join(HERE, "verbatim")),
+)
 
 
-def _kept(name):
-    return name == f"{FIGURE}.csv" or name.endswith(("_train.csv", ".ckpt"))
+def kept_names(figure, directory):
+    """The names in directory of the files a run of figure records."""
+    return sorted(name for name in os.listdir(directory)
+                  if name == f"{figure}.csv" or name.endswith(("_train.csv", ".ckpt")))
 
 
 def _without_wall_time(text):
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
 
 
-def run(out_dir):
-    """Run the golden figure into out_dir; returns {file name: bytes kept}."""
-    code = cli.main(["--config", CONFIG, "--out", out_dir, "figure", "--figure", FIGURE])
+def run(config, figure, out_dir):
+    """Run one golden figure into out_dir; returns {file name: bytes kept}."""
+    code = cli.main(["--config", config, "--out", out_dir, "figure", "--figure", figure])
     if code != cli.EXIT_OK:
         raise RuntimeError(f"metabeam figure exited with {code}")
     kept = {}
-    for name in sorted(filter(_kept, os.listdir(out_dir))):
+    for name in kept_names(figure, out_dir):
         with open(os.path.join(out_dir, name), "rb") as fh:
             data = fh.read()
         if name.endswith("_train.csv"):
@@ -77,44 +84,56 @@ def _largest_rel_diff(got, want):
     return f"largest relative difference {np.max(np.abs(got - want) / scale):.3e}"
 
 
-def diff():
-    """Print how a fresh run differs from the recorded files; 1 if any does."""
+def _diff(config, figure, directory):
+    """Print how a fresh run of one figure differs from its record; True if
+    some file does."""
     differs = False
     with tempfile.TemporaryDirectory() as out_dir:
-        kept = run(out_dir)
-        recorded = sorted(filter(_kept, os.listdir(HERE)))
+        kept = run(config, figure, out_dir)
+        recorded = kept_names(figure, directory)
         for name in sorted(set(kept) | set(recorded)):
+            shown = os.path.relpath(os.path.join(directory, name), HERE)
             if name not in kept or name not in recorded:
-                print(f"{name}: {'not written' if name in recorded else 'not recorded'}")
+                print(f"{shown}: {'not written' if name in recorded else 'not recorded'}")
                 differs = True
                 continue
-            with open(os.path.join(HERE, name), "rb") as fh:
+            with open(os.path.join(directory, name), "rb") as fh:
                 if fh.read() == kept[name]:
-                    print(f"{name}: identical")
+                    print(f"{shown}: identical")
                     continue
             differs = True
             got = _numbers(name, os.path.join(out_dir, name))
-            want = _numbers(name, os.path.join(HERE, name))
+            want = _numbers(name, os.path.join(directory, name))
             for method in sorted(set(got) | set(want)):
                 if method not in got or method not in want:
-                    print(f"{name}: {method} only in the {'run' if method in got else 'record'}")
+                    print(f"{shown}: {method} only in the "
+                          f"{'run' if method in got else 'record'}")
                 else:
-                    print(f"{name}: {method} {_largest_rel_diff(got[method], want[method])}")
-    return 1 if differs else 0
+                    print(f"{shown}: {method} {_largest_rel_diff(got[method], want[method])}")
+    return differs
+
+
+def diff():
+    """Print how fresh runs differ from the recorded files; 1 if any does."""
+    differs = [_diff(*golden) for golden in GOLDENS]
+    return 1 if any(differs) else 0
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="Record the golden reduced figure.")
+    parser = argparse.ArgumentParser(description="Record the golden reduced figures.")
     parser.add_argument("--diff", action="store_true",
-                        help="compare a fresh run with the record and write nothing")
+                        help="compare fresh runs with the record and write nothing")
     if parser.parse_args(argv).diff:
         return diff()
-    with tempfile.TemporaryDirectory() as out_dir:
-        kept = run(out_dir)
-    for name, data in kept.items():
-        with open(os.path.join(HERE, name), "wb") as fh:
-            fh.write(data)
-        print(f"wrote {name}")
+    for config, figure, directory in GOLDENS:
+        with tempfile.TemporaryDirectory() as out_dir:
+            kept = run(config, figure, out_dir)
+        os.makedirs(directory, exist_ok=True)
+        for name, data in kept.items():
+            path = os.path.join(directory, name)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            print(f"wrote {os.path.relpath(path, HERE)}")
     return 0
 
 

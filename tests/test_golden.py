@@ -1,14 +1,16 @@
-"""The golden reduced figure: `metabeam figure` reproduces its recorded outputs.
+"""The golden reduced figures: `metabeam figure` reproduces their recorded outputs.
 
 tests/golden/record.py wrote the expected figure rows, training losses and
-checkpoints. The learned methods' rows, the losses and the checkpoints must
-match to rtol 1e-12: perturbing the initialization by 4e-16 relative moved
-the rows by at most 2.5e-15, so this passes on another CPU's BLAS kernels
-and fails on any change of substance. The wmmse rows get rtol 1e-9, the
-relative width of the solver's power band, inside which an equally valid
-multiplier search moved the rate by up to 3.6e-10 (bisection to Newton) and
-starting each search at the previous iterate's mu moved the rows by up to
-5.8e-11, both without re-recording.
+checkpoints of each figure: fig6 on golden.cfg, and fig5 on verbatim.cfg,
+which runs the verbatim loss, the union ranking pool and non-unit weights.
+Both figures get the same tolerances. The learned methods' rows, the losses
+and the checkpoints must match to rtol 1e-12: perturbing the initialization
+by 4e-16 relative moved the fig6 rows by at most 2.5e-15, so this passes on
+another CPU's BLAS kernels and fails on any change of substance. The wmmse
+rows get rtol 1e-9, the relative width of the solver's power band, inside
+which an equally valid multiplier search moved the rate by up to 3.6e-10
+(bisection to Newton) and starting each search at the previous iterate's mu
+moved the rows by up to 5.8e-11, both without re-recording.
 """
 
 import csv
@@ -20,7 +22,6 @@ import numpy as np
 from golden import record
 from metabeam import nn
 
-GOLDEN = Path(record.HERE)
 LEARNED_RTOL = 1e-12
 WMMSE_RTOL = 1e-9
 
@@ -58,14 +59,24 @@ def _check_checkpoint(got_path, want_path):
     np.testing.assert_allclose(nn.pack(got), nn.pack(want), rtol=LEARNED_RTOL, atol=0)
 
 
-def test_golden_reduced_figure(tmp_path):
-    got = record.run(str(tmp_path))
-    want = sorted(p.name for p in GOLDEN.iterdir() if p.suffix in (".csv", ".ckpt"))
+def _check_figure(golden, tmp_path):
+    config, figure, directory = golden
+    got = record.run(config, figure, str(tmp_path))
+    want = record.kept_names(figure, directory)
     assert sorted(got) == want
     for name in want:
-        if name == f"{record.FIGURE}.csv":
-            _check_rows(got[name], (GOLDEN / name).read_bytes())
+        recorded = Path(directory, name)
+        if name == f"{figure}.csv":
+            _check_rows(got[name], recorded.read_bytes())
         elif name.endswith("_train.csv"):
-            _check_losses(got[name], (GOLDEN / name).read_bytes())
+            _check_losses(got[name], recorded.read_bytes())
         else:
-            _check_checkpoint(str(tmp_path / name), str(GOLDEN / name))
+            _check_checkpoint(str(tmp_path / name), str(recorded))
+
+
+def test_golden_reduced_figure(tmp_path):
+    _check_figure(record.GOLDENS[0], tmp_path)
+
+
+def test_golden_verbatim_figure(tmp_path):
+    _check_figure(record.GOLDENS[1], tmp_path)
