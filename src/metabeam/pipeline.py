@@ -27,11 +27,7 @@ from . import autodiff as ad
 from . import nn, objective, wmmse
 from .linalg import normalize_to_power, scale_to_power
 
-MU_FLOOR_SCALE = 1e-4  # mu >= MU_FLOOR_SCALE * sigma2 keeps the solve definite
-
-
-def mu_floor(cfg):
-    return MU_FLOOR_SCALE * cfg.sigma2
+MU_FLOOR = 1e-4  # predicted mu >= MU_FLOOR keeps the solve definite
 
 
 def encode_features(h_batch, v_current):
@@ -128,13 +124,13 @@ def _heads(u_raw, w_raw, mu_raw, cfg):
     leading axes.
 
     u is read as K (re, im) pairs; w = 1 + softplus(.) >= 1 mirrors the
-    weight identity w = 1 + SINR; mu = softplus(.) + mu_floor stays positive
+    weight identity w = 1 + SINR; mu = softplus(.) + MU_FLOOR stays positive
     so the downstream solve is always definite.
     """
     k = cfg.k
     u = u_raw[..., :k] + 1j * u_raw[..., k:]
     w = 1.0 + np.logaddexp(0.0, w_raw)
-    mu = np.logaddexp(0.0, mu_raw[..., 0]) + mu_floor(cfg)
+    mu = np.logaddexp(0.0, mu_raw[..., 0]) + MU_FLOOR
     return u, w, mu
 
 
@@ -162,9 +158,9 @@ def _rate_loss(tape, x, u_raw, w_raw, sig_w, u, w, h_batch, h_t, cfg, variant, f
     r_k = ln(1 + signal_k / denom_k). Backward in closed form
     (Giles 2008), per sample with Y = X diag(s), s = alpha w u,
     p = ||Y||_F^2, g = sqrt(P / p), V = g Y, G = conj(H) V, A2 = |G|^2:
-      corrected: dr_k/dA2_kj = 1/(T_k + sigma2) - [j != k]/(I_k + sigma2),
+      corrected: dr_k/dA2_kj = 1/(T_k + 1) - [j != k]/(I_k + 1),
         with T_k the total received power of user k and I_k its interference;
-      verbatim: only d_j = A2_jj enters, dr_k/dd_j = 1/(T + sigma2) -
+      verbatim: only d_j = A2_jj enters, dr_k/dd_j = 1/(T + 1) -
         [j != k]/denom_k with T the sum of the d_j;
       Gbar = 2 dA2 * G, Vbar = H^T Gbar, Ybar = g Vbar - (g/p) Re<Vbar, Y> Y,
       Xbar = Ybar diag(conj s), sbar_k = sum_n conj(X_nk) Ybar_nk,
@@ -179,7 +175,7 @@ def _rate_loss(tape, x, u_raw, w_raw, sig_w, u, w, h_batch, h_t, cfg, variant, f
     v, pw = scale_to_power(y, cfg.p)
     gains = objective.gains(h_batch, v)
     a2 = np.abs(gains) ** 2
-    signal, denom = objective.signal_denom(a2, cfg, variant)
+    signal, denom = objective.signal_denom(a2, variant)
     rates = np.log1p(signal / denom)
     total = rates.reshape(*tasks, -1).sum(axis=-1)
     b, k = rates.shape
@@ -241,4 +237,4 @@ def evaluate_wsr(params, h_batch, cfg):
 def per_sample_losses(params, h_batch, cfg, variant="corrected"):
     """Per-sample negated average rate of the predicted beamformers, (B,)."""
     v = predict_beamformers(params, h_batch, cfg)
-    return objective.sum_rate_loss(h_batch, v, cfg, variant=variant)
+    return objective.sum_rate_loss(h_batch, v, variant=variant)

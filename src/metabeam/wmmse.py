@@ -43,31 +43,31 @@ class WmmseResult:
     converged: bool  # the winning start stopped on eps, not at max_iters
 
 
-def _couplings(h, v, cfg):
+def _couplings(h, v):
     """One coupling evaluation of the iterate V: its gains g = h_k^H v_j,
     a2 = |g|^2 and the SINR of every user. It gives V's rate
     (objective.wsr_from_sinr) and, through _receivers_and_weights, the next
     (u, w), so the solver builds each iterate's gain matrix once."""
     g = objective.gains(h, v)
     a2 = np.abs(g) ** 2
-    return g, a2, objective.sinr_from_couplings(a2, cfg)
+    return g, a2, objective.sinr_from_couplings(a2)
 
 
-def _receivers_and_weights(g, a2, sinr, cfg):
-    """MMSE receivers u_k = h_k^H v_k / (sigma2 + sum_j |h_k^H v_j|^2) and
-    MSE weights w_k = 1 + SINR_k from one coupling evaluation."""
-    u = g.diagonal(axis1=-2, axis2=-1) / (cfg.sigma2 + a2.sum(axis=-1))
+def _receivers_and_weights(g, a2, sinr):
+    """MMSE receivers u_k = h_k^H v_k / (1 + sum_j |h_k^H v_j|^2) and MSE
+    weights w_k = 1 + SINR_k from one coupling evaluation."""
+    u = g.diagonal(axis1=-2, axis2=-1) / (1.0 + a2.sum(axis=-1))
     return u, 1.0 + sinr
 
 
-def compute_u(h, v, cfg):
+def compute_u(h, v):
     """MMSE receiver gains u_k of the iterate V."""
-    return _receivers_and_weights(*_couplings(h, v, cfg), cfg)[0]
+    return _receivers_and_weights(*_couplings(h, v))[0]
 
 
-def compute_w(h, v, cfg):
+def compute_w(h, v):
     """MSE weights w_k = 1 + SINR_k of the iterate V."""
-    return _receivers_and_weights(*_couplings(h, v, cfg), cfg)[1]
+    return _receivers_and_weights(*_couplings(h, v))[1]
 
 
 def column_scales(u, w, cfg):
@@ -112,7 +112,7 @@ def _solve_in_basis(basis, mu, scales):
     return (q @ (qh / d[..., None])) * scales[:, None, :]
 
 
-def solve_mu(h, u, w, cfg, max_iters=200, s=None, scales=None, mu0=None, basis=None):
+def solve_mu(h, u, w, cfg, max_iters=200, scales=None, mu0=None, basis=None):
     """Smallest mu >= 0 putting the reconstructed power at the budget.
 
     u (complex) and w (real) are (S, K) rows, one triple each, and h is the
@@ -137,8 +137,8 @@ def solve_mu(h, u, w, cfg, max_iters=200, s=None, scales=None, mu0=None, basis=N
     trace(S) that keeps the downstream solve of S + mu I positive definite
     and perturbs that limit by a negligible relative amount.
 
-    s, scales and basis, when given, are S (S, N, N), column_scales (S, K)
-    and _eigenbasis(S, h) (then s is unread) from the same rows.
+    scales and basis, when given, are column_scales (S, K) and
+    _eigenbasis(S, h) of the same rows.
     """
     scales2 = np.abs(column_scales(u, w, cfg) if scales is None else scales) ** 2
     if (scales2 == 0.0).all(axis=-1).any():
@@ -146,7 +146,7 @@ def solve_mu(h, u, w, cfg, max_iters=200, s=None, scales=None, mu0=None, basis=N
     # One Hermitian eigendecomposition per row turns each power evaluation
     # into a rational function of mu: power(mu) = sum_n c[n] / (eig_n + mu)^2.
     if basis is None:
-        basis = _eigenbasis(assemble_s(h, u, w, cfg) if s is None else s, h)
+        basis = _eigenbasis(assemble_s(h, u, w, cfg), h)
     eigs, _, qh = basis
     proj = np.abs(qh) ** 2  # |q_n^H h_k|^2
     c = np.add.reduce(scales2[:, None, :] * proj, axis=-1)
@@ -240,7 +240,7 @@ def wmmse_solve(h, cfg, seed=0, eps=1e-8, max_iters=300, restarts=3):
         raw = rng.standard_normal((cfg.n, cfg.k)) + 1j * rng.standard_normal((cfg.n, cfg.k))
         starts.append(normalize_to_power(raw, cfg.p))
     v = np.stack(starts)
-    g, a2, sinr = _couplings(h, v, cfg)  # of the running starts' iterates
+    g, a2, sinr = _couplings(h, v)  # of the running starts' iterates
     # Per-start results as of iteration 0; a start's row is written once more
     # when it stops or at the cap, from the compact state of the running
     # starts (row r is start run[r]), cut like the couplings as starts stop.
@@ -252,12 +252,12 @@ def wmmse_solve(h, cfg, seed=0, eps=1e-8, max_iters=300, restarts=3):
         np.arange(len(v)), traces.copy(), best_wsr.copy(), v.copy())
     mu = None  # each running start's mu; pass 1 searches from mu = 0
     for it in range(1, max_iters + 1):
-        u, w = _receivers_and_weights(g, a2, sinr, cfg)
+        u, w = _receivers_and_weights(g, a2, sinr)
         basis = _eigenbasis(assemble_s(h, u, w, cfg), h)  # S's one factorization
         scales = column_scales(u, w, cfg)  # shared by the mu search and the solve
         mu = solve_mu(h, u, w, cfg, scales=scales, mu0=mu, basis=basis)
         v_new = _solve_in_basis(basis, mu, scales)
-        g, a2, sinr = _couplings(h, v_new, cfg)
+        g, a2, sinr = _couplings(h, v_new)
         wsr = run_traces[:, it] = objective.wsr_from_sinr(sinr, cfg)
         gain = wsr > run_best_wsr
         np.copyto(run_best_wsr, wsr, where=gain)
@@ -282,9 +282,9 @@ def wmmse_solve(h, cfg, seed=0, eps=1e-8, max_iters=300, restarts=3):
 
 
 def _directions(h, lam, cfg):
-    """Unit-norm columns of (I + sum_j lam_j / sigma2 * h_j h_j^H)^{-1} h_k
-    of one dual point lam (K,), or of a grid (G, K) in one solve, (G, N, K)."""
-    a = np.eye(cfg.n) + hermitian_rank1_sum(lam / cfg.sigma2, h)
+    """Unit-norm columns of (I + sum_j lam_j h_j h_j^H)^{-1} h_k of one dual
+    point lam (K,), or of a grid (G, K) in one solve, (G, N, K)."""
+    a = np.eye(cfg.n) + hermitian_rank1_sum(lam, h)
     x = hpd_solve(a, h.T)
     norms = np.linalg.norm(x, axis=-2)
     if np.any(norms == 0.0):
@@ -316,4 +316,4 @@ def grid_oracle(h, cfg, grid_steps=41):
     # one solve and one gains call for all dual points; V = d sqrt(p) scales column j by p_j
     a2 = np.abs(objective.gains(h, _directions(h, grid, cfg))) ** 2
     return max(float(np.max(objective.wsr_from_sinr(
-        objective.sinr_from_couplings(a2_l * grid[:, None, :], cfg), cfg))) for a2_l in a2)
+        objective.sinr_from_couplings(a2_l * grid[:, None, :]), cfg))) for a2_l in a2)

@@ -179,8 +179,8 @@ def test_criterion_05_w_equals_one_plus_sinr():
         h = channels.sample_rayleigh(rng, 1, 3, 3)[0]
         v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         v = normalize_to_power(v, sys_cfg.p)
-        w = wmmse.compute_w(h, v, sys_cfg)
-        sinr = objective.all_sinr(h, v, sys_cfg)
+        w = wmmse.compute_w(h, v)
+        sinr = objective.all_sinr(h, v)
         worst = max(worst, float(np.max(np.abs(w - (1.0 + sinr)))))
     _report(
         5, worst <= 1e-12,

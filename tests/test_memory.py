@@ -30,7 +30,7 @@ def entry(loss, t, rng=None, k=2, n=2):
 
 def small_setup(seed=0):
     rng = np.random.default_rng(seed)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     meta_cfg = MetaConfig(width=8, adapt_steps=2)
     params = nn.init_predictor(rng, 2, 2, width=8)
     return rng, cfg, meta_cfg, params
@@ -284,7 +284,7 @@ def test_mml_loop_ranks_memory_by_the_adaptation_loss():
     # The memory is scored with meta_cfg.loss_variant, the loss the slot
     # adapted with, so a verbatim stream stores verbatim losses.
     rng = np.random.default_rng(12)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=3, p=10.0)
     meta_cfg = MetaConfig(width=8, adapt_steps=2, loss_variant="verbatim")
     params = nn.init_predictor(rng, 3, 3, width=8)
     stream = [rand_batch(rng, 4, 3, 3) for _ in range(3)]

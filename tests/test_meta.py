@@ -29,7 +29,7 @@ def rand_batch(rng, b, k, n):
 
 def small_setup(seed=0, b=8):
     rng = np.random.default_rng(seed)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     meta_cfg = MetaConfig(width=8, inner_steps=1, adapt_steps=3, epochs=3,
                           n_support=4, n_query=4, n_tasks=3, batch_size=4)
     params = nn.init_predictor(rng, 2, 2, width=8)
@@ -220,7 +220,7 @@ def test_meta_train_deterministic():
 
 def test_meta_train_improves_query_loss():
     rng = np.random.default_rng(7)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     meta_cfg = MetaConfig(width=8, epochs=30, n_support=8, n_query=8, n_tasks=6)
     dataset = rand_batch(rng, 64, 2, 2)
     params = nn.init_predictor(rng, 2, 2, width=8)
@@ -232,7 +232,7 @@ def test_meta_train_improves_query_loss():
 
 def test_unsupervised_train_deterministic_and_improves():
     rng = np.random.default_rng(9)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     meta_cfg = MetaConfig(width=8, epochs=30, batch_size=16)
     dataset = rand_batch(rng, 64, 2, 2)
     params = nn.init_predictor(rng, 2, 2, width=8)
@@ -281,7 +281,7 @@ def test_unsupervised_single_sample_overfit():
     from metabeam import objective, wmmse
 
     rng = np.random.default_rng(11)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     meta_cfg = MetaConfig(width=16, epochs=300, batch_size=1, outer_lr=0.01)
     sample = rand_batch(rng, 1, 2, 2)
     params = nn.init_predictor(rng, 2, 2, width=16)

@@ -21,7 +21,7 @@ def rand_batch(rng, *shape):
 
 def setup(seed=0):
     rng = np.random.default_rng(seed)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     meta_cfg = MetaConfig(width=8, inner_steps=2, adapt_steps=3, epochs=2,
                           n_support=4, n_query=4, n_tasks=3, batch_size=4)
     return rng, cfg, meta_cfg, nn.init_predictor(rng, 2, 2, width=8)

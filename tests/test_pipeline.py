@@ -16,7 +16,7 @@ def rand_batch(rng, b, k, n):
 
 
 def setup(rng, b=6, k=3, n=3, width=8):
-    cfg = SystemConfig(n=n, k=k, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=n, k=k, p=10.0)
     params = nn.init_predictor(rng, n, k, width=width)
     h = rand_batch(rng, b, k, n)
     return cfg, params, h
@@ -76,13 +76,12 @@ def test_predicted_ranges():
     u, w, mu = pipeline._heads(*raw, cfg)
     assert u.shape == (10, 3) and u.dtype == np.complex128
     assert np.all(w >= 1.0)
-    assert np.all(mu >= pipeline.mu_floor(cfg))
-    assert pipeline.mu_floor(cfg) == pytest.approx(1e-4 * cfg.sigma2)
+    assert np.all(mu >= pipeline.MU_FLOOR)
 
 
 def test_softplus_far_negative_is_silent_and_exact():
     # exp(800) overflows: the head maps and the sigmoid their adjoints use
-    # must still come out exact (w = 1, mu = mu_floor, sigmoid 0) without a
+    # must still come out exact (w = 1, mu = MU_FLOOR, sigmoid 0) without a
     # RuntimeWarning.
     cfg = SystemConfig(n=3, k=3)
     with warnings.catch_warnings():
@@ -91,7 +90,7 @@ def test_softplus_far_negative_is_silent_and_exact():
                                    np.array([[-800.0]]), cfg)
         sig = pipeline._sigmoid(np.array([-800.0, 0.0, 800.0]))
     assert (w[0, 0], w[0, 2]) == (1.0, 801.0)
-    assert mu[0] == pipeline.mu_floor(cfg)
+    assert mu[0] == pipeline.MU_FLOOR
     np.testing.assert_array_equal(sig, [0.0, 0.5, 1.0])
 
 
@@ -104,7 +103,7 @@ def test_loss_equals_objective_on_reconstruction():
         loss, v_hat = pipeline.reconstruct_and_loss(
             tape, leaves, h, pipeline.features(h, cfg), cfg, variant=variant
         )
-        per_sample = objective.sum_rate_loss(h, v_hat, cfg, variant=variant)
+        per_sample = objective.sum_rate_loss(h, v_hat, variant=variant)
         assert float(loss.value) == pytest.approx(per_sample.mean(), abs=1e-12)
 
 
@@ -115,7 +114,7 @@ def test_loss_sum_reduction_is_batch_sum():
     leaves = nn.leaves_for(tape, params)
     feats = pipeline.features(h, cfg)
     loss, v_hat = pipeline.reconstruct_and_loss(tape, leaves, h, feats, cfg, reduction="sum")
-    per_sample = objective.sum_rate_loss(h, v_hat, cfg)
+    per_sample = objective.sum_rate_loss(h, v_hat)
     assert float(loss.value) == pytest.approx(per_sample.sum(), abs=1e-12)
     with pytest.raises(ValueError):
         pipeline.reconstruct_and_loss(tape, leaves, h, feats, cfg, reduction="median")
@@ -220,7 +219,7 @@ def test_empty_batch_rejected():
 def test_full_pipeline_gradient_smoke():
     # End-to-end gradient through nets, solve, projection, and rate loss.
     rng = np.random.default_rng(12)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     params = nn.init_predictor(rng, 2, 2, width=8)
     h = rand_batch(rng, 3, 2, 2)
 
@@ -273,7 +272,7 @@ def pack_complex(tape, a):
 def head_case(variant, reduction, tasks):
     rng = np.random.default_rng(13)
     per_task, n, k = 4, 3, 3
-    cfg = SystemConfig(n=n, k=k, sigma2=0.5, p=10.0, alpha=(1.0, 0.5, 2.0))
+    cfg = SystemConfig(n=n, k=k, p=20.0, alpha=(1.0, 0.5, 2.0))
     b = per_task * int(np.prod(tasks))
     h = rand_batch(rng, b, k, n)
     factor = -1.0 / (k * per_task) if reduction == "mean" else -1.0 / k

@@ -49,24 +49,23 @@ def rand_h(rng, k, n):
 
 
 def test_w_zero_beamformer_is_one():
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
     h = rand_h(np.random.default_rng(0), 2, 2)
-    np.testing.assert_array_equal(compute_w(h, np.zeros((2, 2), complex), cfg), [1.0, 1.0])
+    np.testing.assert_array_equal(compute_w(h, np.zeros((2, 2), complex)), [1.0, 1.0])
 
 
 def test_w_equals_one_plus_sinr():
     rng = np.random.default_rng(1)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=3, p=10.0)
     for _ in range(1000):
         h = rand_h(rng, 3, 3)
         v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         v = v * np.sqrt(cfg.p / total_power(v))
-        w = compute_w(h, v, cfg)
-        np.testing.assert_allclose(w, 1.0 + all_sinr(h, v, cfg), atol=1e-12)
+        w = compute_w(h, v)
+        np.testing.assert_allclose(w, 1.0 + all_sinr(h, v), atol=1e-12)
         # and w = 1 / e, the MSE of the receiver compute_u gives, written
         # out from its definition with a plain matmul
         g = h.conj() @ v
-        u = compute_u(h, v, cfg)
+        u = compute_u(h, v)
         d = np.diag(g)
         interference = np.sum(np.abs(g) ** 2, axis=1) - np.abs(d) ** 2
         e = np.abs(1.0 - np.conj(u) * d) ** 2 + np.abs(u) ** 2 * (interference + cfg.sigma2)
@@ -75,19 +74,19 @@ def test_w_equals_one_plus_sinr():
 
 def test_u_single_user_closed_form():
     # K=1 matched filter: u = sqrt(P) ||h|| / (sigma2 + P ||h||^2), real.
-    cfg = SystemConfig(n=3, k=1, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=1, p=10.0)
     rng = np.random.default_rng(2)
     h = rand_h(rng, 1, 3)
     nh = np.linalg.norm(h)
     v = np.sqrt(cfg.p) * h.T / nh
-    u = compute_u(h, v, cfg)
+    u = compute_u(h, v)
     expected = np.sqrt(cfg.p) * nh / (cfg.sigma2 + cfg.p * nh**2)
     assert u[0] == pytest.approx(expected, rel=1e-12)
     assert abs(u[0].imag) < 1e-15
 
 
 def test_reconstruct_scalar_oracle():
-    cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=1, k=1, p=10.0)
     h = np.array([[1.0 + 0j]])
     v = reconstruct_v(h, np.array([1.0 + 0j]), np.array([2.0]), 1.0, cfg)
     assert v[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
@@ -96,7 +95,7 @@ def test_reconstruct_scalar_oracle():
 def test_reconstruct_diagonal_oracle():
     # Orthogonal unit channels, u=w=1, mu=0.5: S = I, each column is
     # (1 + 0.5)^{-1} e_k = (2/3) e_k.
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     h = np.eye(2, dtype=complex)
     v = reconstruct_v(h, np.ones(2, complex), np.ones(2), 0.5, cfg)
     np.testing.assert_allclose(v, (2.0 / 3.0) * np.eye(2), atol=1e-14)
@@ -104,7 +103,7 @@ def test_reconstruct_diagonal_oracle():
 
 def test_reconstruct_channel_batch_rows_match_single_calls():
     rng = np.random.default_rng(4)
-    cfg = SystemConfig(n=3, k=2, sigma2=0.5, p=2.0)
+    cfg = SystemConfig(n=3, k=2, p=2.0)
     h = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
     u = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     w = 1.0 + rng.uniform(size=(4, 2))
@@ -117,7 +116,7 @@ def test_reconstruct_channel_batch_rows_match_single_calls():
 
 
 def test_solve_mu_closed_form_unity():
-    cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=4.0 / 9.0)
+    cfg = SystemConfig(n=1, k=1, p=4.0 / 9.0)
     h = np.array([[1.0 + 0j]])
     mu = solve_mu(h, np.array([[1.0 + 0j]]), np.array([[2.0]]), cfg)
     assert mu.shape == (1,)
@@ -125,7 +124,7 @@ def test_solve_mu_closed_form_unity():
 
 
 def test_solve_mu_zero_when_unconstrained():
-    cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=1, k=1, p=10.0)
     h = np.array([[1.0 + 0j]])
     u, w = np.array([[10.0 + 0j]]), np.array([[1.0]])
     mu = solve_mu(h, u, w, cfg)
@@ -137,7 +136,7 @@ def test_solve_mu_hits_power_budget():
     rng = np.random.default_rng(3)
     for trial in range(50):
         n, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        cfg = SystemConfig(n=n, k=k, sigma2=1.0, p=float(rng.uniform(0.5, 20.0)))
+        cfg = SystemConfig(n=n, k=k, p=float(rng.uniform(0.5, 20.0)))
         h = rand_h(rng, k, n)
         u = rng.standard_normal((1, k)) + 1j * rng.standard_normal((1, k))
         w = rng.uniform(1.0, 5.0, size=(1, k))
@@ -162,7 +161,7 @@ def _assert_budget_row(h, u, w, mu, cfg, rtol=wmmse.MU_RTOL):
 def _mu_rows(seed, rows, n, k, snr_db):
     """A random channel and `rows` random (u, w) rows for solve_mu."""
     rng = np.random.default_rng(seed)
-    cfg = SystemConfig(n=n, k=k, sigma2=1.0, p=10.0 ** (snr_db / 10.0))
+    cfg = SystemConfig(n=n, k=k, p=10.0 ** (snr_db / 10.0))
     h = rand_h(rng, k, n)
     u = (rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))) / 10.0
     w = rng.uniform(1.0, 5.0, size=(rows, k))
@@ -226,7 +225,7 @@ def test_solve_mu_rank_deficient_batch():
     # K=1 < N=3 makes S = |u|^2 w h h^H rank one. With P = 1, u = 1 leaves
     # power(0) = 1/||h||^2 < 1 (slack, so the floor 100 * PIVOT_RTOL *
     # trace(S) comes back), while u = 1e-3 gives power(0) = 1e6/||h||^2 > 1.
-    cfg = SystemConfig(n=3, k=1, sigma2=1.0, p=1.0)
+    cfg = SystemConfig(n=3, k=1, p=1.0)
     h = rand_h(np.random.default_rng(15), 1, 3)
     u = np.array([[1.0 + 0j], [1e-3 + 0j]])
     w = np.ones((2, 1))
@@ -241,7 +240,7 @@ def test_solve_mu_rank_deficient_batch():
 def test_solve_mu_unreachable_or_unconverged_raises():
     # N=K=1, h=1, u=1e-10, w=1e30: S = 1e10 and power(mu) = 1e40/(1e10+mu)^2,
     # so power = 1 needs mu = 1e20 - 1e10, beyond the 1e18 reach.
-    cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=1.0)
+    cfg = SystemConfig(n=1, k=1, p=1.0)
     h = np.array([[1.0 + 0j]])
     with pytest.raises(SingularMatrixError):
         solve_mu(h, np.array([[1e-10 + 0j]]), np.array([[1e30]]), cfg)
@@ -253,7 +252,7 @@ def test_solve_mu_unreachable_or_unconverged_raises():
     # The unity oracle above needs one Newton step from mu = 0 or from
     # beyond its root mu = 1; zero steps cannot reach it, but mu0 = 1 is
     # already the answer.
-    cfg = SystemConfig(n=1, k=1, sigma2=1.0, p=4.0 / 9.0)
+    cfg = SystemConfig(n=1, k=1, p=4.0 / 9.0)
     u, w = np.array([[1.0 + 0j]]), np.array([[2.0]])
     for mu0 in (None, np.array([0.0]), np.array([3.0])):
         with pytest.raises(SingularMatrixError):
@@ -263,7 +262,7 @@ def test_solve_mu_unreachable_or_unconverged_raises():
 
 
 def test_solve_mu_degenerate_zero_components():
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     h = rand_h(np.random.default_rng(4), 2, 2)
     with pytest.raises(DegenerateInputError):
         solve_mu(h, np.zeros((1, 2), complex), np.ones((1, 2)), cfg)
@@ -285,11 +284,11 @@ def test_solve_in_basis_equals_reconstruct_v(n, k):
         h = rand_h(rng, k, n)
         v = normalize_to_power(rng.standard_normal((8, n, k))
                                + 1j * rng.standard_normal((8, n, k)), cfg.p)
-        u, w = compute_u(h, v, cfg), compute_w(h, v, cfg)
+        u, w = compute_u(h, v), compute_w(h, v)
         s = assemble_s(h, u, w, cfg)
         basis = _eigenbasis(s, h)
-        mu = solve_mu(h, u, w, cfg, s=s, basis=basis)
-        np.testing.assert_array_equal(mu, solve_mu(h, u, w, cfg, s=s))
+        mu = solve_mu(h, u, w, cfg, basis=basis)
+        np.testing.assert_array_equal(mu, solve_mu(h, u, w, cfg))
         got = _solve_in_basis(basis, mu, column_scales(u, w, cfg))
         want = reconstruct_v(h, u, w, mu, cfg)
         floor = 100.0 * PIVOT_RTOL * np.trace(s, axis1=1, axis2=2).real
@@ -328,7 +327,7 @@ def test_solve_in_basis_refuses_what_hpd_solve_refuses(case):
 
 def test_start_portfolio_beamformers():
     rng = np.random.default_rng(5)
-    cfg = SystemConfig(n=3, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=2, p=10.0)
     h = rand_h(rng, 2, 3)
     for maker in (mrt_beamformer, zf_beamformer):
         v = maker(h, cfg)
@@ -348,7 +347,7 @@ def test_start_portfolio_beamformers():
 
 def test_wmmse_k1_closed_form():
     rng = np.random.default_rng(6)
-    cfg = SystemConfig(n=3, k=1, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=1, p=10.0)
     for _ in range(10):
         h = rand_h(rng, 1, 3)
         res = wmmse_solve(h, cfg)
@@ -359,7 +358,7 @@ def test_wmmse_k1_closed_form():
 
 def test_wmmse_monotone_trace_and_power():
     rng = np.random.default_rng(7)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=3, p=10.0)
     for trial in range(20):
         h = rand_h(rng, 3, 3)
         res = wmmse_solve(h, cfg)
@@ -373,10 +372,10 @@ def test_wmmse_fixed_point():
     # At convergence the (u, w, mu) triple of the returned beamformer
     # regenerates it.
     rng = np.random.default_rng(8)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=3, p=10.0)
     h = rand_h(rng, 3, 3)
     res = wmmse_solve(h, cfg, eps=1e-12, max_iters=2000)
-    u, w = compute_u(h, res.v, cfg), compute_w(h, res.v, cfg)
+    u, w = compute_u(h, res.v), compute_w(h, res.v)
     (mu,) = solve_mu(h, u[None], w[None], cfg)
     v_back = reconstruct_v(h, u, w, mu, cfg)
     assert np.abs(v_back - res.v).max() < 1e-5
@@ -385,7 +384,7 @@ def test_wmmse_fixed_point():
 def test_directions_lambda_zero_are_unit_matched_filters():
     # lam = 0 gives the matched-filter (MRT) directions, each of unit norm
     rng = np.random.default_rng(10)
-    cfg = SystemConfig(n=3, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=2, p=10.0)
     h = rand_h(rng, 2, 3)
     d = _directions(h, np.zeros(2), cfg)
     for k in range(2):
@@ -400,7 +399,7 @@ def test_directions_of_a_grid_equal_its_one_row_calls(n, k):
     # directions must be the bits of a call on that point alone, and every
     # column of unit norm.
     rng = np.random.default_rng(40 + n + k)
-    cfg = SystemConfig(n=n, k=k, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=n, k=k, p=10.0)
     h = rand_h(rng, k, n)
     grid = _simplex_grid(k, cfg.p, 6)
     d = _directions(h, grid, cfg)
@@ -411,7 +410,7 @@ def test_directions_of_a_grid_equal_its_one_row_calls(n, k):
 
 def test_grid_oracle_k1_closed_form():
     rng = np.random.default_rng(11)
-    cfg = SystemConfig(n=2, k=1, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=1, p=10.0)
     h = rand_h(rng, 1, 2)
     res = grid_oracle(h, cfg, grid_steps=11)
     bound = np.log2(1.0 + cfg.p * np.linalg.norm(h) ** 2 / cfg.sigma2)
@@ -420,7 +419,7 @@ def test_grid_oracle_k1_closed_form():
 
 def test_grid_oracle_refinement_monotone():
     rng = np.random.default_rng(12)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     h = rand_h(rng, 2, 2)
     values = [grid_oracle(h, cfg, grid_steps=s) for s in (6, 11, 21, 41)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -439,7 +438,7 @@ def test_grid_oracle_k3_equals_a_plain_search():
     # Every (lam, p) pair of the K = 3 grid, one wsr call each: the oracle's
     # batched search must find the same best rate.
     rng = np.random.default_rng(14)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=3, p=10.0)
     h = rand_h(rng, 3, 3)
     grid = _simplex_grid(3, cfg.p, 11)
     best = -np.inf
@@ -453,10 +452,10 @@ def test_grid_oracle_k3_equals_a_plain_search():
 
 
 def test_grid_oracle_capability_limits():
-    cfg4 = SystemConfig(n=2, k=4, sigma2=1.0, p=10.0)
+    cfg4 = SystemConfig(n=2, k=4, p=10.0)
     with pytest.raises(CapabilityError):
         grid_oracle(rand_h(np.random.default_rng(0), 4, 2), cfg4)
-    cfg2 = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg2 = SystemConfig(n=2, k=2, p=10.0)
     with pytest.raises(ValueError):
         grid_oracle(rand_h(np.random.default_rng(0), 2, 2), cfg2, grid_steps=3)
 
@@ -465,7 +464,7 @@ def test_wmmse_not_below_oracle_small():
     # The full 20-instance comparison runs in the acceptance suite; this is
     # the smoke-sized version.
     rng = np.random.default_rng(13)
-    cfg = SystemConfig(n=2, k=2, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=2, k=2, p=10.0)
     for _ in range(5):
         h = rand_h(rng, 2, 2)
         ours = wmmse_solve(h, cfg).wsr_trace[-1]
@@ -477,7 +476,7 @@ def test_wmmse_beats_naive_starts():
     # The returned solution is at least as good as evaluating any single
     # portfolio start directly.
     rng = np.random.default_rng(14)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0)
+    cfg = SystemConfig(n=3, k=3, p=10.0)
     h = rand_h(rng, 3, 3)
     res = wmmse_solve(h, cfg)
     for maker in (mrt_beamformer, zf_beamformer):
@@ -486,9 +485,9 @@ def test_wmmse_beats_naive_starts():
 
 def test_wmmse_converged_flag():
     rng = np.random.default_rng(16)
-    single = wmmse_solve(rand_h(rng, 1, 3), SystemConfig(n=3, k=1, sigma2=1.0, p=10.0))
+    single = wmmse_solve(rand_h(rng, 1, 3), SystemConfig(n=3, k=1, p=10.0))
     assert single.converged and single.iterations < 300
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=1e4)  # 40 dB
+    cfg = SystemConfig(n=3, k=3, p=1e4)  # 40 dB
     capped = wmmse_solve(rand_h(rng, 3, 3), cfg, max_iters=5)
     assert not capped.converged
     assert capped.iterations == 5 and len(capped.wsr_trace) == 6
@@ -516,9 +515,9 @@ def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
     best_v = v[0]
     it, converged, mu = 0, False, None
     for it in range(1, max_iters + 1):
-        u, w = compute_u(h, v, cfg), compute_w(h, v, cfg)
+        u, w = compute_u(h, v), compute_w(h, v)
         s = assemble_s(h, u, w, cfg)
-        mu = solve_mu(h, u, w, cfg, s=s, mu0=mu)
+        mu = solve_mu(h, u, w, cfg, mu0=mu)
         v_new = _solve_in_basis(_eigenbasis(s, h), mu, column_scales(u, w, cfg))
         trace.append(wsr(h, v_new, cfg)[0])
         if trace[-1] > max(trace[:-1]):
@@ -550,7 +549,7 @@ def test_wmmse_solve_matches_reference_loop_to_the_bit(snr_db):
     # (u, w), and keeps only the starts still running in its batch: neither
     # may change a bit of what the step-by-step loop gives.
     rng = np.random.default_rng(20 + snr_db)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0 ** (snr_db / 10))
+    cfg = SystemConfig(n=3, k=3, p=10.0 ** (snr_db / 10))
     stop_passes = set()
     for seed in range(3):
         runs, _ = _assert_solve_matches_reference(rand_h(rng, 3, 3), cfg, seed)
@@ -570,7 +569,7 @@ def test_wmmse_solve_matches_reference_loop_to_the_bit(snr_db):
 ])
 def test_wmmse_solve_matches_reference_loop_at_the_edges(snr_db, kwargs, stops):
     rng = np.random.default_rng(30 + snr_db)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=10.0 ** (snr_db / 10))
+    cfg = SystemConfig(n=3, k=3, p=10.0 ** (snr_db / 10))
     for seed in range(2):
         runs, _ = _assert_solve_matches_reference(rand_h(rng, 3, 3), cfg, seed, **kwargs)
         assert stops is None or {(run[2], run[3]) for run in runs} == stops
@@ -580,7 +579,7 @@ def test_wmmse_solve_keeps_the_best_of_a_winner_that_stops_first():
     # On this 0 dB channel the winning start (the second random one) stops
     # 6 passes before any other: the starts that run on after it must not
     # overwrite its best iterate.
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=1.0)
+    cfg = SystemConfig(n=3, k=3, p=1.0)
     runs, win = _assert_solve_matches_reference(rand_h(np.random.default_rng(4), 3, 3),
                                                 cfg, seed=0)
     assert runs[win][2] < min(run[2] for i, run in enumerate(runs) if i != win)
@@ -593,7 +592,7 @@ def test_wmmse_solve_evaluates_couplings_once_per_iterate(monkeypatch):
     # each running start's search at its mu of the pass before, cut with
     # the rows of the starts that stopped.
     rng = np.random.default_rng(18)
-    cfg = SystemConfig(n=3, k=3, sigma2=1.0, p=1.0)
+    cfg = SystemConfig(n=3, k=3, p=1.0)
     h = rand_h(rng, 3, 3)
     # pass i runs the starts that stop on pass i or later
     stops = np.array([_reference_run(h, cfg, v0)[2] for v0 in _portfolio(h, cfg, 0, 3)])
