@@ -56,7 +56,8 @@ def hpd_solve(s, b):
     """Solve S x = b for Hermitian positive definite S.
 
     s: (..., N, N) Hermitian; each caller builds the matrix it needs solved
-    (S + mu I included). b: (N,) or (N, K), or batched (..., N, K).
+    (S + mu I included). b: (..., N, K), K right-hand sides shared by every
+    matrix or one set per matrix; ValueError for any other shape.
     Raises SingularMatrixError when any Cholesky factorization fails or any
     squared pivot (factor diagonal) is at most PIVOT_RTOL * trace(S) of its
     matrix; then solves once (numpy has no batched triangular solve).
@@ -66,9 +67,8 @@ def hpd_solve(s, b):
     n = s.shape[-1]
     if s.ndim < 2 or s.shape[-2] != n:
         raise ValueError(f"S must be square, got {s.shape}")
-    rows = b.shape[0] if b.ndim == 1 else b.shape[-2]
-    if rows != n:
-        raise ValueError(f"rhs length {rows} does not match S size {n}")
+    if b.ndim < 2 or b.shape[-2] != n:
+        raise ValueError(f"rhs must be (..., {n}, K) for S of size {n}, got {b.shape}")
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:

@@ -16,9 +16,9 @@ and the rate terms (objective.gains and objective.signal_denom). So the
 tape's beamformers equal the twin's to the bit; the twin, the tape and the
 solver's eigenbasis solve share one singularity policy, linalg.check_pivots.
 
-Input encoding (per sample, length 4*N*K):
-    [Re H (row-major K x N), Im H, Re V_cur (row-major N x K), Im V_cur]
-where V_cur is the matched-filter beamformer at full power.
+Input encoding, built only by features (per sample, length 4*N*K):
+    [Re H (row-major K x N), Im H, Re V (row-major N x K), Im V]
+where V = wmmse.mrt_beamformer(H), the matched filter at full power.
 """
 
 import numpy as np
@@ -30,18 +30,13 @@ from .linalg import normalize_to_power, scale_to_power
 MU_FLOOR = 1e-4  # predicted mu >= MU_FLOOR keeps the solve definite
 
 
-def encode_features(h_batch, v_current):
-    """Stack re/im of the channels and the reference beamformer over any
-    leading axes, (..., 4NK)."""
-    parts = (h_batch.real, h_batch.imag, v_current.real, v_current.imag)
-    return np.concatenate([p.reshape(*h_batch.shape[:-2], -1) for p in parts], axis=-1)
-
-
 def features(h_batch, cfg):
-    """encode_features of channels (..., K, N) and their matched filters;
+    """Re/im of channels (..., K, N) and of their matched filters, (..., 4NK);
     each row has the bits of a call on its sample alone."""
     h_batch = np.asarray(h_batch, dtype=np.complex128)
-    return encode_features(h_batch, wmmse.mrt_beamformer(h_batch, cfg))
+    v = wmmse.mrt_beamformer(h_batch, cfg)
+    parts = (h_batch.real, h_batch.imag, v.real, v.imag)
+    return np.concatenate([p.reshape(*h_batch.shape[:-2], -1) for p in parts], axis=-1)
 
 
 def reconstruct_and_loss(tape, leaves, h_batch, features, cfg, variant="corrected",

@@ -6,7 +6,8 @@ coefficients u, K positive MSE weights w, and one dual scalar mu >= 0; the
 beamformer is reconstructed from that triple in closed form, which is the
 low-dimensional target the predictor networks learn. compute_u, compute_w
 and reconstruct_v also take a leading batch axis (one row per start), and
-solve_mu takes rows only: one start is a one-row call. reconstruct_v and
+solve_mu takes rows only, each row's eigenbasis of S and column scales as
+the solver builds them: one start is a one-row call. reconstruct_v and
 assemble_s also take a channel batch, for the forward-only predictor twin
 (pipeline.predict_beamformers) and the tape, and so does mrt_beamformer,
 which gives the predictor's reference beamformer; the solver instead gets
@@ -112,17 +113,18 @@ def _solve_in_basis(basis, mu, scales):
     return (q @ (qh / d[..., None])) * scales[:, None, :]
 
 
-def solve_mu(h, u, w, cfg, max_iters=200, scales=None, mu0=None, basis=None):
-    """Smallest mu >= 0 putting the reconstructed power at the budget.
+def solve_mu(basis, scales, p, max_iters=200, mu0=None):
+    """Smallest mu >= 0 putting the reconstructed power at the budget p.
 
-    u (complex) and w (real) are (S, K) rows, one triple each, and h is the
-    (K, N) channel they share; returns one mu per row, (S,). The
-    reconstructed power is strictly decreasing in mu: returns 0 when the
-    power at mu = 0 is already within budget (a slack row), otherwise a mu
-    with power in [P (1 - MU_RTOL), P]. Raises DegenerateInputError when all
-    reconstruction scales of a row vanish (the power can then never reach
-    P), and SingularMatrixError when the budget is unreachable or the search
-    has not converged after max_iters Newton steps.
+    basis and scales are _eigenbasis(S, h) and column_scales of (S, K) rows
+    of (u, w) on one channel h, as wmmse_solve builds them; returns one mu
+    per row, (S,). The reconstructed power is strictly decreasing in mu:
+    returns 0 when the power at mu = 0 is already within budget (a slack
+    row), otherwise a mu with power in [p (1 - MU_RTOL), p]. Raises
+    DegenerateInputError when all reconstruction scales of a row vanish (the
+    power can then never reach p), and SingularMatrixError when the budget
+    is unreachable or the search has not converged after max_iters Newton
+    steps.
 
     mu0, when given, is one starting mu >= 0 per row, such as the row's
     answer on the previous WMMSE iterate. Slack rows still return 0 (or the
@@ -136,17 +138,12 @@ def solve_mu(h, u, w, cfg, max_iters=200, scales=None, mu0=None, basis=None):
     the range of S, so instead of 0 this returns a floor proportional to
     trace(S) that keeps the downstream solve of S + mu I positive definite
     and perturbs that limit by a negligible relative amount.
-
-    scales and basis, when given, are column_scales (S, K) and
-    _eigenbasis(S, h) of the same rows.
     """
-    scales2 = np.abs(column_scales(u, w, cfg) if scales is None else scales) ** 2
+    scales2 = np.abs(scales) ** 2
     if (scales2 == 0.0).all(axis=-1).any():
         raise DegenerateInputError("all reconstruction scales are zero")
     # One Hermitian eigendecomposition per row turns each power evaluation
     # into a rational function of mu: power(mu) = sum_n c[n] / (eig_n + mu)^2.
-    if basis is None:
-        basis = _eigenbasis(assemble_s(h, u, w, cfg), h)
     eigs, _, qh = basis
     proj = np.abs(qh) ** 2  # |q_n^H h_k|^2
     c = np.add.reduce(scales2[:, None, :] * proj, axis=-1)
@@ -169,7 +166,6 @@ def solve_mu(h, u, w, cfg, max_iters=200, scales=None, mu0=None, basis=None):
     # calls; rows in the band keep their mu, and the in-place update of the
     # others shows through the column view mu_col. Slack rows sit at mu = 0
     # with power <= P, and the search leaves them there.
-    p = cfg.p
     target = p * (1.0 - 0.5 * MU_RTOL)
     slack = np.add.reduce(c / eigs_live**2, axis=-1) <= p
     mu = np.where(slack, 0.0, 0.0 if mu0 is None else mu0)
@@ -255,7 +251,7 @@ def wmmse_solve(h, cfg, seed=0, eps=1e-8, max_iters=300, restarts=3):
         u, w = _receivers_and_weights(g, a2, sinr)
         basis = _eigenbasis(assemble_s(h, u, w, cfg), h)  # S's one factorization
         scales = column_scales(u, w, cfg)  # shared by the mu search and the solve
-        mu = solve_mu(h, u, w, cfg, scales=scales, mu0=mu, basis=basis)
+        mu = solve_mu(basis, scales, cfg.p, mu0=mu)
         v_new = _solve_in_basis(basis, mu, scales)
         g, a2, sinr = _couplings(h, v_new)
         wsr = run_traces[:, it] = objective.wsr_from_sinr(sinr, cfg)
@@ -281,10 +277,10 @@ def wmmse_solve(h, cfg, seed=0, eps=1e-8, max_iters=300, restarts=3):
                        converged=bool(converged[win]))
 
 
-def _directions(h, lam, cfg):
+def _directions(h, lam):
     """Unit-norm columns of (I + sum_j lam_j h_j h_j^H)^{-1} h_k of one dual
     point lam (K,), or of a grid (G, K) in one solve, (G, N, K)."""
-    a = np.eye(cfg.n) + hermitian_rank1_sum(lam, h)
+    a = np.eye(h.shape[-1]) + hermitian_rank1_sum(lam, h)
     x = hpd_solve(a, h.T)
     norms = np.linalg.norm(x, axis=-2)
     if np.any(norms == 0.0):
@@ -314,6 +310,6 @@ def grid_oracle(h, cfg, grid_steps=41):
     h = np.asarray(h, dtype=np.complex128)
     grid = _simplex_grid(cfg.k, cfg.p, grid_steps)  # lam and p share it
     # one solve and one gains call for all dual points; V = d sqrt(p) scales column j by p_j
-    a2 = np.abs(objective.gains(h, _directions(h, grid, cfg))) ** 2
+    a2 = np.abs(objective.gains(h, _directions(h, grid))) ** 2
     return max(float(np.max(objective.wsr_from_sinr(
         objective.sinr_from_couplings(a2_l * grid[:, None, :]), cfg))) for a2_l in a2)

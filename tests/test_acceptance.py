@@ -125,7 +125,7 @@ def test_criterion_04_single_user_closed_form(tmp_path):
     slots, slot_size = 5, 8
     flat = channels.sample_rayleigh(rng, slots * slot_size, 3, 1)
     bounds = np.array(
-        [np.log2(1.0 + sys_cfg.p * np.linalg.norm(h) ** 2 / sys_cfg.sigma2)
+        [np.log2(1.0 + sys_cfg.p * np.linalg.norm(h) ** 2)
          for h in flat]
     )
 

@@ -70,7 +70,7 @@ def test_out_of_range_snr_flag_is_usage_error(capsys):
     # system_for holds the one SNR range, so the flag is rejected as a
     # config SNR is: one line and exit 1, before anything runs
     for argv in (["gradcheck", "--draws", "1"], ["oracle", "--instances", "1"]):
-        for snr in ("121", "-401", "4000", "nan"):
+        for snr in ("101", "-401", "4000", "nan"):
             assert cli.main([*argv, "--snr-db", snr]) == cli.EXIT_USAGE
             out, err = capsys.readouterr()
             assert out == ""
@@ -348,6 +348,23 @@ def test_figure_runs_clean_at_the_snr_range_edges(figure, snr, tmp_path, capsys)
     with open(out / f"{figure}.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["method"] for r in rows} == set(METHODS)
+    assert np.isfinite([[float(r["wsr_mean"]), float(r["wsr_std"])] for r in rows]).all()
+    capsys.readouterr()
+
+
+def test_wmmse_eval_runs_clean_at_the_top_snr(tmp_path, capsys):
+    # The wmmse baseline at the top of the accepted range on 12 Rayleigh
+    # N = K = 3 channels. At 110 and 120 dB the pivot rule of its
+    # eigenbasis solve refused some of these channels (exit 2), which is why
+    # the range stops at 100 dB.
+    path = tmp_path / "top.cfg"
+    path.write_text(f"[system]\nsnr_db = {MAX_SNR_DB}\n[test]\nsize = 12\nseeds = 1\n")
+    out = tmp_path / "out"
+    code = cli.main(["--config", str(path), "--out", str(out), "eval", "--method", "wmmse"])
+    assert code == cli.EXIT_OK
+    with open(out / "eval_wmmse.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
     assert np.isfinite([[float(r["wsr_mean"]), float(r["wsr_std"])] for r in rows]).all()
     capsys.readouterr()
 

@@ -217,14 +217,14 @@ def test_sigma2_is_an_unknown_key():
         ("[system]\nsigma2 = nan\n", "system.sigma2"),
         ("[system]\nsnr_db = 0, inf\n", "system.snr_db"),
         ("[train]\nsnr_db = nan\n", "train.snr_db"),
-        # SNR outside [MIN_SNR_DB, MAX_SNR_DB] = [-400, 120] dB
+        # SNR outside [MIN_SNR_DB, MAX_SNR_DB] = [-400, 100] dB
         ("[system]\nsnr_db = 0, 1001\n", "system.snr_db"),
         ("[system]\nsnr_db = -4000\n", "system.snr_db"),
         ("[system]\nsnr_db = 4000\n", "system.snr_db"),
         ("[train]\nsnr_db = 2000\n", "train.snr_db"),
-        ("[system]\nsnr_db = 0, 120.001\n", "system.snr_db"),
+        ("[system]\nsnr_db = 0, 100.001\n", "system.snr_db"),
         ("[system]\nsnr_db = -400.001\n", "system.snr_db"),
-        ("[train]\nsnr_db = 120.001\n", "train.snr_db"),
+        ("[train]\nsnr_db = 100.001\n", "train.snr_db"),
         ("[train]\nsnr_db = -400.001\n", "train.snr_db"),
         ("[system]\nalpha = nan, 1, 1\n", "system.alpha"),
         ("[system]\nalpha = -1, 1, 1\n", "system.alpha"),

@@ -85,10 +85,18 @@ def test_hpd_solve_singular_raises():
         hpd_solve(rank1, np.ones((2, 1), dtype=complex))
     # The factorization succeeds, but the pivot 1e-13 is below 1e-12 * trace.
     with pytest.raises(SingularMatrixError):
-        hpd_solve(np.diag([1.0, 1e-13]).astype(complex), np.ones(2))
+        hpd_solve(np.diag([1.0, 1e-13]).astype(complex), np.ones((2, 1)))
     # A NaN entry factors into NaN pivots, which fail the pivot rule.
     with pytest.raises(SingularMatrixError):
-        hpd_solve(np.diag([np.nan, 1.1]).astype(complex), np.ones(2))
+        hpd_solve(np.diag([np.nan, 1.1]).astype(complex), np.ones((2, 1)))
+
+
+def test_hpd_solve_takes_one_rhs_shape():
+    # b is (..., N, K): a vector, or a wrong row count, is refused by its shape.
+    for b in (np.ones(2), np.ones((3, 1)), np.ones((4, 3, 1))):
+        with pytest.raises(ValueError) as err:
+            hpd_solve(np.eye(2, dtype=complex), b)
+        assert str(err.value).endswith(f"got {b.shape}")
 
 
 def test_total_power_examples():

@@ -51,7 +51,7 @@ def test_wsr_k1_mrt_closed_form():
         h = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
         # Signal is h^H v, so the matched filter is v proportional to h.
         v = np.sqrt(cfg.p) * h.T / np.linalg.norm(h)
-        expected = np.log2(1.0 + cfg.p * np.linalg.norm(h) ** 2 / cfg.sigma2)
+        expected = np.log2(1.0 + cfg.p * np.linalg.norm(h) ** 2)
         assert wsr(h, v, cfg) == pytest.approx(expected, rel=1e-12)
 
 

@@ -43,13 +43,14 @@ def test_mrt_beamformer_rejects_zero_channel_in_batch():
 
 
 def test_encode_features_layout():
-    # One sample, K=1, N=2: [Re H, Im H, Re V, Im V] in row-major order.
-    cfg = SystemConfig(n=2, k=1)
-    h = np.array([[[1.0 + 2.0j, 3.0 + 4.0j]]])
-    v = np.array([[[5.0 + 6.0j], [7.0 + 8.0j]]])
-    feats = pipeline.encode_features(h, v)
-    np.testing.assert_array_equal(feats, [[1.0, 3.0, 2.0, 4.0, 5.0, 7.0, 6.0, 8.0]])
-    assert feats.shape[1] == nn.feature_dim(2, 1)
+    # One sample, K=N=2: [Re H, Im H, Re V, Im V] in row-major order, with V
+    # the matched filter at full power, H^T here since P = ||H||_F^2 = 150.
+    cfg = SystemConfig(n=2, k=2, p=150.0)
+    h = np.array([[[3.0 + 4.0j, 6.0 + 8.0j], [0.0, 5.0j]]])
+    feats = pipeline.features(h, cfg)
+    np.testing.assert_array_equal(feats, [[3.0, 6.0, 0.0, 0.0, 4.0, 8.0, 0.0, 5.0,
+                                           3.0, 0.0, 6.0, 0.0, 4.0, 0.0, 8.0, 5.0]])
+    assert feats.shape[1] == nn.feature_dim(2, 2)
 
 
 def test_features_of_gathered_rows_are_the_gathered_features():
@@ -71,7 +72,7 @@ def test_features_of_gathered_rows_are_the_gathered_features():
 def test_predicted_ranges():
     rng = np.random.default_rng(2)
     cfg, params, h = setup(rng, b=10)
-    feats = pipeline.encode_features(h, wmmse.mrt_beamformer(h, cfg))
+    feats = pipeline.features(h, cfg)
     raw = (nn.mlp_forward(feats, w, b)[-1] for w, b in params.nets())
     u, w, mu = pipeline._heads(*raw, cfg)
     assert u.shape == (10, 3) and u.dtype == np.complex128

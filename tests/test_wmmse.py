@@ -48,6 +48,13 @@ def rand_h(rng, k, n):
     return rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
 
 
+def _solve_mu(h, u, w, cfg, **kwargs):
+    """solve_mu of (S, K) rows (u, w) on the channel h, on their eigenbasis
+    of S and column scales built as wmmse_solve builds them."""
+    basis = _eigenbasis(assemble_s(h, u, w, cfg), h)
+    return solve_mu(basis, column_scales(u, w, cfg), cfg.p, **kwargs)
+
+
 def test_w_zero_beamformer_is_one():
     h = rand_h(np.random.default_rng(0), 2, 2)
     np.testing.assert_array_equal(compute_w(h, np.zeros((2, 2), complex)), [1.0, 1.0])
@@ -68,19 +75,19 @@ def test_w_equals_one_plus_sinr():
         u = compute_u(h, v)
         d = np.diag(g)
         interference = np.sum(np.abs(g) ** 2, axis=1) - np.abs(d) ** 2
-        e = np.abs(1.0 - np.conj(u) * d) ** 2 + np.abs(u) ** 2 * (interference + cfg.sigma2)
+        e = np.abs(1.0 - np.conj(u) * d) ** 2 + np.abs(u) ** 2 * (interference + 1.0)
         np.testing.assert_allclose(w, 1.0 / e, rtol=1e-10)
 
 
 def test_u_single_user_closed_form():
-    # K=1 matched filter: u = sqrt(P) ||h|| / (sigma2 + P ||h||^2), real.
+    # K=1 matched filter: u = sqrt(P) ||h|| / (1 + P ||h||^2), real.
     cfg = SystemConfig(n=3, k=1, p=10.0)
     rng = np.random.default_rng(2)
     h = rand_h(rng, 1, 3)
     nh = np.linalg.norm(h)
     v = np.sqrt(cfg.p) * h.T / nh
     u = compute_u(h, v)
-    expected = np.sqrt(cfg.p) * nh / (cfg.sigma2 + cfg.p * nh**2)
+    expected = np.sqrt(cfg.p) * nh / (1.0 + cfg.p * nh**2)
     assert u[0] == pytest.approx(expected, rel=1e-12)
     assert abs(u[0].imag) < 1e-15
 
@@ -118,7 +125,7 @@ def test_reconstruct_channel_batch_rows_match_single_calls():
 def test_solve_mu_closed_form_unity():
     cfg = SystemConfig(n=1, k=1, p=4.0 / 9.0)
     h = np.array([[1.0 + 0j]])
-    mu = solve_mu(h, np.array([[1.0 + 0j]]), np.array([[2.0]]), cfg)
+    mu = _solve_mu(h, np.array([[1.0 + 0j]]), np.array([[2.0]]), cfg)
     assert mu.shape == (1,)
     assert mu[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -127,7 +134,7 @@ def test_solve_mu_zero_when_unconstrained():
     cfg = SystemConfig(n=1, k=1, p=10.0)
     h = np.array([[1.0 + 0j]])
     u, w = np.array([[10.0 + 0j]]), np.array([[1.0]])
-    mu = solve_mu(h, u, w, cfg)
+    mu = _solve_mu(h, u, w, cfg)
     np.testing.assert_array_equal(mu, [0.0])
     assert total_power(reconstruct_v(h, u, w, mu, cfg)) <= cfg.p
 
@@ -140,7 +147,7 @@ def test_solve_mu_hits_power_budget():
         h = rand_h(rng, k, n)
         u = rng.standard_normal((1, k)) + 1j * rng.standard_normal((1, k))
         w = rng.uniform(1.0, 5.0, size=(1, k))
-        (mu,) = solve_mu(h, u, w, cfg)
+        (mu,) = _solve_mu(h, u, w, cfg)
         p_used = total_power(reconstruct_v(h, u[0], w[0], mu, cfg))
         if mu > 1e-6:
             assert p_used == pytest.approx(cfg.p, rel=1e-8)
@@ -181,10 +188,10 @@ _MU_ROWS = {
 @given(**_MU_ROWS)
 def test_solve_mu_batched_rows_match_1d_calls(seed, rows, n, k, snr_db):
     cfg, h, u, w = _mu_rows(seed, rows, n, k, snr_db)
-    mu = solve_mu(h, u, w, cfg)
+    mu = _solve_mu(h, u, w, cfg)
     assert mu.shape == (rows,)
     for row in range(rows):
-        single = solve_mu(h, u[row : row + 1], w[row : row + 1], cfg)
+        single = _solve_mu(h, u[row : row + 1], w[row : row + 1], cfg)
         assert single.shape == (1,)
         assert mu[row] == pytest.approx(single[0], rel=1e-12, abs=0.0)
         _assert_budget_row(h, u[row], w[row], mu[row], cfg)
@@ -197,14 +204,14 @@ def test_solve_mu_warm_start_contract(seed, rows, n, k, snr_db, picks):
     # at 0 / the rank floor), rows stay independent of each other, and a
     # slack row returns what the cold search returns, whatever its start.
     cfg, h, u, w = _mu_rows(seed, rows, n, k, snr_db)
-    cold = solve_mu(h, u, w, cfg)
+    cold = _solve_mu(h, u, w, cfg)
     floor = 100.0 * PIVOT_RTOL * np.trace(assemble_s(h, u, w, cfg), axis1=1, axis2=2).real
     starts = np.stack([np.zeros(rows), cold, 0.5 * cold, 2.0 * cold, 1e6 * cold, floor])
     mu0 = starts[picks[:rows], np.arange(rows)]
-    mu = solve_mu(h, u, w, cfg, mu0=mu0)
+    mu = _solve_mu(h, u, w, cfg, mu0=mu0)
     assert mu.shape == (rows,)
     for row in range(rows):
-        single = solve_mu(h, u[row : row + 1], w[row : row + 1], cfg, mu0=mu0[row : row + 1])
+        single = _solve_mu(h, u[row : row + 1], w[row : row + 1], cfg, mu0=mu0[row : row + 1])
         np.testing.assert_array_equal(mu[row], single[0])
         _assert_budget_row(h, u[row], w[row], mu[row], cfg)
         if cold[row] in (0.0, floor[row]):  # slack at mu = 0
@@ -217,8 +224,8 @@ def test_solve_mu_warm_start_at_its_answer_takes_no_step(seed, rows, n, k, snr_d
     # A row started at its own answer is already in the band (or slack), so
     # the search returns that answer without a single Newton step.
     cfg, h, u, w = _mu_rows(seed, rows, n, k, snr_db)
-    mu = solve_mu(h, u, w, cfg)
-    np.testing.assert_array_equal(solve_mu(h, u, w, cfg, mu0=mu, max_iters=0), mu)
+    mu = _solve_mu(h, u, w, cfg)
+    np.testing.assert_array_equal(_solve_mu(h, u, w, cfg, mu0=mu, max_iters=0), mu)
 
 
 def test_solve_mu_rank_deficient_batch():
@@ -229,7 +236,7 @@ def test_solve_mu_rank_deficient_batch():
     h = rand_h(np.random.default_rng(15), 1, 3)
     u = np.array([[1.0 + 0j], [1e-3 + 0j]])
     w = np.ones((2, 1))
-    mu = solve_mu(h, u, w, cfg)
+    mu = _solve_mu(h, u, w, cfg)
     norm2 = np.linalg.norm(h) ** 2
     assert mu[0] == pytest.approx(100.0 * PIVOT_RTOL * norm2, rel=1e-9)
     assert mu[1] > 1e-6
@@ -243,12 +250,12 @@ def test_solve_mu_unreachable_or_unconverged_raises():
     cfg = SystemConfig(n=1, k=1, p=1.0)
     h = np.array([[1.0 + 0j]])
     with pytest.raises(SingularMatrixError):
-        solve_mu(h, np.array([[1e-10 + 0j]]), np.array([[1e30]]), cfg)
+        _solve_mu(h, np.array([[1e-10 + 0j]]), np.array([[1e30]]), cfg)
     # No start gets there either: below the root, at it or far beyond it.
     for mu0 in (0.0, 1e10, 1e20, 1e30):
         with pytest.raises(SingularMatrixError):
-            solve_mu(h, np.array([[1e-10 + 0j]]), np.array([[1e30]]), cfg,
-                     mu0=np.array([mu0]))
+            _solve_mu(h, np.array([[1e-10 + 0j]]), np.array([[1e30]]), cfg,
+                      mu0=np.array([mu0]))
     # The unity oracle above needs one Newton step from mu = 0 or from
     # beyond its root mu = 1; zero steps cannot reach it, but mu0 = 1 is
     # already the answer.
@@ -256,8 +263,8 @@ def test_solve_mu_unreachable_or_unconverged_raises():
     u, w = np.array([[1.0 + 0j]]), np.array([[2.0]])
     for mu0 in (None, np.array([0.0]), np.array([3.0])):
         with pytest.raises(SingularMatrixError):
-            solve_mu(h, u, w, cfg, max_iters=0, mu0=mu0)
-    np.testing.assert_array_equal(solve_mu(h, u, w, cfg, max_iters=0, mu0=np.array([1.0])),
+            _solve_mu(h, u, w, cfg, max_iters=0, mu0=mu0)
+    np.testing.assert_array_equal(_solve_mu(h, u, w, cfg, max_iters=0, mu0=np.array([1.0])),
                                   [1.0])
 
 
@@ -265,14 +272,14 @@ def test_solve_mu_degenerate_zero_components():
     cfg = SystemConfig(n=2, k=2, p=10.0)
     h = rand_h(np.random.default_rng(4), 2, 2)
     with pytest.raises(DegenerateInputError):
-        solve_mu(h, np.zeros((1, 2), complex), np.ones((1, 2)), cfg)
+        _solve_mu(h, np.zeros((1, 2), complex), np.ones((1, 2)), cfg)
 
 
 @pytest.mark.parametrize("n, k", [(3, 3), (4, 2)])
 def test_solve_in_basis_equals_reconstruct_v(n, k):
     # The solver's V step solves S + mu I in solve_mu's eigenbasis of S; on
-    # the same rows it gives reconstruct_v's hpd_solve to rounding, and the
-    # basis changes no bit of mu. With K < N, S is rank deficient, and rows
+    # the same rows it gives reconstruct_v's hpd_solve to rounding. With
+    # K < N, S is rank deficient, and rows
     # with a slack budget sit at the floor mu, where S + mu I has a
     # condition number near 1e10: there both solves carry null-space
     # rounding noise of about 1e-6 ||V|| that no gain h_j^H v_k sees, so
@@ -286,10 +293,9 @@ def test_solve_in_basis_equals_reconstruct_v(n, k):
                                + 1j * rng.standard_normal((8, n, k)), cfg.p)
         u, w = compute_u(h, v), compute_w(h, v)
         s = assemble_s(h, u, w, cfg)
-        basis = _eigenbasis(s, h)
-        mu = solve_mu(h, u, w, cfg, basis=basis)
-        np.testing.assert_array_equal(mu, solve_mu(h, u, w, cfg))
-        got = _solve_in_basis(basis, mu, column_scales(u, w, cfg))
+        basis, scales = _eigenbasis(s, h), column_scales(u, w, cfg)
+        mu = solve_mu(basis, scales, cfg.p)
+        got = _solve_in_basis(basis, mu, scales)
         want = reconstruct_v(h, u, w, mu, cfg)
         floor = 100.0 * PIVOT_RTOL * np.trace(s, axis1=1, axis2=2).real
         at_floor = np.isclose(mu, floor, rtol=1e-6, atol=0.0)
@@ -351,7 +357,7 @@ def test_wmmse_k1_closed_form():
     for _ in range(10):
         h = rand_h(rng, 1, 3)
         res = wmmse_solve(h, cfg)
-        bound = np.log2(1.0 + cfg.p * np.linalg.norm(h) ** 2 / cfg.sigma2)
+        bound = np.log2(1.0 + cfg.p * np.linalg.norm(h) ** 2)
         assert res.wsr_trace[-1] <= bound + 1e-9
         assert res.wsr_trace[-1] == pytest.approx(bound, abs=1e-6)
 
@@ -376,7 +382,7 @@ def test_wmmse_fixed_point():
     h = rand_h(rng, 3, 3)
     res = wmmse_solve(h, cfg, eps=1e-12, max_iters=2000)
     u, w = compute_u(h, res.v), compute_w(h, res.v)
-    (mu,) = solve_mu(h, u[None], w[None], cfg)
+    (mu,) = _solve_mu(h, u[None], w[None], cfg)
     v_back = reconstruct_v(h, u, w, mu, cfg)
     assert np.abs(v_back - res.v).max() < 1e-5
 
@@ -386,7 +392,7 @@ def test_directions_lambda_zero_are_unit_matched_filters():
     rng = np.random.default_rng(10)
     cfg = SystemConfig(n=3, k=2, p=10.0)
     h = rand_h(rng, 2, 3)
-    d = _directions(h, np.zeros(2), cfg)
+    d = _directions(h, np.zeros(2))
     for k in range(2):
         assert np.linalg.norm(d[:, k]) == pytest.approx(1.0, rel=1e-12)
         c = np.vdot(h[k], d[:, k]) / np.linalg.norm(h[k])
@@ -402,9 +408,9 @@ def test_directions_of_a_grid_equal_its_one_row_calls(n, k):
     cfg = SystemConfig(n=n, k=k, p=10.0)
     h = rand_h(rng, k, n)
     grid = _simplex_grid(k, cfg.p, 6)
-    d = _directions(h, grid, cfg)
+    d = _directions(h, grid)
     assert d.shape == (len(grid), n, k)
-    np.testing.assert_array_equal(d, np.stack([_directions(h, lam, cfg) for lam in grid]))
+    np.testing.assert_array_equal(d, np.stack([_directions(h, lam) for lam in grid]))
     np.testing.assert_allclose(np.linalg.norm(d, axis=-2), 1.0, rtol=1e-12)
 
 
@@ -413,7 +419,7 @@ def test_grid_oracle_k1_closed_form():
     cfg = SystemConfig(n=2, k=1, p=10.0)
     h = rand_h(rng, 1, 2)
     res = grid_oracle(h, cfg, grid_steps=11)
-    bound = np.log2(1.0 + cfg.p * np.linalg.norm(h) ** 2 / cfg.sigma2)
+    bound = np.log2(1.0 + cfg.p * np.linalg.norm(h) ** 2)
     assert res == pytest.approx(bound, abs=1e-9)
 
 
@@ -443,7 +449,7 @@ def test_grid_oracle_k3_equals_a_plain_search():
     grid = _simplex_grid(3, cfg.p, 11)
     best = -np.inf
     for lam in grid:
-        a = np.eye(3) + hermitian_rank1_sum(lam / cfg.sigma2, h)
+        a = np.eye(3) + hermitian_rank1_sum(lam, h)
         for p in grid:
             x = np.linalg.solve(a, h.T)
             v = x / np.linalg.norm(x, axis=0) * np.sqrt(p)
@@ -516,9 +522,10 @@ def _reference_run(h, cfg, v0, eps=1e-8, max_iters=300):
     it, converged, mu = 0, False, None
     for it in range(1, max_iters + 1):
         u, w = compute_u(h, v), compute_w(h, v)
-        s = assemble_s(h, u, w, cfg)
-        mu = solve_mu(h, u, w, cfg, mu0=mu)
-        v_new = _solve_in_basis(_eigenbasis(s, h), mu, column_scales(u, w, cfg))
+        basis = _eigenbasis(assemble_s(h, u, w, cfg), h)
+        scales = column_scales(u, w, cfg)
+        mu = solve_mu(basis, scales, cfg.p, mu0=mu)
+        v_new = _solve_in_basis(basis, mu, scales)
         trace.append(wsr(h, v_new, cfg)[0])
         if trace[-1] > max(trace[:-1]):
             best_v = v_new[0]
@@ -603,8 +610,8 @@ def test_wmmse_solve_evaluates_couplings_once_per_iterate(monkeypatch):
         gains_rows.append(len(v))
         return real_gains(h, v)
 
-    def solve_mu(h, u, w, cfg, mu0=None, **kwargs):
-        mu = real_solve_mu(h, u, w, cfg, mu0=mu0, **kwargs)
+    def solve_mu(basis, scales, p, mu0=None, **kwargs):
+        mu = real_solve_mu(basis, scales, p, mu0=mu0, **kwargs)
         searches.append((mu0, mu))
         return mu
 
