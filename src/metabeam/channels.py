@@ -5,17 +5,9 @@ stack realizations along axis 0, shape (count, K, N). All families are
 normalized to unit average entry power E|h|^2 = 1.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DataFormatError
-
-DATASET_MAGIC = b"MMLC1"
-_HEADER = struct.Struct("<5sIII")  # magic, N, K, count (little-endian u32)
-_MAX_ENTRIES = 1 << 28  # refuse absurd allocations from corrupt headers
-
 
 # The one parameter each family reads (None: it reads none).
 FAMILY_PARAM = {"rayleigh": None, "rician": "kappa", "nakagami": "m"}
@@ -135,39 +127,3 @@ def make_mixed_dataset(rng, mixture, size, n, k):
     data = np.concatenate(blocks, axis=0)
     return data[rng.permutation(size)]
 
-
-def write_dataset(path, data):
-    """Write a channel batch to a binary file.
-
-    Layout: magic "MMLC1", then N, K, count as little-endian u32, then
-    count*K*N entries as interleaved (re, im) float64 little-endian, user-major
-    then antenna within each realization.
-    """
-    data = np.ascontiguousarray(data, dtype=np.complex128)
-    count, k, n = data.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(DATASET_MAGIC, n, k, count))
-        fh.write(data.astype("<c16").tobytes())
-
-
-def read_dataset(path):
-    """Read a dataset written by write_dataset; validates magic and size."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise DataFormatError(
-            f"file too short for header: {len(blob)} bytes < {_HEADER.size}"
-        )
-    magic, n, k, count = _HEADER.unpack_from(blob, 0)
-    if magic != DATASET_MAGIC:
-        raise DataFormatError(f"bad magic {magic!r}, expected {DATASET_MAGIC!r}")
-    if min(n, k, count) == 0 or n * k * count > _MAX_ENTRIES:
-        raise DataFormatError(f"implausible header sizes N={n} K={k} count={count}")
-    expected = _HEADER.size + count * k * n * 16
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"payload size mismatch: file has {len(blob)} bytes, "
-            f"expected {expected} (truncated at byte {len(blob)})"
-        )
-    flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    return flat.reshape(count, k, n).astype(np.complex128)

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen-data, train, eval, figure, oracle, gradcheck (which checks
+Subcommands: train, eval, figure, oracle, gradcheck (which checks
 the configured loss through training's own tape pass); the global flags go
 before or after the subcommand. Exit codes: 0 success, 1 usage or
 configuration error (a bad path among them), 2 numerical failure.
@@ -37,17 +37,6 @@ def _load_config(args):
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
-
-
-def _cmd_gen_data(args):
-    cfg = _load_config(args)
-    data = runner.train_dataset(cfg)
-    out = args.out or "dataset.bin"
-    if os.path.isdir(out):
-        out = os.path.join(out, "dataset.bin")
-    channels.write_dataset(out, data)
-    print(f"wrote {data.shape[0]} realizations (N={cfg.n}, K={cfg.k}) to {out}")
-    return EXIT_OK
 
 
 def _cmd_train(args):
@@ -185,8 +174,6 @@ def build_parser():
     common = _global_flags(default=argparse.SUPPRESS)
     add = functools.partial(sub.add_parser, parents=[common])
 
-    add("gen-data", help="generate and write the training dataset")
-
     p_train = add("train", help="train one learned method")
     p_train.add_argument("--method", choices=runner.TRAINED, default="maml")
 
@@ -209,7 +196,6 @@ def build_parser():
 
 
 _COMMANDS = {
-    "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "eval": _cmd_eval,
     "figure": _cmd_figure,

@@ -1,4 +1,4 @@
-"""Fading-sample generator and dataset-format tests.
+"""Fading-sample generator, task and mixed-dataset tests.
 
 Moment targets are analytic: every family is normalized to E|h|^2 = 1, the
 Rician mean is sqrt(kappa/(kappa+1)), and the Nakagami envelope power has
@@ -13,12 +13,9 @@ from scipy import stats
 from metabeam.channels import (
     ChannelModelSpec,
     make_mixed_dataset,
-    read_dataset,
     sample_channels,
     task_from_dataset,
-    write_dataset,
 )
-from metabeam.errors import DataFormatError
 
 RAYLEIGH = ChannelModelSpec("rayleigh")
 
@@ -168,45 +165,3 @@ def test_mixed_dataset_total_count_property(seed, count, weights):
     data = make_mixed_dataset(np.random.default_rng(seed), mix, count, 2, 2)
     assert data.shape == (count, 2, 2)
 
-
-def test_dataset_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    data = sample_channels(rng, RAYLEIGH, 17, 3, 2)
-    path = tmp_path / "d.bin"
-    write_dataset(path, data)
-    back = read_dataset(path)
-    np.testing.assert_array_equal(back, data)
-    assert back.dtype == np.complex128
-
-
-def test_dataset_header_layout(tmp_path):
-    data = sample_channels(np.random.default_rng(14), RAYLEIGH, 2, 3, 2)
-    path = tmp_path / "d.bin"
-    write_dataset(path, data)
-    raw = path.read_bytes()
-    assert raw[:5] == b"MMLC1"
-    n, k, count = np.frombuffer(raw[5:17], dtype="<u4")
-    assert (n, k, count) == (3, 2, 2)
-    assert len(raw) == 17 + 2 * 2 * 3 * 16  # header + count*K*N c16 payload
-
-
-def test_dataset_corruption_detected(tmp_path):
-    data = sample_channels(np.random.default_rng(15), RAYLEIGH, 3, 2, 2)
-    path = tmp_path / "d.bin"
-    write_dataset(path, data)
-    raw = bytearray(path.read_bytes())
-
-    bad_magic = tmp_path / "m.bin"
-    bad_magic.write_bytes(b"XXXXX" + bytes(raw[5:]))
-    with pytest.raises(DataFormatError):
-        read_dataset(bad_magic)
-
-    truncated = tmp_path / "t.bin"
-    truncated.write_bytes(bytes(raw[:-8]))
-    with pytest.raises(DataFormatError):
-        read_dataset(truncated)
-
-    padded = tmp_path / "p.bin"
-    padded.write_bytes(bytes(raw) + b"\x00" * 4)
-    with pytest.raises(DataFormatError):
-        read_dataset(padded)
