@@ -64,10 +64,7 @@ def _cmd_eval(args):
                              "which eval would replace; choose another --out")
     rows = runner.run_eval(cfg, args.method, out_dir, verbose=args.verbose)
     csv_path = os.path.join(out_dir, f"eval_{args.method}.csv")
-    json_path = (
-        os.path.join(out_dir, f"eval_{args.method}.json") if cfg.emit_json else None
-    )
-    runner.emit_results(rows, csv_path, json_path)
+    runner.emit_results(rows, csv_path)
     runner.echo_config(cfg, out_dir)
     print(f"results: {csv_path}")
     return EXIT_OK

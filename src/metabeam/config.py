@@ -93,15 +93,6 @@ def _parse_str_list(text):
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _parse_bool(text):
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """Everything the harness needs, with the defaults of the reference setup."""
@@ -138,7 +129,6 @@ class ExperimentConfig:
     # [eval]
     methods: list = field(default_factory=lambda: list(METHODS))
     wmmse_restarts: int = 3
-    emit_json: bool = False
 
 
 def system_for(cfg, snr_db):
@@ -217,7 +207,6 @@ KEYS = (
     ("memory", "rank_pool", "rank_pool", str, _one_of("retained", "union")),
     ("eval", "methods", "methods", _parse_str_list, _known_methods),
     ("eval", "wmmse_restarts", "wmmse_restarts", int, _at_least(0)),
-    ("eval", "emit_json", "emit_json", _parse_bool, None),
 )
 _ROWS = {(section, key): (path, parse) for section, key, path, parse, _ in KEYS}
 
@@ -297,8 +286,6 @@ def _validate(cfg, lines):
 
 
 def _render(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return format_float(v)
     if isinstance(v, ChannelModelSpec):

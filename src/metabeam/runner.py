@@ -1,15 +1,15 @@
 """Experiment driver: training runs, evaluation sweeps, and result emission.
 
-Every stochastic step draws from a named sub-stream of the run seed (see
-seeding.py), and test data for a given (snr, seed) cell is method-independent,
-so methods are compared on identical channels and a re-run of the same config
-reproduces every output file byte for byte.
+The unit of evaluation is a cell (method, SNR, seed). Every stochastic step
+draws from a named sub-stream of the run seed (see seeding.py), a cell only
+from its own, and test data is method-independent: methods are compared on
+identical channels, and a re-run reproduces every output file byte for byte.
 """
 
-import json
+import itertools
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,10 +97,10 @@ def echo_config(cfg, out_dir):
         fh.write(render_config(cfg))
 
 
-def _test_batch(cfg, snr_idx, seed, tag, count):
+def _test_batch(cfg, snr_idx, seed):
     """Method-independent test draw for one (snr, seed) cell."""
-    rng = rng_for(cfg.seed, "test", tag, snr_idx, seed)
-    return channels.sample_channels(rng, cfg.test_channel, count, cfg.n, cfg.k)
+    rng = rng_for(cfg.seed, "test", "eval", snr_idx, seed)
+    return channels.sample_channels(rng, cfg.test_channel, cfg.test_size, cfg.n, cfg.k)
 
 
 def _row(method, snr_db, seed, slot, wsr_values):
@@ -119,7 +119,7 @@ def _row(method, snr_db, seed, slot, wsr_values):
 def _eval_wmmse(cfg, sys_cfg, snr_idx, seed):
     """Per-channel WMMSE rates of one cell, and how many solves stopped at
     max_iters without converging."""
-    data = _test_batch(cfg, snr_idx, seed, "eval", cfg.test_size)
+    data = _test_batch(cfg, snr_idx, seed)
     runs = [wmmse.wmmse_solve(h, sys_cfg, seed=i, restarts=cfg.wmmse_restarts)
             for i, h in enumerate(data)]
     v = normalize_to_power(np.stack([res.v for res in runs]), sys_cfg.p)
@@ -127,7 +127,7 @@ def _eval_wmmse(cfg, sys_cfg, snr_idx, seed):
 
 
 def _eval_forward(params, cfg, sys_cfg, snr_idx, seed):
-    data = _test_batch(cfg, snr_idx, seed, "eval", cfg.test_size)
+    data = _test_batch(cfg, snr_idx, seed)
     return pipeline.evaluate_wsr(params, data, sys_cfg)
 
 
@@ -160,19 +160,40 @@ def _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed):
     return rows
 
 
-def run_eval(cfg, method, out_dir, verbose=False):
-    """Evaluate one method over the SNR grid and seed range; returns rows.
+def cells(cfg, methods):
+    """The (method, snr_idx, seed) cells that evaluate methods, in run order."""
+    return list(itertools.product(methods, range(len(cfg.snr_db)), range(cfg.test_seeds)))
 
-    wmmse and unsupervised produce one final row per cell from a shared test
-    set. The adaptive methods (maml, maml_no_pretrain, mml) run the streaming
-    protocol on a shared slot stream and emit per-slot rows plus a final row.
+
+def run_cell(cfg, method, params, snr_idx, seed):
+    """One cell's rows and its --verbose note: a final row for wmmse and
+    unsupervised, a row per slot plus a final row for the adaptive methods.
+    params is the method's checkpoint (None if it reads none);
+    maml_no_pretrain draws its initialization from the cell's seed."""
+    snr_db = cfg.snr_db[snr_idx]
+    sys_cfg = system_for(cfg, snr_db)
+    if method == "wmmse":
+        wsrs, unconverged = _eval_wmmse(cfg, sys_cfg, snr_idx, seed)
+        return ([_row(method, snr_db, seed, "final", wsrs)],
+                f" unconverged={unconverged}/{wsrs.size}")
+    if method == "unsupervised":
+        wsrs = _eval_forward(params, cfg, sys_cfg, snr_idx, seed)
+        return [_row(method, snr_db, seed, "final", wsrs)], ""
+    if method == "maml_no_pretrain":
+        params = nn.init_predictor(rng_for(cfg.seed, "init-no-pretrain", seed),
+                                   cfg.n, cfg.k, width=cfg.meta.width)
+    return _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed), ""
+
+
+def run_eval(cfg, method, out_dir, verbose=False):
+    """Evaluate one method over its cells; returns their rows in cell order.
+
     Learned methods read their checkpoint from out_dir, and mml reuses the
     maml checkpoint; a checkpoint whose layer sizes differ from the config's
     raises DataFormatError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown eval method {method!r}")
-    rows = []
     params = None
     if method in CHECKPOINT_OF:
         path = checkpoint_path(out_dir, CHECKPOINT_OF[method])
@@ -181,28 +202,13 @@ def run_eval(cfg, method, out_dir, verbose=False):
                 f"{method} needs a checkpoint at {path}; run training first"
             )
         params = load_params(path, cfg)
-    for snr_idx, snr_db in enumerate(cfg.snr_db):
-        sys_cfg = system_for(cfg, snr_db)
-        for seed in range(cfg.test_seeds):
-            note = ""
-            if method == "wmmse":
-                wsrs, unconverged = _eval_wmmse(cfg, sys_cfg, snr_idx, seed)
-                rows.append(_row(method, snr_db, seed, "final", wsrs))
-                note = f" unconverged={unconverged}/{wsrs.size}"
-            elif method == "unsupervised":
-                rows.append(_row(method, snr_db, seed, "final",
-                                 _eval_forward(params, cfg, sys_cfg, snr_idx, seed)))
-            else:
-                if method == "maml_no_pretrain":
-                    params = nn.init_predictor(
-                        rng_for(cfg.seed, "init-no-pretrain", seed), cfg.n, cfg.k,
-                        width=cfg.meta.width,
-                    )
-                rows.extend(_eval_stream(method, params, cfg, sys_cfg, snr_db,
-                                         snr_idx, seed))
-            if verbose:
-                print(f"[eval] {method} snr={snr_db:g} seed={seed}: "
-                      f"wsr={rows[-1].wsr_mean:.4f}{note}")
+    rows = []
+    for _, snr_idx, seed in cells(cfg, [method]):
+        cell_rows, note = run_cell(cfg, method, params, snr_idx, seed)
+        rows += cell_rows
+        if verbose:
+            print(f"[eval] {method} snr={cfg.snr_db[snr_idx]:g} seed={seed}: "
+                  f"wsr={cell_rows[-1].wsr_mean:.4f}{note}")
     return rows
 
 
@@ -210,8 +216,8 @@ def _slot_key(slot):
     return (0, int(slot)) if slot != "final" else (1, 0)
 
 
-def emit_results(rows, csv_path, json_path=None):
-    """Write rows as CSV (and optionally JSON) in a stable canonical order.
+def emit_results(rows, csv_path):
+    """Write rows as CSV in a stable canonical order.
 
     Sort key: (method, snr_db, seed, numeric slots ascending, then "final").
     Floats are written with repr, so identical inputs give identical bytes.
@@ -235,10 +241,6 @@ def emit_results(rows, csv_path, json_path=None):
         )
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump([asdict(r) for r in ordered], fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return csv_path
 
 FIGURE_CHANNELS = {
@@ -254,8 +256,8 @@ def run_figure(cfg, figure, out_dir, verbose=False):
 
     fig5: Rician, fig6: Rayleigh, fig7: Nakagami m=1, fig8: Nakagami m=10.
     Trains every checkpoint its methods read under the figure's config,
-    replacing any in out_dir, then sweeps the SNR grid and writes
-    <figure>.csv (plus .json when configured).
+    replacing any in out_dir, then runs cells(fig_cfg, fig_cfg.methods) in
+    order and writes <figure>.csv.
     """
     if figure not in FIGURE_CHANNELS:
         raise ValueError(f"unknown figure {figure!r}; known: {sorted(FIGURE_CHANNELS)}")
@@ -267,7 +269,6 @@ def run_figure(cfg, figure, out_dir, verbose=False):
     for method in fig_cfg.methods:
         rows.extend(run_eval(fig_cfg, method, out_dir, verbose=verbose))
     csv_path = os.path.join(out_dir, f"{figure}.csv")
-    json_path = os.path.join(out_dir, f"{figure}.json") if cfg.emit_json else None
-    emit_results(rows, csv_path, json_path)
+    emit_results(rows, csv_path)
     echo_config(fig_cfg, out_dir)
     return csv_path

@@ -158,7 +158,6 @@ def test_echo_round_trip_modified_config():
         rank_pool = union
         [eval]
         methods = wmmse, mml
-        emit_json = true
         """
     )
     echoed = parse_config_text(render_config(cfg))
@@ -167,7 +166,6 @@ def test_echo_round_trip_modified_config():
     # full-precision values that `:g` would shorten to a different float
     assert (echoed.train_snr_db, echoed.meta.inner_lr) == (0.3333333333, 0.0123456789)
     assert echoed.train_mix[1][0].kappa == 3.14159265
-    assert echoed.emit_json is True
 
 
 def test_validation_errors():
@@ -215,6 +213,8 @@ def test_sigma2_is_an_unknown_key():
         ("[system]\nsigma2 = -1\n", "system.sigma2"),
         ("[system]\nsigma2 = 0\n", "system.sigma2"),
         ("[system]\nsigma2 = nan\n", "system.sigma2"),
+        # the JSON mirror is gone, and its switch with it
+        ("[eval]\nemit_json = true\n", "eval.emit_json"),
         ("[system]\nsnr_db = 0, inf\n", "system.snr_db"),
         ("[train]\nsnr_db = nan\n", "train.snr_db"),
         # SNR outside [MIN_SNR_DB, MAX_SNR_DB] = [-400, 100] dB
@@ -357,7 +357,7 @@ def _configs(draw):
         capacity=ints(0, 256),
         rank_pool=draw(st.sampled_from(["retained", "union"])),
         methods=draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)),
-        wmmse_restarts=ints(0, 10), emit_json=draw(st.booleans()),
+        wmmse_restarts=ints(0, 10),
     )
 
 

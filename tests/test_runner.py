@@ -205,31 +205,16 @@ def test_emit_results_stable_bytes_and_order(tmp_path):
     ]
 
 
-def test_emit_results_json_mirror(tmp_path):
-    import json
-
-    rows = [ResultRow("wmmse", 0.0, 0, "final", 1.25, 0.0, 2)]
-    csv_path = tmp_path / "r.csv"
-    json_path = tmp_path / "r.json"
-    runner.emit_results(rows, str(csv_path), str(json_path))
-    assert csv_path.read_text().splitlines()[1] == "wmmse,0.0,0,final,1.25,0.0,2"
-    payload = json.loads(json_path.read_text())
-    assert payload == [
-        {"method": "wmmse", "snr_db": 0.0, "seed": 0, "slot": "final",
-         "wsr_mean": 1.25, "wsr_std": 0.0, "samples": 2}
-    ]
-
-
 @pytest.mark.parametrize("mean, std", [(np.nan, 0.5), (1.0, np.inf), (-np.inf, 0.0)])
 def test_emit_results_refuses_non_finite_rows(tmp_path, mean, std):
     rows = [
         ResultRow("maml", 10.0, 0, "final", 6.0, 0.5, 8),
         ResultRow("mml", 10.0, 0, "3", mean, std, 4),
     ]
-    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    csv_path = tmp_path / "r.csv"
     with pytest.raises(NumericalError, match="mml"):
-        runner.emit_results(rows, str(csv_path), str(json_path))
-    assert not csv_path.exists() and not json_path.exists()
+        runner.emit_results(rows, str(csv_path))
+    assert not csv_path.exists()
 
 
 def test_emit_results_final_row_cardinality(tmp_path):
@@ -292,3 +277,47 @@ def test_run_figure_retrains_checkpoints_under_its_config(tmp_path):
     assert len((reused / "maml_train.csv").read_text().splitlines()) == 1 + cfg.meta.epochs
     for name in ("maml.ckpt", "fig7.csv"):
         assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_run_figure_runs_exactly_its_cells_in_order(tmp_path, monkeypatch, capsys):
+    # run_cell is the one unit of evaluation: a figure runs each of its cells
+    # once, in cells() order, and prints one verbose line per cell.
+    cfg = tiny_cfg(snr_db=[0.0, 10.0])
+    fig_cfg = dataclasses.replace(cfg, test_channel=runner.FIGURE_CHANNELS["fig6"])
+    seen, run_cell = [], runner.run_cell
+
+    def spy(cell_cfg, method, params, snr_idx, seed):
+        assert cell_cfg == fig_cfg
+        seen.append((method, snr_idx, seed))
+        return run_cell(cell_cfg, method, params, snr_idx, seed)
+
+    monkeypatch.setattr(runner, "run_cell", spy)
+    runner.run_figure(cfg, "fig6", str(tmp_path), verbose=True)
+    assert seen == runner.cells(fig_cfg, fig_cfg.methods)
+    assert len(seen) == 5 * 2 * 2
+    assert seen[:3] == [("wmmse", 0, 0), ("wmmse", 0, 1), ("wmmse", 1, 0)]
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[eval]")]
+    assert [l.split(":")[0] for l in lines] == [
+        f"[eval] {m} snr={cfg.snr_db[i]:g} seed={s}" for m, i, s in seen
+    ]
+    assert [("unconverged=" in l) for l in lines] == [m == "wmmse" for m, _, _ in seen]
+
+
+def test_cell_rows_do_not_depend_on_what_ran_before(tmp_path):
+    # A cell draws only from its own named sub-streams: a figure with its
+    # methods reversed writes the same bytes, and every cell of an eval, run
+    # again alone and in reverse order, gives the same rows.
+    cfg = tiny_cfg(snr_db=[0.0, 10.0])
+    out = str(tmp_path / "fwd")
+    fwd = runner.run_figure(cfg, "fig7", out)
+    rev = runner.run_figure(dataclasses.replace(cfg, methods=cfg.methods[::-1]), "fig7",
+                            str(tmp_path / "rev"))
+    assert open(fwd, "rb").read() == open(rev, "rb").read()
+    fig_cfg = dataclasses.replace(cfg, test_channel=runner.FIGURE_CHANNELS["fig7"])
+    for method in fig_cfg.methods:
+        rows = runner.run_eval(fig_cfg, method, out)
+        params = (runner.load_params(runner.checkpoint_path(out, runner.CHECKPOINT_OF[method]),
+                                     fig_cfg) if method in runner.CHECKPOINT_OF else None)
+        alone = [runner.run_cell(fig_cfg, method, params, snr_idx, seed)[0]
+                 for _, snr_idx, seed in reversed(runner.cells(fig_cfg, [method]))]
+        assert [r for cell in reversed(alone) for r in cell] == rows
