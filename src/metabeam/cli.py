@@ -153,7 +153,7 @@ def _global_flags(**default):
     flags.add_argument("--config", help="experiment config file (key = value)",
                        **default)
     flags.add_argument("--seed", type=_seed, help="override the run seed", **default)
-    flags.add_argument("--out", help="output file or directory", **default)
+    flags.add_argument("--out", help="output directory", **default)
     flags.add_argument("--verbose", action="store_true", **default)
     return flags
 

@@ -1,12 +1,14 @@
 """Loss-ranked replay memory and the streaming test-time loop.
 
-The memory holds up to `capacity` past channel samples. At each stream slot a
-quota of the freshest incoming samples is admitted unconditionally and the
-remaining slots go to the hardest retained samples, where hardness is the
-per-sample loss under the current parameters (re-scored every slot). Each
-slot's adaptation restarts from the meta-initialization and trains on memory
-plus the fresh batch, so the memory is the sole carrier of accumulated
-experience and hard past samples keep contributing gradient signal.
+The memory holds up to `capacity` past channel samples, each with the slot
+that admitted it; it stores no loss. At each stream slot a quota of the
+freshest incoming samples is admitted unconditionally and the remaining
+places go to the hardest samples of the ranking pool: the slot scores that
+pool once, under the parameters it just adapted, ranks it by those losses
+and then drops them. Each slot's adaptation restarts from the
+meta-initialization and trains on memory plus the fresh batch, so the memory
+is the sole carrier of accumulated experience and hard past samples keep
+contributing gradient signal.
 mml_test_loop runs every streaming method, with or without a memory; at
 capacity 0 (maml, maml_no_pretrain) it adapts each run of slots on one tape.
 """
@@ -34,10 +36,9 @@ SLOT_GROUP_SAMPLES = 160
 
 @dataclass(frozen=True)
 class MemoryEntry:
-    """One stored channel sample with its bookkeeping."""
+    """One stored channel sample and the slot that admitted it."""
 
     sample: np.ndarray  # (K, N) complex128
-    last_loss: float  # loss under the params that scored it last
     inserted_at: int  # slot index at admission
 
 
@@ -64,31 +65,20 @@ class MemorySet:
         return np.stack([e.sample for e in self.entries])
 
 
-def score_entries(entries, params, cfg, variant="corrected"):
-    """Entries re-scored under the given parameters (new objects, same order)."""
-    if not entries:
-        return []
-    batch = np.stack([e.sample for e in entries])
-    losses = pipeline.per_sample_losses(params, batch, cfg, variant=variant)
-    return [MemoryEntry(e.sample, float(l), e.inserted_at) for e, l in zip(entries, losses)]
+def rank_hardest(losses, ages, count):
+    """Indices of the `count` hardest entries, given each entry's loss and
+    its slot of admission (ages: the larger, the younger).
 
-
-def rank_hardest(entries, count):
-    """Indices of the `count` hardest entries.
-
-    Hardest = largest last_loss; ties prefer larger inserted_at (younger),
-    then lower list index. Equivalent to a full sort by that key followed by
-    taking the head, which is what the tests recompute independently.
-    Raises NumericalError on a non-finite loss, which has no rank.
+    Hardest = largest loss; ties prefer the younger entry, then the lower
+    index. Equivalent to a full sort by that key followed by taking the head,
+    which is what the tests recompute independently. Raises NumericalError
+    on a non-finite loss, which has no rank.
     """
-    if not all(math.isfinite(e.last_loss) for e in entries):
+    losses, ages = np.asarray(losses), np.asarray(ages)
+    if not np.isfinite(losses).all():
         raise NumericalError("memory entry with a non-finite loss cannot be ranked")
-    count = max(0, min(count, len(entries)))
-    order = sorted(
-        range(len(entries)),
-        key=lambda i: (-entries[i].last_loss, -entries[i].inserted_at, i),
-    )
-    return order[:count]
+    order = np.lexsort((np.arange(losses.size), -ages, -losses))
+    return order[: max(0, count)].tolist()
 
 
 def fresh_quota(capacity, n_fresh):
@@ -99,31 +89,27 @@ def fresh_quota(capacity, n_fresh):
 def update_memory(mem, fresh, t, params, cfg, variant="corrected", rank_pool="retained"):
     """One slot's memory transition; returns a new MemorySet.
 
-    The pi(t) most recent fresh samples are admitted unconditionally; the
-    remaining capacity goes to the hardest entries of the ranking pool, which
-    is the previous memory ("retained", default) or the previous memory plus
-    the non-admitted fresh samples ("union"). Every surviving entry is scored
-    under the current params; admitted fresh entries carry inserted_at = t.
+    The pi(t) most recent fresh samples are admitted unconditionally, with
+    inserted_at = t; the remaining capacity goes to the hardest entries of
+    the ranking pool, which is the previous memory ("retained", default) or
+    the previous memory plus the non-admitted fresh samples ("union"). The
+    pool is scored once, under the current params, and only to rank it.
     """
-    capacity = mem.capacity
+    if rank_pool not in ("retained", "union"):
+        raise ValueError(f"unknown rank_pool {rank_pool!r}")
     fresh = np.asarray(fresh)
-    quota = fresh_quota(capacity, fresh.shape[0])
-    admitted = [
-        MemoryEntry(sample=s.copy(), last_loss=0.0, inserted_at=t)
-        for s in fresh[fresh.shape[0] - quota :]
-    ]
+    quota = fresh_quota(mem.capacity, fresh.shape[0])
+    split = fresh.shape[0] - quota
     pool = list(mem.entries)
     if rank_pool == "union":
-        pool += [
-            MemoryEntry(sample=s.copy(), last_loss=0.0, inserted_at=t)
-            for s in fresh[: fresh.shape[0] - quota]
-        ]
-    elif rank_pool != "retained":
-        raise ValueError(f"unknown rank_pool {rank_pool!r}")
-    pool = score_entries(pool, params, cfg, variant=variant)
-    keep = rank_hardest(pool, capacity - quota)
-    survivors = [pool[i] for i in keep] + score_entries(admitted, params, cfg, variant)
-    return MemorySet(capacity=capacity, entries=survivors)
+        pool += [MemoryEntry(s.copy(), t) for s in fresh[:split]]
+    keep = []
+    if pool:
+        batch = np.stack([e.sample for e in pool])
+        losses = pipeline.per_sample_losses(params, batch, cfg, variant=variant)
+        keep = rank_hardest(losses, [e.inserted_at for e in pool], mem.capacity - quota)
+    admitted = [MemoryEntry(s.copy(), t) for s in fresh[split:]]
+    return MemorySet(capacity=mem.capacity, entries=[pool[i] for i in keep] + admitted)
 
 
 def mml_test_loop(params, stream, cfg, meta_cfg, capacity, rank_pool="retained", on_slot=None):

@@ -228,7 +228,11 @@ def save_checkpoint(path, params):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by save_checkpoint; validates layout."""
+    """Read a checkpoint written by save_checkpoint; validates layout.
+
+    Raises DataFormatError, naming the file, on a bad layout or a NaN or
+    infinite parameter, which save_checkpoint never writes.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 9 or blob[:5] != CHECKPOINT_MAGIC:
@@ -256,4 +260,7 @@ def load_checkpoint(path):
             f"{len(blob) - offset - need} trailing bytes after payload at byte "
             f"{offset + need}"
         )
-    return unpack(np.frombuffer(blob, dtype="<f8", count=need // 8, offset=offset), sizes)
+    vec = np.frombuffer(blob, dtype="<f8", count=need // 8, offset=offset)
+    if not np.isfinite(vec).all():
+        raise DataFormatError(f"non-finite parameter in checkpoint {path}")
+    return unpack(vec, sizes)

@@ -295,22 +295,15 @@ def test_criterion_09_memory_invariants(trained):
     # (b) loss-ranked selection equals the full-sort oracle on 1000 entries
     # with heavy ties (losses on a coarse grid).
     rng2 = np.random.default_rng(7)
-    entries = [
-        memory.MemoryEntry(
-            sample=np.zeros((1, 1), dtype=np.complex128),
-            last_loss=float(l), inserted_at=int(ts),
-        )
-        for l, ts in zip(
-            rng2.integers(0, 8, size=1000) * 0.125, rng2.integers(0, 50, size=1000)
-        )
-    ]
+    losses = rng2.integers(0, 8, size=1000) * 0.125
+    slots = rng2.integers(0, 50, size=1000)
     rank_ok = True
     for count in (0, 1, 17, 500, 1000):
         oracle = sorted(
             range(1000),
-            key=lambda i: (-entries[i].last_loss, -entries[i].inserted_at, i),
+            key=lambda i: (-float(losses[i]), -int(slots[i]), i),
         )[:count]
-        rank_ok &= memory.rank_hardest(entries, count) == oracle
+        rank_ok &= memory.rank_hardest(losses, slots, count) == oracle
 
     # (c) zero capacity reproduces plain per-slot adaptation bit for bit
     # through the experiment driver itself.

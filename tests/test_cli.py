@@ -252,6 +252,28 @@ def test_eval_checkpoint_refuses_to_replace_a_different_one(cfg_path, tmp_path, 
     capsys.readouterr()
 
 
+def test_eval_refuses_a_checkpoint_with_a_non_finite_parameter(cfg_path, tmp_path, capsys):
+    # A NaN in the file's last 8 bytes is refused when the file is read:
+    # exit 1 with one error line naming that file, and no checkpoint left in
+    # --out. The same bytes already in --out are refused the same way.
+    ckpt = tmp_path / "nan.ckpt"
+    nn.save_checkpoint(ckpt, nn.init_predictor(np.random.default_rng(0), 2, 2, width=8))
+    ckpt.write_bytes(ckpt.read_bytes()[:-8] + np.array(np.nan, "<f8").tobytes())
+    out = tmp_path / "out"
+    argv = ["--config", cfg_path, "--out", str(out), "eval", "--method", "mml"]
+    assert cli.main(argv + ["--checkpoint", str(ckpt)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(ckpt) in err
+    assert os.listdir(out) == []
+    maml = runner.checkpoint_path(str(out), "maml")
+    Path(maml).write_bytes(ckpt.read_bytes())
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert maml in err
+
+
 @pytest.mark.parametrize(
     "n, width, sizes",
     [

@@ -1,8 +1,10 @@
-"""Replay memory: scoring, ranking, slot transitions, and the stream loop.
+"""Replay memory: ranking, slot transitions, and the stream loop.
 
-The ranking oracle: rank_hardest must agree with a full sort by
-(-last_loss, -inserted_at, index). The M=0 identity: the stream loop with
-zero capacity must be bit-identical to manually re-adapting from the
+The memory stores samples and the slots that admitted them; a slot scores
+its ranking pool once, under its adapted parameters, and ranks by those
+losses. The ranking oracle: rank_hardest must agree with a full sort by
+(-loss, -inserted_at, index). The M=0 identity: the stream loop with zero
+capacity must be bit-identical to manually re-adapting from the
 initialization on each slot batch alone.
 """
 
@@ -23,9 +25,18 @@ def rand_batch(rng, b, k, n):
     return (rng.standard_normal((b, k, n)) + 1j * rng.standard_normal((b, k, n))) / np.sqrt(2.0)
 
 
-def entry(loss, t, rng=None, k=2, n=2):
+def entry(t, rng=None, k=2, n=2):
     rng = rng or np.random.default_rng(0)
-    return MemoryEntry(sample=rand_batch(rng, 1, k, n)[0], last_loss=loss, inserted_at=t)
+    return MemoryEntry(sample=rand_batch(rng, 1, k, n)[0], inserted_at=t)
+
+
+def hardest_by_sort(entries, params, cfg, count):
+    """Indices of the `count` hardest entries by a full Python sort of their
+    losses under params: larger loss, then younger, then lower index."""
+    losses = pipeline.per_sample_losses(params, np.stack([e.sample for e in entries]), cfg)
+    order = sorted(range(len(entries)),
+                   key=lambda i: (-losses[i], -entries[i].inserted_at, i))
+    return order[:count]
 
 
 def small_setup(seed=0):
@@ -46,7 +57,7 @@ def test_memory_set_basics():
 
 def test_as_batch_stacks_in_order():
     rng = np.random.default_rng(1)
-    entries = [entry(0.1, 0, rng), entry(0.2, 1, rng)]
+    entries = [entry(0, rng), entry(1, rng)]
     mem = MemorySet(capacity=4, entries=entries)
     batch = mem.as_batch()
     assert batch.shape == (2, 2, 2)
@@ -54,56 +65,39 @@ def test_as_batch_stacks_in_order():
     np.testing.assert_array_equal(batch[1], entries[1].sample)
 
 
-def test_score_entries_matches_per_sample_losses():
-    rng, cfg, _, params = small_setup()
-    entries = [entry(0.0, t, rng) for t in range(3)]
-    scored = memory.score_entries(entries, params, cfg)
-    batch = np.stack([e.sample for e in entries])
-    expected = pipeline.per_sample_losses(params, batch, cfg)
-    np.testing.assert_allclose([e.last_loss for e in scored], expected, rtol=1e-13)
-    # originals untouched, order preserved
-    assert all(e.last_loss == 0.0 for e in entries)
-    assert [e.inserted_at for e in scored] == [0, 1, 2]
-    assert memory.score_entries([], params, cfg) == []
-
-
 def test_rank_hardest_hand_example():
     # losses 0.3, 0.9, 0.9, 0.1 at slots 0, 1, 2, 3: the 0.9 tie goes to the
     # younger slot 2 first, so the top three are indices 2, 1, 0.
-    entries = [entry(0.3, 0), entry(0.9, 1), entry(0.9, 2), entry(0.1, 3)]
-    assert memory.rank_hardest(entries, 3) == [2, 1, 0]
-    assert memory.rank_hardest(entries, 0) == []
-    assert memory.rank_hardest(entries, 99) == [2, 1, 0, 3]
-    assert memory.rank_hardest([], 2) == []
+    losses, ages = [0.3, 0.9, 0.9, 0.1], [0, 1, 2, 3]
+    assert memory.rank_hardest(losses, ages, 3) == [2, 1, 0]
+    assert memory.rank_hardest(losses, ages, 0) == []
+    assert memory.rank_hardest(losses, ages, 99) == [2, 1, 0, 3]
+    assert memory.rank_hardest([], [], 2) == []
 
 
 def test_rank_hardest_tie_by_index():
-    entries = [entry(0.5, 7), entry(0.5, 7), entry(0.5, 7)]
-    assert memory.rank_hardest(entries, 2) == [0, 1]
+    assert memory.rank_hardest([0.5, 0.5, 0.5], [7, 7, 7], 2) == [0, 1]
 
 
 def test_rank_hardest_rejects_non_finite_loss():
     # A NaN key breaks the sort: [1, NaN, 3, 2] used to rank as [0, 1],
-    # dropping the hardest entry (loss 3).
+    # dropping the hardest entry (loss 3). The check comes before any
+    # ranking, so it holds even when no entry is asked for.
     for bad in (float("nan"), float("inf")):
-        entries = [entry(1.0, 0), entry(bad, 1), entry(3.0, 2), entry(2.0, 3)]
-        with pytest.raises(NumericalError):
-            memory.rank_hardest(entries, 2)
+        for count in (2, 0):
+            with pytest.raises(NumericalError):
+                memory.rank_hardest([1.0, bad, 3.0, 2.0], [0, 1, 2, 3], count)
 
 
 def test_rank_hardest_matches_sort_oracle():
     rng = np.random.default_rng(2)
     losses = rng.choice([0.1, 0.2, 0.3, 0.4], size=1000)  # many ties
     slots = rng.integers(0, 50, size=1000)
-    entries = [
-        MemoryEntry(sample=np.zeros((1, 1)), last_loss=float(l), inserted_at=int(t))
-        for l, t in zip(losses, slots)
-    ]
     oracle = sorted(
-        range(1000), key=lambda i: (-entries[i].last_loss, -entries[i].inserted_at, i)
+        range(1000), key=lambda i: (-float(losses[i]), -int(slots[i]), i)
     )
     for count in (0, 1, 17, 500, 1000):
-        assert memory.rank_hardest(entries, count) == oracle[:count]
+        assert memory.rank_hardest(losses, slots, count) == oracle[:count]
 
 
 def test_fresh_quota_formula():
@@ -117,7 +111,7 @@ def test_update_memory_behavioral_example():
     # Capacity 4, 3 old entries, 3 fresh samples: quota = min(3, 2) = 2, so
     # the 2 newest fresh samples enter and 4 - 2 = 2 hardest old entries stay.
     rng, cfg, _, params = small_setup()
-    old = [entry(0.0, t, rng) for t in range(3)]
+    old = [entry(t, rng) for t in range(3)]
     mem = MemorySet(capacity=4, entries=old)
     fresh = rand_batch(rng, 3, 2, 2)
     out = memory.update_memory(mem, fresh, t=5, params=params, cfg=cfg)
@@ -126,21 +120,19 @@ def test_update_memory_behavioral_example():
     np.testing.assert_array_equal(out.entries[2].sample, fresh[1])
     np.testing.assert_array_equal(out.entries[3].sample, fresh[2])
     # the two survivors are the hardest old entries under the current params
-    rescored = memory.score_entries(old, params, cfg)
-    keep = memory.rank_hardest(rescored, 2)
+    keep = hardest_by_sort(old, params, cfg, 2)
     for got, idx in zip(out.entries[:2], keep):
         np.testing.assert_array_equal(got.sample, old[idx].sample)
-        assert got.last_loss == rescored[idx].last_loss
+        assert got.inserted_at == old[idx].inserted_at
 
 
 def test_update_memory_empty_fresh_keeps_hardest():
     rng, cfg, _, params = small_setup()
-    old = [entry(0.0, t, rng) for t in range(5)]
+    old = [entry(t, rng) for t in range(5)]
     mem = MemorySet(capacity=3, entries=old)
     out = memory.update_memory(mem, np.zeros((0, 2, 2), complex), 9, params, cfg)
     assert len(out) == 3
-    rescored = memory.score_entries(old, params, cfg)
-    expected = [rescored[i].sample for i in memory.rank_hardest(rescored, 3)]
+    expected = [old[i].sample for i in hardest_by_sort(old, params, cfg, 3)]
     for got, sample in zip(out.entries, expected):
         np.testing.assert_array_equal(got.sample, sample)
 
@@ -166,19 +158,6 @@ def test_update_memory_union_pool_can_admit_older_fresh():
         memory.update_memory(mem, fresh, 0, params, cfg, rank_pool="diamond")
 
 
-def test_update_memory_rescores_under_current_params():
-    rng, cfg, _, params = small_setup()
-    stale = [
-        MemoryEntry(sample=rand_batch(rng, 1, 2, 2)[0], last_loss=99.0, inserted_at=0)
-        for _ in range(3)
-    ]
-    mem = MemorySet(capacity=4, entries=stale)
-    out = memory.update_memory(mem, rand_batch(rng, 1, 2, 2), 1, params, cfg)
-    batch = np.stack([e.sample for e in out.entries])
-    expected = pipeline.per_sample_losses(params, batch, cfg)
-    np.testing.assert_allclose([e.last_loss for e in out.entries], expected, rtol=1e-13)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     capacity=st.integers(min_value=0, max_value=8),
@@ -188,7 +167,7 @@ def test_update_memory_rescores_under_current_params():
 )
 def test_update_memory_capacity_invariants(capacity, n_old, n_fresh, seed):
     rng, cfg, _, params = small_setup(seed)
-    old = [entry(float(i), i, rng) for i in range(min(n_old, capacity))]
+    old = [entry(i, rng) for i in range(min(n_old, capacity))]
     mem = MemorySet(capacity=capacity, entries=old)
     fresh = rand_batch(rng, n_fresh, 2, 2)
     out = memory.update_memory(mem, fresh, 50, params, cfg)  # t=50 > any old slot
@@ -280,17 +259,45 @@ def test_mml_loop_on_slot_sees_per_sample_rates():
     np.testing.assert_allclose([w.mean() for _, w in seen], series, rtol=1e-15)
 
 
-def test_mml_loop_ranks_memory_by_the_adaptation_loss():
-    # The memory is scored with meta_cfg.loss_variant, the loss the slot
-    # adapted with, so a verbatim stream stores verbatim losses.
+def spy_on_scoring(monkeypatch):
+    """Record (batch size, variant) of every pipeline.per_sample_losses call."""
+    calls = []
+    per_sample_losses = pipeline.per_sample_losses
+
+    def spy(params, batch, cfg, variant="corrected"):
+        calls.append((batch.shape[0], variant))
+        return per_sample_losses(params, batch, cfg, variant=variant)
+
+    monkeypatch.setattr(pipeline, "per_sample_losses", spy)
+    return calls
+
+
+def test_mml_loop_ranks_memory_by_the_adaptation_loss(monkeypatch):
+    # The memory is ranked with meta_cfg.loss_variant, the loss the slot
+    # adapted with, so a verbatim stream scores with the verbatim loss.
     rng = np.random.default_rng(12)
     cfg = SystemConfig(n=3, k=3, p=10.0)
     meta_cfg = MetaConfig(width=8, adapt_steps=2, loss_variant="verbatim")
     params = nn.init_predictor(rng, 3, 3, width=8)
     stream = [rand_batch(rng, 4, 3, 3) for _ in range(3)]
-    final, _, mem = memory.mml_test_loop(params, stream, cfg, meta_cfg, 4)
-    want = pipeline.per_sample_losses(final, mem.as_batch(), cfg, variant="verbatim")
-    np.testing.assert_allclose([e.last_loss for e in mem.entries], want, rtol=1e-12)
+    calls = spy_on_scoring(monkeypatch)
+    memory.mml_test_loop(params, stream, cfg, meta_cfg, 4)
+    assert calls and all(variant == "verbatim" for _, variant in calls)
+
+
+def test_mml_slot_scores_its_pool_once(monkeypatch):
+    # A slot scores its ranking pool (the memory it starts with) in one call
+    # and the samples it admits not at all; slot 0, whose pool is empty,
+    # makes no call. Capacity 4, 4 samples a slot: 2 admitted per slot.
+    rng, cfg, meta_cfg, params = small_setup()
+    stream = [rand_batch(rng, 4, 2, 2) for _ in range(5)]
+    calls = spy_on_scoring(monkeypatch)
+    per_slot = []
+    memory.mml_test_loop(params, stream, cfg, meta_cfg, 4,
+                         on_slot=lambda t, w: per_slot.append(len(calls)))
+    per_slot.append(len(calls))
+    assert np.diff(per_slot).tolist() == [0, 1, 1, 1, 1]
+    assert [size for size, _ in calls] == [2, 4, 4, 4]
 
 
 def test_mml_loop_first_slot_is_unadapted():

@@ -188,6 +188,19 @@ def test_checkpoint_refuses_non_finite_parameters(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_checkpoint_refuses_non_finite_parameters(tmp_path, bad):
+    # save_checkpoint never writes a NaN or inf, so one in a file is damage:
+    # the loader refuses it, naming the file, instead of handing it on.
+    rng = np.random.default_rng(11)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(path, nn.init_predictor(rng, n=2, k=2, width=8))
+    path.write_bytes(path.read_bytes()[:-8] + np.array(bad, "<f8").tobytes())
+    with pytest.raises(DataFormatError) as err:
+        nn.load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 def test_checkpoint_corruption_detected(tmp_path):
     rng = np.random.default_rng(10)
     params = nn.init_predictor(rng, n=2, k=2, width=8)
