@@ -114,7 +114,7 @@ def mlp(tape, x, weights, biases):
         for i in range(last, -1, -1):
             if i != last:  # g is this node's own g W^T product
                 g *= acts[i + 1] > 0.0
-            grads[2 * i + 1] = np.add.reduce(g, axis=-2).reshape(biases[i].value.shape)
+            grads[2 * i + 1] = np.add.reduce(g, axis=-2, keepdims=True)
             grads[2 * i] = acts[i].swapaxes(-1, -2) @ g
             if i:
                 g = g @ weights[i].value.swapaxes(-1, -2)

@@ -35,14 +35,6 @@ class ChannelModelSpec:
             raise ValueError(f"m must be finite and positive, got {self.m}")
 
 
-@dataclass
-class Task:
-    """A meta-learning task: disjoint support and query channel batches."""
-
-    support: np.ndarray  # (n_s, K, N) complex128
-    query: np.ndarray  # (n_q, K, N) complex128
-
-
 def sample_rayleigh(rng, count, n, k):
     """count i.i.d. CN(0, I) realizations, shape (count, K, N)."""
     re = rng.standard_normal((count, k, n))
@@ -81,14 +73,13 @@ def sample_channels(rng, spec, count, n, k):
 
 
 def task_from_dataset(rng, data, n_s, n_q):
-    """Task drawn from a fixed dataset, sampling indices without replacement."""
+    """One task's rows of data: n_s + n_q distinct indices below len(data),
+    drawn without replacement, the first n_s its support and the rest its
+    query, for meta.meta_train to stack and gather an epoch's tasks once."""
     total = data.shape[0]
     if total < n_s + n_q:
-        raise ValueError(
-            f"dataset of {total} samples cannot supply a task of {n_s}+{n_q}"
-        )
-    idx = rng.choice(total, size=n_s + n_q, replace=False)
-    return Task(support=data[idx[:n_s]], query=data[idx[n_s:]])
+        raise ValueError(f"dataset of {total} samples cannot supply a task of {n_s}+{n_q}")
+    return rng.choice(total, size=n_s + n_q, replace=False)
 
 
 def check_mixture(mixture):

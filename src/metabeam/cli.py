@@ -131,10 +131,11 @@ def _cmd_gradcheck(args):
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _count(text):
-    """argparse type of a count flag: an integer of at least 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+def _count(text, minimum=1):
+    """argparse type of a count flag: an integer of at least minimum."""
+    if not text.strip().isdecimal() or int(text) < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least {minimum}, got {text!r}")
     return int(text)
 
 
@@ -183,7 +184,8 @@ def build_parser():
 
     p_oracle = add("oracle", help="compare the solver to the grid oracle")
     p_oracle.add_argument("--instances", type=_count, default=20)
-    p_oracle.add_argument("--grid-steps", type=_count, default=41)
+    p_oracle.add_argument("--grid-steps", type=functools.partial(_count, minimum=5),
+                          default=41)  # wmmse.grid_oracle's least grid
     p_oracle.add_argument("--snr-db", type=float, default=10.0)
 
     p_gc = add("gradcheck", help="finite-difference check of the pipeline")

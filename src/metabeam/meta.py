@@ -8,22 +8,23 @@ outer accumulation are unnormalized sums over samples and tasks respectively;
 the per-sample scale is absorbed by the inner rate and by Adam's
 normalization.
 
-The meta step runs tasks in groups of at most TASK_GROUP_SAMPLES samples per
-tape pass. A group's tasks share one tape with a leading task axis: each task
-keeps its own parameter copy (one slice of per-leaf stacks, weights
-(T, i, o) and biases (T, 1, o)), its own SGD steps and its own gradient, and
-its packed query gradient is added into the one flat meta gradient in task
-order. Every loop passes its parameters as one nn.PredictorParams, whose
-leaves are the meta parameters' own arrays, per-task stacks or views of
-Adam's packed vector. adapt_stack holds the one SGD loop: the support steps
-of the meta step and both test-time steps of memory.mml_test_loop (a run of
-memoryless slots as one stack, and adapt_on_test on a slot with its memory,
-on the parameters' own arrays) all run through it.
-Each loop featurizes a batch once (pipeline.features) for all passes on it.
-Every per-task number is computed by the same floating-point operations as a
-one-task-at-a-time loop, so the result is bit-identical to it; the group
-size only trades tape passes (each with a fixed Python cost) against the
-memory of one tape.
+One task and many differ only by a leading task axis: a meta-epoch is two row
+stacks, support (T, n_s, K, N) and query (T, n_q, K, N), and T tasks'
+parameters are stacks (T, i, o) and (T, 1, o) of the weights and the (1, o)
+bias rows (nn.stack_params). The meta step slices groups of at most
+TASK_GROUP_SAMPLES samples per tape pass from them; each task keeps its own
+parameter slice, SGD steps and gradient, and adds its packed query gradient
+into the one flat meta gradient in task order. Every loop passes its
+parameters as one nn.PredictorParams, whose leaves are the meta parameters'
+own arrays, per-task stacks or views of Adam's packed vector. adapt_stack
+holds the one SGD loop: the support steps of the meta step and both test-time
+steps of memory.mml_test_loop (a run of memoryless slots as one stack, and
+adapt_on_test on a slot with its memory, on the parameters' own arrays) all
+run through it. Each loop featurizes a batch once (pipeline.features) for all
+passes on it. Every per-task number is computed by the same floating-point
+operations as a one-task-at-a-time loop, so the result is bit-identical to it;
+the group size only trades tape passes (each with a fixed Python cost) against
+the memory of one tape.
 
 No loop writes into an array its caller passed in (parameters, stacks,
 batches, streams). The steps overwrite only arrays the loop itself made:
@@ -146,39 +147,37 @@ def adapt_on_test(params, batch, cfg, meta_cfg):
     return nn.from_arrays(adapted.leaves, params.sizes)
 
 
-def outer_update(params, tasks, cfg, meta_cfg, adam_state):
-    """One first-order meta step over a list of tasks.
+def outer_update(params, support, query, cfg, meta_cfg, adam_state):
+    """One first-order meta step over T tasks given as two row stacks,
+    support (T, n_s, K, N) and query (T, n_q, K, N); task t is row t of each.
 
-    For each task: adapt on the support set, then take the gradient of the
+    For each task: adapt on its support rows, then take the gradient of the
     summed query loss at the adapted parameters. Packed, these gradients are
     summed in task order into one flat vector that drives one Adam step (from
     a fresh AdamState when adam_state is None) on the meta parameters. The
     support loss is the one of the first support step, at the meta
-    parameters. Tasks run in groups of TASK_GROUP_SAMPLES samples per tape
-    pass; all tasks must share their support and query sizes.
+    parameters. Groups of at most TASK_GROUP_SAMPLES samples per tape pass
+    are sliced from the stacks, which are never written.
 
     Returns (new_params, new_adam_state, mean_support_loss, mean_query_loss).
     """
     vec = nn.pack(params)
     total_g = np.zeros_like(vec)
     support_losses, query_losses = [], []
-    per_task = max(len(tasks[0].support), len(tasks[0].query)) if tasks else 1
-    group = max(1, TASK_GROUP_SAMPLES // per_task)
-    for lo in range(0, len(tasks), group):
-        chunk = tasks[lo : lo + group]
-        support = np.stack([task.support for task in chunk])
-        query = np.stack([task.query for task in chunk])
-        stack, s_loss = adapt_stack(nn.stack_params(params, len(chunk)), support, cfg,
+    group = max(1, TASK_GROUP_SAMPLES // max(support.shape[1], query.shape[1]))
+    for lo in range(0, len(support), group):
+        s_rows, q_rows = support[lo : lo + group], query[lo : lo + group]
+        stack, s_loss = adapt_stack(nn.stack_params(params, len(s_rows)), s_rows, cfg,
                                     meta_cfg, meta_cfg.inner_steps)
         if s_loss is None:  # no support step, so the support loss needs a pass
-            s_loss, _ = _loss_and_grad(stack, support, pipeline.features(support, cfg),
+            s_loss, _ = _loss_and_grad(stack, s_rows, pipeline.features(s_rows, cfg),
                                        cfg, meta_cfg, "sum")
-        support_losses.extend(s_loss / support.shape[1])
-        q_loss, grads = _loss_and_grad(stack, query, pipeline.features(query, cfg), cfg,
+        support_losses.extend(s_loss / s_rows.shape[1])
+        q_loss, grads = _loss_and_grad(stack, q_rows, pipeline.features(q_rows, cfg), cfg,
                                        meta_cfg, "sum")
-        for t in range(len(chunk)):  # task order, one packed vector per task
+        for t in range(len(s_rows)):  # task order, one packed vector per task
             total_g += np.concatenate([g[t].ravel() for g in grads])
-        query_losses.extend(q_loss / query.shape[1])
+        query_losses.extend(q_loss / q_rows.shape[1])
     adam_state = adam_state or nn.AdamState.init(vec.size)
     new_vec, adam_state = nn.adam_step(vec, total_g, adam_state, meta_cfg.outer_lr)
     return (
@@ -192,25 +191,22 @@ def outer_update(params, tasks, cfg, meta_cfg, adam_state):
 def meta_train(dataset, cfg, meta_cfg, seed, init):
     """First-order meta-training over tasks drawn from a fixed dataset.
 
-    From the caller's initial parameters init, every epoch draws n_tasks
-    tasks (support/query index draws without replacement within a task),
-    runs one outer_update per epoch over the full task list, and records
-    epoch means in a TrainLog. Deterministic for fixed (dataset, seed, init).
+    From the caller's initial parameters init, every epoch stacks n_tasks
+    draws of channels.task_from_dataset into (n_tasks, n_s + n_q) rows,
+    gathers its two row stacks, support and query, from dataset once, runs
+    one outer_update on them, and records epoch means in a TrainLog.
+    Deterministic for fixed (dataset, seed, init).
     """
     rng = np.random.default_rng(seed)
     params, log = init, TrainLog()
-    adam_state = None
+    adam_state, n_s = None, meta_cfg.n_support
     start = time.perf_counter()
     for epoch in range(1, meta_cfg.epochs + 1):
-        tasks = [
-            channels.task_from_dataset(
-                rng, dataset, meta_cfg.n_support, meta_cfg.n_query
-            )
-            for _ in range(meta_cfg.n_tasks)
-        ]
-        params, adam_state, s_loss, q_loss = outer_update(
-            params, tasks, cfg, meta_cfg, adam_state
-        )
+        rows = np.stack([channels.task_from_dataset(rng, dataset, n_s, meta_cfg.n_query)
+                         for _ in range(meta_cfg.n_tasks)])
+        support, query = dataset[rows[:, :n_s]], dataset[rows[:, n_s:]]
+        params, adam_state, s_loss, q_loss = outer_update(params, support, query, cfg,
+                                                          meta_cfg, adam_state)
         log.epochs.append(epoch)
         log.support_loss.append(s_loss)
         log.query_loss.append(q_loss)

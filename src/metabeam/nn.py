@@ -7,7 +7,8 @@ PredictorParams is the one container of their leaves, in whichever form a
 step or a tape pass takes them. Adam flattens the leaves into a single
 vector (pack/unpack), and a checkpoint's payload is that vector; plain SGD
 steps each leaf, or a stack of per-task parameters (stack_params), and
-from_arrays rebuilds the parameters from such per-leaf arrays.
+from_arrays rebuilds the parameters from such per-leaf arrays. Weights are
+(i, o) and biases (1, o) rows, so T tasks' stacks are (T, i, o) and (T, 1, o).
 
 Which arrays a step may overwrite: sgd_step writes its result into the
 gradient it is given (one the caller owns and no longer needs), never into
@@ -38,10 +39,10 @@ class PredictorParams:
 
     leaves lists every net's leaves in pack order: u, w, mu, and per layer
     the weight, then the bias. They are the parameters' own arrays (weights
-    (i, o), biases (o,)), views of a packed vector (leaf_views), T tasks'
-    stacks (stack_params; weights (T, i, o), biases (T, 1, o)) or tape
-    leaves (leaves_for). sizes holds each net's layer sizes,
-    [fan_in, hidden..., fan_out].
+    (i, o), biases (1, o) rows), views of a packed vector (leaf_views), T
+    tasks' stacks (stack_params; the same shapes behind a leading task axis,
+    (T, i, o) and (T, 1, o)) or tape leaves (leaves_for). sizes holds each
+    net's layer sizes, [fan_in, hidden..., fan_out].
     """
 
     leaves: list
@@ -63,14 +64,14 @@ def feature_dim(n, k):
 
 def init_mlp(rng, sizes, out_bias=0.0):
     """One net's leaves, each weight then its bias: Uniform(-a, a) weights
-    with a = sqrt(6 / (fan_in + fan_out)); zero biases except an optional
-    constant bias on the output layer."""
+    with a = sqrt(6 / (fan_in + fan_out)); zero (1, o) bias rows except an
+    optional constant bias on the output layer."""
     leaves = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         leaves.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         last = i == len(sizes) - 2
-        leaves.append(np.full(fan_out, out_bias if last else 0.0))
+        leaves.append(np.full((1, fan_out), out_bias if last else 0.0))
     return leaves
 
 
@@ -100,17 +101,16 @@ def unpack(vec, sizes):
 
 def _leaf_shapes(sizes):
     """(shape, entry count) of each leaf in pack order, for nets of the given
-    layer sizes: per layer the weight (i, o), then the bias (o,)."""
+    layer sizes: per layer the weight (i, o), then the bias (1, o)."""
     return [leaf for net in sizes for i, o in zip(net, net[1:])
-            for leaf in (((i, o), i * o), ((o,), o))]
+            for leaf in (((i, o), i * o), ((1, o), o))]
 
 
 def from_arrays(arrays, sizes):
-    """PredictorParams of the given layer sizes from per-leaf arrays in pack
-    order, each of its leaf's size (e.g. one task's slice of a stack). Copies
-    every array, so the result keeps no input alive."""
-    leaves = [a.reshape(shape).copy() for a, (shape, _) in zip(arrays, _leaf_shapes(sizes))]
-    return PredictorParams(leaves, sizes)
+    """PredictorParams of the given layer sizes from leaf-shaped arrays in
+    pack order (e.g. one task's slice of a stack). Copies every array, so the
+    result keeps no input alive."""
+    return PredictorParams([a.copy() for a in arrays], sizes)
 
 
 def leaf_views(vec, sizes):
@@ -128,23 +128,22 @@ def leaf_views(vec, sizes):
 
 def leaves_for(tape, params):
     """params with each leaf registered as a tape leaf: params' own arrays,
-    views of a packed vector (leaf_views), or T tasks' stacks (stack_params;
-    weights (T, i, o), biases (T, 1, o))."""
+    views of a packed vector (leaf_views), or T tasks' stacks (stack_params)."""
     return PredictorParams([tape.leaf(a) for a in params.leaves], params.sizes)
 
 
 def stack_params(params, t):
-    """params for T tasks as per-leaf stacks: weights (T, i, o), biases
-    (T, 1, o). Each stack is a read-only broadcast view of its leaf, not a
-    copy: no step writes into a stack (sgd_step writes into the gradient)."""
-    leaves = [np.atleast_2d(a) for a in params.leaves]  # a bias (o,) as (1, o)
-    return PredictorParams([np.broadcast_to(a, (t, *a.shape)) for a in leaves], params.sizes)
+    """params for T tasks as per-leaf stacks, (T, i, o) weights and (T, 1, o)
+    biases: read-only broadcast views of the leaves, not copies, since no step
+    writes into a stack (sgd_step writes into the gradient)."""
+    return PredictorParams([np.broadcast_to(a, (t, *a.shape)) for a in params.leaves],
+                           params.sizes)
 
 
 def mlp_forward(x, weights, biases):
     """The ReLU layer loop, affine, ReLU, ..., affine: returns each layer's
     input, then the output, [x, h1, ..., y]. x is (B, i) with weights (i, o)
-    and biases (o,), or (T, B, i) with per-task weights (T, i, o) and biases
+    and (1, o) bias rows, or (T, B, i) with their stacks (T, i, o) and
     (T, 1, o). The add and the ReLU write only into fresh matmul results, and
     a hidden h > 0.0 is its pre-activation's ReLU mask (NaN fails both).
     """
@@ -233,34 +232,35 @@ def load_checkpoint(path):
     Raises DataFormatError, naming the file, on a bad layout or a NaN or
     infinite parameter, which save_checkpoint never writes.
     """
+    def bad(what):
+        return DataFormatError(f"{what} in checkpoint {path}")
+
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 9 or blob[:5] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"bad checkpoint magic in {path}")
+        raise bad("bad magic")
     offset = 5
     (net_count,) = struct.unpack_from("<I", blob, offset)
     offset += 4
     if net_count != 3:
-        raise DataFormatError(f"expected 3 nets, header says {net_count}")
+        raise bad(f"expected 3 nets, header says {net_count}")
     sizes = []  # per net, its layer sizes
     for _ in range(net_count):
         if offset + 4 > len(blob):
-            raise DataFormatError(f"truncated header at byte {offset}")
+            raise bad(f"truncated header at byte {offset}")
         (n_sizes,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         if n_sizes < 2 or n_sizes > 64 or offset + 4 * n_sizes > len(blob):
-            raise DataFormatError(f"implausible layer count {n_sizes} at byte {offset}")
+            raise bad(f"implausible layer count {n_sizes} at byte {offset}")
         sizes.append(list(struct.unpack_from(f"<{n_sizes}I", blob, offset)))
         offset += 4 * n_sizes
     need = 8 * sum(count for _, count in _leaf_shapes(sizes))
     if offset + need > len(blob):
-        raise DataFormatError(f"truncated payload at byte {offset}, need {need} bytes")
+        raise bad(f"truncated payload at byte {offset}, need {need} bytes")
     if offset + need < len(blob):
-        raise DataFormatError(
-            f"{len(blob) - offset - need} trailing bytes after payload at byte "
-            f"{offset + need}"
-        )
+        raise bad(f"{len(blob) - offset - need} trailing bytes after payload at byte "
+                  f"{offset + need}")
     vec = np.frombuffer(blob, dtype="<f8", count=need // 8, offset=offset)
     if not np.isfinite(vec).all():
-        raise DataFormatError(f"non-finite parameter in checkpoint {path}")
+        raise bad("non-finite parameter")
     return unpack(vec, sizes)

@@ -49,16 +49,17 @@ def times(tape, a, c):
 
 
 def add_bias(tape, a, b):
-    """Test-local node a + b for a (..., B, o) and a bias b of shape (o,) or
+    """Test-local node a + b for a (..., B, o) and a bias b of shape (1, o) or
     (T, 1, o) that broadcasts over the batch axis."""
     return tape.record(a.value + b.value, (a, b),
                        lambda g: (g, g.sum(axis=-2).reshape(b.shape)), "add_bias")
 
 
 def mlp_net(rng, sizes, tasks=()):
-    """Random weights and biases of a ReLU MLP; per-task when tasks is (T,)."""
+    """Random weights and (1, o) bias rows of a ReLU MLP; per-task stacks of
+    them when tasks is (T,)."""
     weights = [rand(rng, *tasks, i, o) for i, o in zip(sizes[:-1], sizes[1:])]
-    biases = [rand(rng, *tasks, *((1,) if tasks else ()), o) for o in sizes[1:]]
+    biases = [rand(rng, *tasks, 1, o) for o in sizes[1:]]
     return weights, biases
 
 

@@ -105,12 +105,11 @@ def test_spec_validation():
 def test_task_from_dataset_draws_without_replacement():
     rng = np.random.default_rng(10)
     data = sample_channels(rng, RAYLEIGH, 30, 2, 2)
-    task = task_from_dataset(np.random.default_rng(0), data, 5, 7)
-    rows = data.reshape(30, -1)
-    picked = np.concatenate([task.support, task.query]).reshape(12, -1)
-    matches = [int(np.where((rows == p).all(axis=1))[0][0]) for p in picked]
-    assert len(set(matches)) == 12, "all drawn samples distinct dataset rows"
-    with pytest.raises(ValueError):
+    rows = task_from_dataset(np.random.default_rng(0), data, 5, 7)
+    assert rows.shape == (12,)
+    assert len(set(rows.tolist())) == 12, "all drawn rows distinct"
+    assert 0 <= rows.min() and rows.max() < len(data)
+    with pytest.raises(ValueError, match="cannot supply a task of 20\\+20"):
         task_from_dataset(np.random.default_rng(0), data, 20, 20)
 
 

@@ -83,13 +83,16 @@ def test_out_of_range_snr_flag_is_usage_error(capsys):
     (["oracle", "--grid-steps", "-1"], "--grid-steps"),
     (["gradcheck", "--draws", "0"], "--draws"),
     (["gradcheck", "--draws", "two"], "--draws"),
+    (["oracle", "--grid-steps", "4"], "--grid-steps"),
 ])
 def test_count_flags_below_one_are_usage_errors(argv, flag, capsys):
-    # rejected at parse time: nothing is run, checked or reported as ok
+    # rejected at parse time: nothing is run, checked or reported as ok. A
+    # count is at least 1, the oracle's grid at least 5 points per axis.
+    minimum = {"--grid-steps": 5}.get(flag, 1)
     assert cli.main(argv) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"argument {flag}: must be an integer of at least 1" in err
+    assert f"argument {flag}: must be an integer of at least {minimum}" in err
 
 
 @pytest.mark.parametrize("seed", ["4294967296", "-1"])
@@ -272,6 +275,21 @@ def test_eval_refuses_a_checkpoint_with_a_non_finite_parameter(cfg_path, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert maml in err
+
+
+def test_eval_refuses_a_truncated_checkpoint_naming_it(cfg_path, tmp_path, capsys):
+    # A checkpoint cut after its header is refused when it is read: exit 1
+    # with one error line naming that file, and no checkpoint left in --out.
+    ckpt = tmp_path / "cut.ckpt"
+    nn.save_checkpoint(ckpt, nn.init_predictor(np.random.default_rng(0), 2, 2, width=8))
+    ckpt.write_bytes(ckpt.read_bytes()[:69])
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg_path, "--out", str(out), "eval", "--method", "mml",
+                     "--checkpoint", str(ckpt)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "truncated payload at byte 69" in err and str(ckpt) in err
+    assert not os.path.exists(runner.checkpoint_path(str(out), "maml"))
 
 
 @pytest.mark.parametrize(

@@ -87,14 +87,15 @@ def test_inner_adapt_descends_on_support():
 def test_outer_update_frozen_inner_is_plain_adam():
     cfg, meta_cfg, params, _ = small_setup()
     rng = np.random.default_rng(1)
-    task = channels.Task(support=rand_batch(rng, 4, 2, 2), query=rand_batch(rng, 4, 2, 2))
+    support, query = rand_batch(rng, 4, 2, 2), rand_batch(rng, 4, 2, 2)
     frozen = dataclasses.replace(meta_cfg, inner_lr=0.0)
-    new_params, state, _, q_loss = meta.outer_update(params, [task], cfg, frozen, None)
-    _, g = summed_loss_grad(params, task.query, cfg, frozen)
+    new_params, state, _, q_loss = meta.outer_update(params, support[None], query[None], cfg,
+                                                     frozen, None)
+    _, g = summed_loss_grad(params, query, cfg, frozen)
     expected, _ = nn.adam_step(nn.pack(params), g, nn.AdamState.init(g.size), frozen.outer_lr)
     np.testing.assert_allclose(nn.pack(new_params), expected, rtol=1e-12)
     assert state.t == 1
-    assert q_loss == pytest.approx(summed_loss_grad(params, task.query, cfg, frozen)[0] / 4)
+    assert q_loss == pytest.approx(summed_loss_grad(params, query, cfg, frozen)[0] / 4)
 
 
 def test_outer_update_gradient_sums_over_tasks():
@@ -102,33 +103,33 @@ def test_outer_update_gradient_sums_over_tasks():
     # gradients, so duplicating a task must equal doubling its gradient.
     cfg, meta_cfg, params, _ = small_setup()
     rng = np.random.default_rng(2)
-    task = channels.Task(support=rand_batch(rng, 4, 2, 2), query=rand_batch(rng, 4, 2, 2))
+    support, query = rand_batch(rng, 4, 2, 2), rand_batch(rng, 4, 2, 2)
     frozen = dataclasses.replace(meta_cfg, inner_lr=0.0)
-    twice, _, _, _ = meta.outer_update(params, [task, task], cfg, frozen, None)
-    _, g = summed_loss_grad(params, task.query, cfg, frozen)
+    twice, _, _, _ = meta.outer_update(params, np.stack([support, support]),
+                                       np.stack([query, query]), cfg, frozen, None)
+    _, g = summed_loss_grad(params, query, cfg, frozen)
     expected, _ = nn.adam_step(nn.pack(params), 2.0 * g, nn.AdamState.init(g.size), frozen.outer_lr)
     np.testing.assert_allclose(nn.pack(twice), expected, rtol=1e-12)
 
 
-def reference_outer_update(params, tasks, cfg, meta_cfg, adam_state):
-    """One task at a time: adapt, query gradient, sum in task order, Adam."""
+def reference_outer_update(params, support, query, cfg, meta_cfg, adam_state):
+    """One task (one row of each stack) at a time: adapt, query gradient, sum
+    in task order, Adam."""
     vec = nn.pack(params)
     total_g = np.zeros_like(vec)
     support_losses, query_losses = [], []
-    for task in tasks:
-        s_loss, _ = meta._loss_and_grad(params, task.support,
-                                        pipeline.features(task.support, cfg), cfg,
+    for s_rows, q_rows in zip(support, query):
+        s_loss, _ = meta._loss_and_grad(params, s_rows, pipeline.features(s_rows, cfg), cfg,
                                         meta_cfg, "sum")
-        support_losses.append(s_loss / len(task.support))
+        support_losses.append(s_loss / len(s_rows))
         adapted = meta.adapt_on_test(
-            params, task.support, cfg,
+            params, s_rows, cfg,
             dataclasses.replace(meta_cfg, adapt_steps=meta_cfg.inner_steps),
         )
-        q_loss, grads = meta._loss_and_grad(adapted, task.query,
-                                            pipeline.features(task.query, cfg), cfg,
-                                            meta_cfg, "sum")
+        q_loss, grads = meta._loss_and_grad(adapted, q_rows, pipeline.features(q_rows, cfg),
+                                            cfg, meta_cfg, "sum")
         total_g += np.concatenate([g.ravel() for g in grads])
-        query_losses.append(q_loss / len(task.query))
+        query_losses.append(q_loss / len(q_rows))
     state = adam_state or nn.AdamState.init(vec.size)
     new_vec, state = nn.adam_step(vec, total_g, state, meta_cfg.outer_lr)
     return (nn.unpack(new_vec, params.sizes), state,
@@ -156,15 +157,14 @@ def test_grouped_outer_update_matches_per_task_loop(
     got_params, got_state = params, None
     want_params, want_state = params, None
     for _ in range(2):  # the second step starts from a nonzero Adam state
-        tasks = [
-            channels.Task(support=rand_batch(rng, 4, 2, 2), query=rand_batch(rng, 4, 2, 2))
-            for _ in range(n_tasks)
-        ]
+        # each task draws its support rows, then its query rows
+        rows = [(rand_batch(rng, 4, 2, 2), rand_batch(rng, 4, 2, 2)) for _ in range(n_tasks)]
+        support, query = (np.stack(part) for part in zip(*rows))
         got_params, got_state, got_s, got_q = meta.outer_update(
-            got_params, tasks, cfg, meta_cfg, got_state
+            got_params, support, query, cfg, meta_cfg, got_state
         )
         want_params, want_state, want_s, want_q = reference_outer_update(
-            want_params, tasks, cfg, meta_cfg, want_state
+            want_params, support, query, cfg, meta_cfg, want_state
         )
         np.testing.assert_array_equal(nn.pack(got_params), nn.pack(want_params))
         np.testing.assert_array_equal(got_state.m, want_state.m)
@@ -269,9 +269,10 @@ def test_each_loop_featurizes_its_batch_once(monkeypatch):
     calls.clear()
     meta.adapt_on_test(params, batch, cfg, dataclasses.replace(meta_cfg, adapt_steps=0))
     assert calls == []
-    tasks = [channels.task_from_dataset(np.random.default_rng(t), batch, 2, 2)
-             for t in range(3)]
-    meta.outer_update(params, tasks, cfg, dataclasses.replace(meta_cfg, inner_steps=0), None)
+    rows = np.stack([channels.task_from_dataset(np.random.default_rng(t), batch, 2, 2)
+                     for t in range(3)])
+    meta.outer_update(params, batch[rows[:, :2]], batch[rows[:, 2:]], cfg,
+                      dataclasses.replace(meta_cfg, inner_steps=0), None)
     assert calls == [(3, 2, 2, 2), (3, 2, 2, 2)]
 
 

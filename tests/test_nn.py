@@ -101,6 +101,20 @@ def test_from_arrays_takes_one_task_of_a_stack_as_a_copy():
         assert not np.shares_memory(got, a)
 
 
+def test_a_stack_slice_is_its_leaf():
+    # A stack is its leaf behind a leading task axis: task t's slice of every
+    # leaf, weight or (1, o) bias row, has the leaf's shape and memory, and
+    # from_arrays of one task's slices packs to the leaves' bytes.
+    params = nn.init_predictor(np.random.default_rng(6), n=2, k=3, width=8)
+    stack = nn.stack_params(params, 3)
+    for leaf, s in zip(params.leaves, stack.leaves, strict=True):
+        for t in range(3):
+            assert s[t].shape == leaf.shape
+            assert np.shares_memory(s[t], leaf)
+    task = nn.from_arrays([s[1] for s in stack.leaves], params.sizes)
+    assert nn.pack(task).tobytes() == nn.pack(params).tobytes()
+
+
 def test_mlp_forward_is_relu_network():
     # One hidden layer by hand: y = max(x W1 + b1, 0) W2 + b2.
     w1 = np.array([[1.0, -1.0], [2.0, 0.5]])
@@ -152,7 +166,7 @@ def test_nets_of_different_depths_slice_and_roundtrip(tmp_path):
     assert nn.pack(back).tobytes() == nn.pack(params).tobytes()
     for net, (weights, biases) in zip(sizes, back.nets(), strict=True):
         assert [w.shape for w in weights] == list(zip(net, net[1:]))
-        assert [b.shape for b in biases] == [(o,) for o in net[1:]]
+        assert [b.shape for b in biases] == [(1, o) for o in net[1:]]
     # the slices take every leaf once, in pack order
     sliced = [a for weights, biases in back.nets() for pair in zip(weights, biases) for a in pair]
     assert all(a is b for a, b in zip(sliced, back.leaves, strict=True))
@@ -227,6 +241,25 @@ def test_checkpoint_corruption_detected(tmp_path):
     wrong_count.write_bytes(blob[:5] + bytes([9, 0, 0, 0]) + blob[9:])
     with pytest.raises(DataFormatError):
         nn.load_checkpoint(wrong_count)
+
+
+# Damage to a checkpoint of N = K = 2, width 8, whose 69-byte header is the
+# magic, the net count and per net its size count and four sizes.
+@pytest.mark.parametrize("damage, what", [
+    (lambda blob: b"XXXXX" + blob[5:], "bad magic"),
+    (lambda blob: blob[:5] + bytes([9, 0, 0, 0]) + blob[9:], "expected 3 nets, header says 9"),
+    (lambda blob: blob[:11], "truncated header at byte 9"),
+    (lambda blob: blob[:69], "truncated payload at byte 69"),
+    (lambda blob: blob + b"\x00", "1 trailing bytes after payload"),
+], ids=["magic", "net-count", "header", "payload", "trailing"])
+def test_every_checkpoint_refusal_names_the_file(tmp_path, damage, what):
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(path, nn.init_predictor(np.random.default_rng(10), n=2, k=2, width=8))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(DataFormatError) as err:
+        nn.load_checkpoint(path)
+    assert what in str(err.value)
+    assert str(path) in str(err.value)
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,7 +10,7 @@ consumer produced, computed on a separate tape.
 import numpy as np
 
 from metabeam import autodiff as ad
-from metabeam import channels, memory, meta, nn
+from metabeam import memory, meta, nn
 from metabeam.meta import MetaConfig
 from metabeam.objective import SystemConfig
 
@@ -52,15 +52,14 @@ def test_unsupervised_train_keeps_init_and_dataset():
 
 
 def test_outer_update_keeps_params_and_tasks():
+    # neither the parameters nor the support and query row stacks are written
     rng, cfg, meta_cfg, params = setup()
-    tasks = [channels.Task(support=rand_batch(rng, 4, 2, 2), query=rand_batch(rng, 4, 2, 2))
-             for _ in range(3)]
-    before = snapshot(params.leaves)
-    data_before = snapshot(a for task in tasks for a in (task.support, task.query))
-    new_params, state, _, _ = meta.outer_update(params, tasks, cfg, meta_cfg, None)
-    meta.outer_update(new_params, tasks, cfg, meta_cfg, state)
+    support, query = rand_batch(rng, 3, 4, 2, 2), rand_batch(rng, 3, 4, 2, 2)
+    before, data_before = snapshot(params.leaves), snapshot([support, query])
+    new_params, state, _, _ = meta.outer_update(params, support, query, cfg, meta_cfg, None)
+    meta.outer_update(new_params, support, query, cfg, meta_cfg, state)
     assert snapshot(params.leaves) == before
-    assert snapshot(a for task in tasks for a in (task.support, task.query)) == data_before
+    assert snapshot([support, query]) == data_before
 
 
 def test_adapt_stack_keeps_stack_and_batch():
