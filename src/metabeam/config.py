@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .meta import MetaConfig
 
 METHODS = ("wmmse", "unsupervised", "maml", "maml_no_pretrain", "mml")
-MIN_SNR_DB, MAX_SNR_DB = -400, 100  # in dB; clean for K >= N only (K < N: ROADMAP item 11)
+MIN_SNR_DB, MAX_SNR_DB = -400, 100  # in dB; clean for K >= N only (K < N: ROADMAP item 17)
 _TOP_LEVEL_COMMA = re.compile(r",(?![^()]*\))")  # a comma outside parentheses
 
 

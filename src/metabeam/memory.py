@@ -9,8 +9,9 @@ and then drops them. Each slot's adaptation restarts from the
 meta-initialization and trains on memory plus the fresh batch, so the memory
 is the sole carrier of accumulated experience and hard past samples keep
 contributing gradient signal.
-mml_test_loop runs every streaming method, with or without a memory; at
-capacity 0 (maml, maml_no_pretrain) it adapts each run of slots on one tape.
+mml_test_loop runs every streaming method, with or without a memory, on a
+(slots, B, K, N) stream; at capacity 0 (maml, maml_no_pretrain) it adapts
+each run of slots, a slice of the stream, on one tape.
 """
 
 import math
@@ -115,31 +116,39 @@ def update_memory(mem, fresh, t, params, cfg, variant="corrected", rank_pool="re
 def mml_test_loop(params, stream, cfg, meta_cfg, capacity, rank_pool="retained", on_slot=None):
     """Streaming adaptation, with a replay memory when capacity > 0.
 
-    `params` is the pre-trained initialization. Slot t's batch D_t is scored
-    with the current parameters (slot 0: the initialization), on_slot
-    observes (t, per_sample_wsr), and slot t's parameters are then adapted
-    from the initialization by meta_cfg.adapt_steps summed-loss steps: on
-    memory union D_t, after which the memory is updated under them (ranked
-    by meta_cfg.loss_variant, the loss the slot adapted with); or, at
-    capacity 0, on D_t alone, a run of equal-sized slots on one tape
-    (_adapt_run), bit-identical to one adaptation per slot. The memory is
-    the only state carried along the stream, and all that separates
-    capacity M from capacity 0.
+    `params` is the pre-trained initialization and `stream` one
+    (slots, B, K, N) array. Slot t's batch D_t = stream[t] is scored with
+    the current parameters (slot 0: the initialization), on_slot observes
+    (t, per_sample_wsr), and slot t's parameters are then adapted from the
+    initialization by meta_cfg.adapt_steps summed-loss steps: on memory
+    union D_t, after which the memory is updated under them (ranked by
+    meta_cfg.loss_variant, the loss the slot adapted with); or, at capacity
+    0, on D_t alone, where a run of slots, a slice of the stream of at most
+    SLOT_GROUP_SAMPLES samples, adapts as one stack, bit-identical to one
+    adaptation per slot. The memory is the only state carried along the
+    stream, and all that separates capacity M from capacity 0.
 
     Returns (final_params, wsr_per_slot, final_memory).
     """
     init = params
-    batches = [np.asarray(batch) for batch in stream]
+    stream = np.asarray(stream)
+    per_run = max(1, SLOT_GROUP_SAMPLES // stream.shape[1])
     mem = MemorySet.empty(capacity)
     ahead = []  # capacity 0: adapted parameters of the next slots of a run
     wsr_series = []
-    for t, batch in enumerate(batches):
+    for t, batch in enumerate(stream):
         slot_wsr = pipeline.evaluate_wsr(params, batch, cfg)
         if on_slot is not None:
             on_slot(t, slot_wsr)
         wsr_series.append(float(np.mean(slot_wsr)))
         if capacity == 0:
-            ahead = ahead or _adapt_run(init, batches[t:], cfg, meta_cfg)
+            if not ahead:
+                run = stream[t : t + per_run]
+                stack, _ = meta_mod.adapt_stack(nn.stack_params(init, len(run)), run, cfg,
+                                                meta_cfg, meta_cfg.adapt_steps)
+                ahead = [nn.from_arrays([a[i] for a in stack.leaves], init.sizes)
+                         for i in range(len(run))]
+                del stack  # not held through the next run's tape, which sets the peak
             params = ahead.pop(0)
             continue
         stored = mem.as_batch()
@@ -148,17 +157,3 @@ def mml_test_loop(params, stream, cfg, meta_cfg, capacity, rank_pool="retained",
         mem = update_memory(mem, batch, t, params, cfg, variant=meta_cfg.loss_variant,
                             rank_pool=rank_pool)
     return params, np.array(wsr_series), mem
-
-
-def _adapt_run(init, batches, cfg, meta_cfg):
-    """Adapted parameters, one copy per slot, of the run of equal-sized slots
-    that batches starts with: at most SLOT_GROUP_SAMPLES samples (and at
-    least one slot), adapted from init as one meta.adapt_stack stack."""
-    shape = batches[0].shape
-    per_run = SLOT_GROUP_SAMPLES // max(shape[0], 1)
-    n = 1
-    while n < min(per_run, len(batches)) and batches[n].shape == shape:
-        n += 1
-    stack, _ = meta_mod.adapt_stack(nn.stack_params(init, n), np.stack(batches[:n]), cfg,
-                                    meta_cfg, meta_cfg.adapt_steps)
-    return [nn.from_arrays([a[i] for a in stack.leaves], init.sizes) for i in range(n)]

@@ -18,13 +18,13 @@ into the one flat meta gradient in task order. Every loop passes its
 parameters as one nn.PredictorParams, whose leaves are the meta parameters'
 own arrays, per-task stacks or views of Adam's packed vector. adapt_stack
 holds the one SGD loop: the support steps of the meta step and both test-time
-steps of memory.mml_test_loop (a run of memoryless slots as one stack, and
-adapt_on_test on a slot with its memory, on the parameters' own arrays) all
-run through it. Each loop featurizes a batch once (pipeline.features) for all
-passes on it. Every per-task number is computed by the same floating-point
-operations as a one-task-at-a-time loop, so the result is bit-identical to it;
-the group size only trades tape passes (each with a fixed Python cost) against
-the memory of one tape.
+steps of memory.mml_test_loop (a run of memoryless slots, a slice of the
+stream, as one stack, and adapt_on_test on a slot with its memory, on the
+parameters' own arrays) all run through it. Each loop featurizes a batch
+once (pipeline.features) for all passes on it. Every per-task number is
+computed by the same floating-point operations as a one-task-at-a-time loop,
+so the result is bit-identical to it; the group size only trades tape passes
+(each with a fixed Python cost) against the memory of one tape.
 
 No loop writes into an array its caller passed in (parameters, stacks,
 batches, streams). The steps overwrite only arrays the loop itself made:

@@ -132,11 +132,12 @@ def _eval_forward(params, cfg, sys_cfg, snr_idx, seed):
 
 
 def _stream_for(cfg, snr_idx, seed):
+    """One cell's (slots, slot_size, K, N) stream, one channel draw per slot."""
     rng = rng_for(cfg.seed, "test", "stream", snr_idx, seed)
-    return [
+    return np.stack([
         channels.sample_channels(rng, cfg.test_channel, cfg.slot_size, cfg.n, cfg.k)
         for _ in range(cfg.slots)
-    ]
+    ])
 
 
 def _eval_stream(method, params, cfg, sys_cfg, snr_db, snr_idx, seed):

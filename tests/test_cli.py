@@ -372,7 +372,7 @@ def test_figure_subcommand(cfg_path, tmp_path, capsys):
     pytest.param(MAX_SNR_DB, 2, 3, id=f"{MAX_SNR_DB}-n2-k3"),
     pytest.param(MAX_SNR_DB, 3, 2, id=f"{MAX_SNR_DB}-n3-k2", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="FOUND line 'K < N runs fail at high SNR' (CHANGES.md, ROADMAP item 11): "
+        reason="FOUND line 'K < N runs fail at high SNR' (CHANGES.md, ROADMAP item 17): "
                "S + mu I loses positive definiteness, exit 2")),
 ])
 @pytest.mark.parametrize("figure", sorted(runner.FIGURE_CHANNELS))

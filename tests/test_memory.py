@@ -190,12 +190,12 @@ def plain_adaptation(params, stream, cfg, meta_cfg):
 
 def test_mml_loop_zero_capacity_is_plain_adaptation(monkeypatch):
     # Must match the per-slot oracle bit for bit: 4 slots on one tape; 5
-    # slots in groups of 2, 2 and 1; slots of unequal sizes, which cannot
-    # share a pass; and no adaptation steps at all.
+    # slots in groups of 2, 2 and 1; and no adaptation steps at all. A
+    # stream is one (slots, B, K, N) array, so slots of unequal sizes are
+    # refused.
     cases = [
         ([5] * 4, None, 2),
         ([5] * 5, 10, 2),
-        ([4, 4, 3, 4], None, 2),
         ([4] * 3, None, 0),
     ]
     for sizes, group_samples, steps in cases:
@@ -211,6 +211,29 @@ def test_mml_loop_zero_capacity_is_plain_adaptation(monkeypatch):
         np.testing.assert_array_equal(series, [float(np.mean(r)) for r in rates])
         np.testing.assert_array_equal(nn.pack(final), nn.pack(current))
         monkeypatch.undo()
+
+    rng, cfg, meta_cfg, params = small_setup()
+    ragged = [rand_batch(rng, b, 2, 2) for b in (4, 4, 3, 4)]
+    with pytest.raises(ValueError):
+        memory.mml_test_loop(params, ragged, cfg, meta_cfg, 0)
+
+
+def test_memoryless_runs_are_views_of_the_stream(monkeypatch):
+    # Each run is adapted on a slice of the caller's stream, not a copy.
+    rng, cfg, meta_cfg, params = small_setup()
+    monkeypatch.setattr(memory, "SLOT_GROUP_SAMPLES", 6)
+    runs = []
+    adapt_stack = meta.adapt_stack
+
+    def spy(params, batch, *args):
+        runs.append(batch)
+        return adapt_stack(params, batch, *args)
+
+    monkeypatch.setattr(meta, "adapt_stack", spy)
+    stream = rand_batch(rng, 15, 2, 2).reshape(5, 3, 2, 2)
+    memory.mml_test_loop(params, stream, cfg, meta_cfg, 0)
+    assert [run.shape[0] for run in runs] == [2, 2, 1]
+    assert all(np.shares_memory(run, stream) for run in runs)
 
 
 def test_memoryless_loop_calls_on_slot_in_order(monkeypatch):

@@ -78,13 +78,15 @@ def test_adapt_stack_keeps_stack_and_batch():
 
 
 def test_mml_test_loop_keeps_stream_and_init():
+    # Slot batches are views of the stream, so the memory stores copies.
     rng, cfg, meta_cfg, params = setup()
-    stream = [rand_batch(rng, 4, 2, 2) for _ in range(5)]
-    before, stream_before = snapshot(params.leaves), snapshot(stream)
+    stream = rand_batch(rng, 5, 4, 2, 2)
+    before, stream_before = snapshot(params.leaves), stream.tobytes()
     for capacity in (0, 4):
-        memory.mml_test_loop(params, stream, cfg, meta_cfg, capacity)
-        assert snapshot(stream) == stream_before
+        _, _, mem = memory.mml_test_loop(params, stream, cfg, meta_cfg, capacity)
+        assert stream.tobytes() == stream_before
         assert snapshot(params.leaves) == before
+        assert not any(np.shares_memory(e.sample, stream) for e in mem.entries)
 
 
 def test_grad_returns_mlp_output_adjoint_unmodified():
