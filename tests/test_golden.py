@@ -7,12 +7,14 @@ Both figures get the same tolerances. The learned methods' rows, the losses
 and the checkpoints must match to rtol 1e-12: perturbing the initialization
 by 4e-16 relative moved the fig6 rows by at most 2.5e-15, so this passes on
 another CPU's BLAS kernels and fails on any change of substance. The wmmse
-rows get rtol 1e-9, the relative width of the solver's power band, inside
-which an equally valid multiplier search moved the rate by up to 3.6e-10
-(bisection to Newton) and starting each search at the previous iterate's mu
-moved the rows by up to 5.8e-11. The fig6 wmmse rows were re-recorded after
-that warm start, so an unchanged tree reproduces every recorded file to the
-bit and `record.py --diff` exits 0 on it.
+rows get rtol 1e-9, the relative width the solver's power band had then
+(1e-10 now), inside which an equally valid multiplier search moved the rate
+by up to 3.6e-10 (bisection to Newton) and starting each search at the
+previous iterate's mu moved the rows by up to 5.8e-11. The fig6 wmmse rows
+were re-recorded after that warm start, and the wmmse rows of both figures
+when each start began stopping on its rate (they moved by up to 6.9e-9), so
+an unchanged tree reproduces every recorded file to the bit and
+`record.py --diff` exits 0 on it.
 """
 
 import csv
